@@ -9,9 +9,7 @@ units of nu, canonically nu = 1.
 Outputs: one CSV per result table (17 significant digits, LF endings)
 plus metadata.json echoing the config, the engine version and every
 tolerance in play, written atomically.  Identical configs produce
-byte-identical files; nothing wall-clock-dependent is recorded.  The
-environment variable IONTRAP_SEED is reserved but unused: every
-computation here is deterministic.
+byte-identical files; nothing wall-clock-dependent is recorded.
 
 Exit codes: 0 success, 2 config error, 3 numerical diagnostic.
 """

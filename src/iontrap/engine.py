@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    SpaceConfig, Operator, expm, op_norm, hermitize, interior_norm,
-)
+from .operators import SpaceConfig, Operator, expm, op_norm, interior_norm
+from .oracle import exact_eigs
 
 
 def chi(x: float, eps: float = 1e-12) -> float:
@@ -90,18 +89,16 @@ class SpectralDecomposition:
 def decompose(h0: Operator, eps_deg: float = 1e-8) -> SpectralDecomposition:
     """Diagonalize a hermitian operator and cluster degenerate eigenvalues.
 
-    Adjacent eigenvalues closer than eps_deg share a cluster.  A spacing in
-    the grey zone (eps_deg, 3 eps_deg) means the tolerance cannot cleanly
-    separate the spectrum; that raises ClusterAmbiguityError rather than
-    silently committing either way.  The same happens if chained merging
-    produces a cluster wider than eps_deg.
+    The eigenpairs come from ``exact_eigs``, with its hermiticity and
+    residual checks.  Adjacent eigenvalues closer than eps_deg share a
+    cluster.  A spacing in the grey zone (eps_deg, 3 eps_deg) means the
+    tolerance cannot cleanly separate the spectrum; that raises
+    ClusterAmbiguityError rather than silently committing either way.  The
+    same happens if chained merging produces a cluster wider than eps_deg.
     """
     if eps_deg <= 0:
         raise ValueError(f"eps_deg must be > 0, got {eps_deg}")
-    defect = op_norm(h0 - h0.dag)
-    if defect > 1e-10 * max(1.0, op_norm(h0)):
-        raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
-    w, v = np.linalg.eigh(hermitize(h0).mat)
+    w, v = exact_eigs(h0)
     clusters = []
     start = 0
     for i in range(1, w.size + 1):
@@ -156,10 +153,7 @@ class InteractionSeries:
         return self.terms[m - 1]
 
     def evaluate(self, lam: float) -> Operator:
-        total = float(lam) * self.terms[0]
-        for m in range(2, len(self.terms) + 1):
-            total = total + float(lam) ** m * self.terms[m - 1]
-        return total
+        return _lam_polynomial(lam, self.terms)
 
 
 @dataclass(frozen=True)
@@ -172,23 +166,22 @@ class PerturbativeSolution:
 
     def generator(self, lam: float, upto: int | None = None) -> Operator:
         """W = sum_{k<=upto} lam^k Z_k."""
-        n = self.order if upto is None else upto
-        if not 1 <= n <= self.order:
-            raise ValueError(f"upto must be in 1..{self.order}, got {n}")
-        total = float(lam) * self.Z[0]
-        for k in range(2, n + 1):
-            total = total + float(lam) ** k * self.Z[k - 1]
-        return total
+        return _lam_polynomial(lam, self.Z, upto)
 
     def constant(self, lam: float, upto: int | None = None) -> Operator:
         """C(lam) truncated at order upto."""
-        n = self.order if upto is None else upto
-        if not 1 <= n <= self.order:
-            raise ValueError(f"upto must be in 1..{self.order}, got {n}")
-        total = float(lam) * self.C[0]
-        for k in range(2, n + 1):
-            total = total + float(lam) ** k * self.C[k - 1]
-        return total
+        return _lam_polynomial(lam, self.C, upto)
+
+
+def _lam_polynomial(lam: float, coeffs, upto: int | None = None) -> Operator:
+    """sum_{k<=upto} lam^k coeffs[k-1] (all terms by default), from k = 1 up."""
+    n = len(coeffs) if upto is None else upto
+    if not 1 <= n <= len(coeffs):
+        raise ValueError(f"upto must be in 1..{len(coeffs)}, got {n}")
+    total = float(lam) * coeffs[0]
+    for k in range(2, n + 1):
+        total = total + float(lam) ** k * coeffs[k - 1]
+    return total
 
 
 def diagonal_split(G: Operator, spec: SpectralDecomposition):
@@ -237,6 +230,14 @@ def _f_term(order: int, x: np.ndarray, z_mats: list) -> np.ndarray:
     return total
 
 
+def _assemble_G(n: int, h0: np.ndarray, terms: list, z_mats: list) -> np.ndarray:
+    """sum_{m=0}^{n} F_{n-m}(H_m; Z_1..), H_0 = h0, H_m = terms[m-1] or zero."""
+    total = _f_term(n, h0, z_mats)
+    for m in range(1, min(n, len(terms)) + 1):
+        total = total + _f_term(n - m, terms[m - 1], z_mats)
+    return total
+
+
 def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Operator:
     """The order-n data operator G_n, with the i[Z_n, H0] term left out.
 
@@ -247,21 +248,18 @@ def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Op
         raise ValueError(f"order must be >= 1, got {n}")
     if len(z_prev) != n - 1:
         raise ValueError(f"expected {n-1} previous generators, got {len(z_prev)}")
-    z_mats = [z.mat for z in z_prev]
-    total = _f_term(n, h0.mat, z_mats)
-    for m in range(1, n + 1):
-        if m <= series.order:
-            total = total + _f_term(n - m, series.term(m).mat, z_mats)
+    total = _assemble_G(n, h0.mat, [t.mat for t in series.terms],
+                        [z.mat for z in z_prev])
     return Operator(total, h0.space)
 
 
-def solve(spec: SpectralDecomposition, series: InteractionSeries,
-          N: int) -> PerturbativeSolution:
-    """Run the recursion to order N (projector route, minimal gauge).
+def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
+               mask: np.ndarray) -> PerturbativeSolution:
+    """The recursion in the eigenbasis of H0 with a given block mask.
 
-    Works in the eigenbasis of H0, where the block split is an index mask and
-    the generator equation divides by eigenvalue differences:
-    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j) across clusters, 0 within.
+    mask[j, k] marks the entries of G_n that commute with H0: they form
+    C_n, and the rest is solved away by
+    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j).
     """
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
@@ -269,23 +267,15 @@ def solve(spec: SpectralDecomposition, series: InteractionSeries,
         raise ValueError("series and decomposition dimensions differ")
     w = spec.eigenvalues
     v = spec.eigenbasis
-    mask = spec.intra_mask()
     # eigenvalue-difference matrix E(k) - E(j) at entry (j, k)
     diff = w[None, :] - w[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_diff = np.where(mask, 0.0, np.divide(1.0, diff, where=~mask))
-    h_eig = [np.diag(w.astype(complex))]
-    for m in range(1, N + 1):
-        if m <= series.order:
-            h_eig.append(v.conj().T @ series.term(m).mat @ v)
-        else:
-            h_eig.append(np.zeros((spec.dim, spec.dim), dtype=complex))
+    inv_diff = np.divide(1.0, diff, out=np.zeros_like(diff), where=~mask)
+    h0_eig = np.diag(w.astype(complex))
+    terms_eig = [v.conj().T @ term.mat @ v for term in series.terms[:N]]
 
     c_ops, z_ops, z_mats = [], [], []
     for n in range(1, N + 1):
-        g = _f_term(n, h_eig[0], z_mats)
-        for m in range(1, n + 1):
-            g = g + _f_term(n - m, h_eig[m], z_mats)
+        g = _assemble_G(n, h0_eig, terms_eig, z_mats)
         g = (g + g.conj().T) / 2
         c_eig = np.where(mask, g, 0.0)
         z_eig = 1j * inv_diff * np.where(mask, 0.0, g)
@@ -295,41 +285,31 @@ def solve(spec: SpectralDecomposition, series: InteractionSeries,
     return PerturbativeSolution(order=N, C=tuple(c_ops), Z=tuple(z_ops))
 
 
+def solve(spec: SpectralDecomposition, series: InteractionSeries,
+          N: int) -> PerturbativeSolution:
+    """Run the recursion to order N (projector route, minimal gauge).
+
+    Works in the eigenbasis of H0, where the block split is the cluster
+    mask of the decomposition and the generator equation divides by
+    eigenvalue differences:
+    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j) across clusters, 0 within.
+    """
+    return _recursion(spec, series, N, spec.intra_mask())
+
+
 def solve_ladder(spec: SpectralDecomposition, series: InteractionSeries,
                  N: int) -> PerturbativeSolution:
-    """Same recursion with the chi/gamma weighting instead of cluster masks.
+    """The recursion with the chi/gamma weighting as its block mask.
 
-    C_n picks up entries where chi(E(k)-E(j)) = 1 and Z_n multiplies by
-    gamma(E(k)-E(j)); with a clean clustering this must reproduce solve,
-    which is exactly what the consistency tests check.
+    C_n keeps the entries where chi(E(k) - E(j)) = 1 and Z_n weights the
+    rest by gamma(E(k) - E(j)), both at the tolerance eps_deg: the shared
+    recursion core with the mask |E(k) - E(j)| <= eps_deg in place of the
+    cluster mask.  A clean clustering makes the two masks agree, so this
+    must reproduce solve, which is what the consistency tests check.
     """
-    if N < 1:
-        raise ValueError(f"order must be >= 1, got {N}")
     w = spec.eigenvalues
-    v = spec.eigenbasis
-    eps = spec.eps_deg
-    chi_m = np.array([[chi(w[k] - w[j], eps) for k in range(w.size)]
-                      for j in range(w.size)])
-    gam_m = np.array([[gamma(w[k] - w[j], eps) for k in range(w.size)]
-                      for j in range(w.size)])
-    h_eig = [np.diag(w.astype(complex))]
-    for m in range(1, N + 1):
-        if m <= series.order:
-            h_eig.append(v.conj().T @ series.term(m).mat @ v)
-        else:
-            h_eig.append(np.zeros((spec.dim, spec.dim), dtype=complex))
-    c_ops, z_ops, z_mats = [], [], []
-    for n in range(1, N + 1):
-        g = _f_term(n, h_eig[0], z_mats)
-        for m in range(1, n + 1):
-            g = g + _f_term(n - m, h_eig[m], z_mats)
-        g = (g + g.conj().T) / 2
-        c_eig = chi_m * g
-        z_eig = 1j * gam_m * g
-        z_mats.append(z_eig)
-        c_ops.append(Operator(v @ c_eig @ v.conj().T, spec.space))
-        z_ops.append(Operator(v @ z_eig @ v.conj().T, spec.space))
-    return PerturbativeSolution(order=N, C=tuple(c_ops), Z=tuple(z_ops))
+    return _recursion(spec, series, N,
+                      np.abs(w[None, :] - w[:, None]) <= spec.eps_deg)
 
 
 def assemble(h0: Operator, sol: PerturbativeSolution, lam: float, n: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    SpaceConfig, Operator, identity, basis_vector, number, pauli,
+    SpaceConfig, identity, basis_vector, number, pauli,
     op_norm, interior_distance, EXCITED, GROUND,
 )
 from .hamiltonians import ModelParams, bh, t_delta, t1, ith_fn
@@ -30,6 +30,7 @@ from .closedforms import (
 from .oracle import (
     OverlapAmbiguityError, exact_eigs, exact_propagator,
     frame_chain_propagator, time_ordered_propagator, fit_order, scan_gap,
+    _rung_levels,
 )
 
 
@@ -146,14 +147,18 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         spec = spectrum_second_order(p, n_levels)
     except ValueError as exc:
         raise _as_config_error(exc)
-    values, _ = exact_eigs(bh(p, space))
-    # sorted-index pairing: level n occupies positions 2n-1, 2n as long as
-    # the pair splitting stays below the ladder spacing
+    values, vectors = exact_eigs(bh(p, space))
     cols = {"n": [], "E_minus": [], "E_plus": [],
             "E_minus_exact": [], "E_plus_exact": [],
             "err_minus": [], "err_plus": []}
+    meta = {"n_levels": n_levels, "E0": spec.E0, "E0_exact": float(values[0]),
+            "err_E0": abs(spec.E0 - float(values[0]))}
     for n, e_minus, e_plus in spec.levels:
-        lo, hi = values[2 * n - 1], values[2 * n]
+        try:
+            lo, hi = _rung_levels(n, values, vectors, space)
+        except OverlapAmbiguityError as exc:
+            raise DiagnosticError(f"ambiguous level pairing: {exc}",
+                                  [ResultTable("spectrum", cols, meta)])
         cols["n"].append(n)
         cols["E_minus"].append(e_minus)
         cols["E_plus"].append(e_plus)
@@ -161,8 +166,6 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         cols["E_plus_exact"].append(hi)
         cols["err_minus"].append(abs(e_minus - lo))
         cols["err_plus"].append(abs(e_plus - hi))
-    meta = {"n_levels": n_levels, "E0": spec.E0, "E0_exact": float(values[0]),
-            "err_E0": abs(spec.E0 - float(values[0]))}
     return [ResultTable("spectrum", cols, meta)]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .operators import (
     SpaceConfig, Operator,
-    annihilation, creation, number, pauli, identity, displacement,
+    annihilation, number, pauli, identity, displacement,
     expm, hermitize, from_fock_blocks,
     fock_displacement, fock_parity,
 )
@@ -177,10 +177,7 @@ def jc_constants(p: JCParams, space: SpaceConfig) -> tuple[Operator, Operator]:
 
 def ith(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     """Lab-frame Hamiltonian at time t (trap + splitting + laser drive)."""
-    h0 = p.nu * number(space) + 0.5 * p.omega_ge * pauli("z", space)
-    drive = pauli("+", space) @ displacement(1j * p.eta, space)
-    phase = np.exp(-1j * p.omega_L * t)
-    return h0 + p.Omega_R * (phase * drive + np.conj(phase) * drive.dag)
+    return Operator(ith_fn(p, space)(t), space)
 
 
 def ith_fn(p: ModelParams, space: SpaceConfig):
@@ -335,11 +332,16 @@ def bh_interaction_term(m: int, p: ModelParams, space: SpaceConfig) -> Operator:
 
 def bh_interaction_series(p: ModelParams, M: int, space: SpaceConfig) -> Operator:
     """Sum of the interaction terms with 0 <= m <= M."""
+    return _series_sum(bh_interaction_term, p, M, space)
+
+
+def _series_sum(term, p: ModelParams, M: int, space: SpaceConfig) -> Operator:
+    """term(0) + term(1) + ... + term(M), summed in that order."""
     if M < 0:
         raise ValueError(f"series order must be >= 0, got {M}")
-    total = bh_interaction_term(0, p, space)
+    total = term(0, p, space)
     for m in range(1, M + 1):
-        total = total + bh_interaction_term(m, p, space)
+        total = total + term(m, p, space)
     return total
 
 
@@ -376,12 +378,21 @@ def bh(p: ModelParams, space: SpaceConfig, route: str = "conjugation") -> Operat
         td = t_delta(p, space)
         return td @ rfh(p, space) @ td.dag
     if route == "closed_form":
-        m_top = bh_series_order(p, space)
-        return bh_reference(p, space) + bh_interaction_series(p, m_top, space)
+        return _closed_form(p, space, bh_reference, bh_interaction_series)
     raise ValueError(f"unknown route {route!r}; valid: conjugation, closed_form")
 
 
+def _closed_form(p: ModelParams, space: SpaceConfig, reference, series) -> Operator:
+    """reference + series truncated at bh_series_order, in either frame."""
+    return reference(p, space) + series(p, bh_series_order(p, space), space)
+
+
 # -- spin-decoupled frame ------------------------------------------------------
+
+def _parity(space: SpaceConfig) -> Operator:
+    """(-1)^n on the Fock factor, identity on spin."""
+    return Operator(np.kron(fock_parity(space), np.eye(2)), space)
+
 
 def check_transform(space: SpaceConfig) -> Operator:
     """T = exp(i pi/2 n sigma_x): maps a to -i a sigma_x and sorts spins by parity."""
@@ -395,9 +406,8 @@ def h_check_reference(p: ModelParams, space: SpaceConfig) -> Operator:
     check_transform leaves scalars alone.
     """
     _require_rabi(p)
-    parity = Operator(np.kron(fock_parity(space), np.eye(2)), space)
     return (p.nu * number(space)
-            + 0.5 * p.delta_breve * (parity @ pauli("z", space))
+            + 0.5 * p.delta_breve * (_parity(space) @ pauli("z", space))
             + p.lam ** 2 * p.nu * identity(space))
 
 
@@ -421,18 +431,13 @@ def h_check_interaction_term(m: int, p: ModelParams, space: SpaceConfig) -> Oper
     ladder = Operator(np.linalg.matrix_power((a.dag - a).mat, m - 1), space)
     if m % 2 == 0:
         return hermitize(coeff * (poly @ ladder))
-    parity = Operator(np.kron(fock_parity(space), np.eye(2)), space)
     spin = pauli("-", space) - pauli("+", space)
-    return hermitize(coeff * (poly @ ladder @ parity @ spin))
+    return hermitize(coeff * (poly @ ladder @ _parity(space) @ spin))
 
 
 def h_check_interaction_series(p: ModelParams, M: int, space: SpaceConfig) -> Operator:
-    if M < 0:
-        raise ValueError(f"series order must be >= 0, got {M}")
-    total = h_check_interaction_term(0, p, space)
-    for m in range(1, M + 1):
-        total = total + h_check_interaction_term(m, p, space)
-    return total
+    """Sum of the decoupled-frame interaction terms with 0 <= m <= M."""
+    return _series_sum(h_check_interaction_term, p, M, space)
 
 
 def h_check(p: ModelParams, space: SpaceConfig, route: str = "conjugation") -> Operator:
@@ -442,6 +447,5 @@ def h_check(p: ModelParams, space: SpaceConfig, route: str = "conjugation") -> O
         t = check_transform(space)
         return t @ bh(p, space, "conjugation") @ t.dag
     if route == "closed_form":
-        m_top = bh_series_order(p, space)
-        return h_check_reference(p, space) + h_check_interaction_series(p, m_top, space)
+        return _closed_form(p, space, h_check_reference, h_check_interaction_series)
     raise ValueError(f"unknown route {route!r}; valid: conjugation, closed_form")

@@ -46,8 +46,9 @@ def exact_eigs(h: Operator, herm_tol: float = _HERM_TOL):
     caller bug and is rejected rather than silently averaged away.
     """
     scale = max(1.0, op_norm(h))
-    if op_norm(h - h.dag) > herm_tol * scale:
-        raise ValueError("operator is not hermitian within tolerance")
+    defect = op_norm(h - h.dag)
+    if defect > herm_tol * scale:
+        raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
     sym = 0.5 * (h.mat + h.mat.conj().T)
     values, vectors = np.linalg.eigh(sym)
     # factorization residual per pair; eigh leaves ~eps * ||H||
@@ -217,6 +218,28 @@ def _parabolic_argmin(xs: Sequence[float], ys: Sequence[float]) -> float:
     return min(max(vertex, lo), hi)
 
 
+def _rung_levels(n: int, values: np.ndarray, vectors: np.ndarray,
+                space: SpaceConfig, where: str = "") -> tuple[float, float]:
+    """The exact pair (E_minus, E_plus) of rung n, matched by overlap.
+
+    The two eigenvectors with the largest squared projection onto
+    span{|n-1,e>, |n,g>} are the rung's levels; a projection under 0.8 is
+    refused with OverlapAmbiguityError instead of guessed.  where is
+    appended to the error message.
+    """
+    va = basis_vector(space, n - 1, EXCITED)
+    vb = basis_vector(space, n, GROUND)
+    overlap = (np.abs(vectors.conj().T @ va) ** 2
+               + np.abs(vectors.conj().T @ vb) ** 2)
+    pick = np.argsort(overlap)[-2:]
+    if overlap[pick].min() < _OVERLAP_THRESHOLD:
+        raise OverlapAmbiguityError(
+            f"pair n={n}: projection {overlap[pick].min():.3f} < "
+            f"{_OVERLAP_THRESHOLD}{where}")
+    lo, hi = sorted(values[pick])
+    return float(lo), float(hi)
+
+
 def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
              space: SpaceConfig | None = None) -> GapScan:
     """Exact gap of the n-th avoided pair as the detuning mismatch is swept.
@@ -227,16 +250,13 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
     splitting.  Sweeping at fixed Rabi frequency instead would drag
     eta_breve along delta_breve and displace the gap minimum by
     ~lam^2 eta_breve n^2, swamping the effect being located.  Levels are
-    matched to the pair by squared projection onto span{|n-1,e>, |n,g>};
-    a projection under 0.8 is refused instead of guessed.
+    matched to the pair by ``_rung_levels``.
     """
     if n < 1:
         raise ValueError("the bottom level is unpaired; need n >= 1")
     if space is None:
         space = SpaceConfig()
     nu, lam, eta_b = p_base.nu, p_base.lam, p_base.eta_breve
-    va = basis_vector(space, n - 1, EXCITED)
-    vb = basis_vector(space, n, GROUND)
     gaps = []
     for off in offsets:
         db = nu + 2.0 * float(off)
@@ -245,14 +265,7 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
                 f"offset {float(off):g} drives delta_breve to {float(db):g} <= 0")
         p = ModelParams.from_balanced(nu, db, eta_b, lam)
         values, vectors = exact_eigs(bh(p, space))
-        overlap = (np.abs(vectors.conj().T @ va) ** 2
-                   + np.abs(vectors.conj().T @ vb) ** 2)
-        pick = np.argsort(overlap)[-2:]
-        if overlap[pick].min() < _OVERLAP_THRESHOLD:
-            raise OverlapAmbiguityError(
-                f"pair n={n}: projection {overlap[pick].min():.3f} < "
-                f"{_OVERLAP_THRESHOLD} at offset {off!r}")
-        lo, hi = sorted(values[pick])
+        lo, hi = _rung_levels(n, values, vectors, space, f" at offset {off!r}")
         gaps.append(float(hi - lo))
     offs = tuple(float(x) for x in offsets)
     return GapScan(detuning_offsets=offs, gaps=tuple(gaps),

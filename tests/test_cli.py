@@ -16,6 +16,7 @@ from iontrap.experiments import (
     limits, frame_chain,
 )
 from iontrap.cli import main, parse_config
+from level_pairing import paired_level_errors
 
 SPACE = SpaceConfig()
 P_RES = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.05)
@@ -124,6 +125,24 @@ class TestSpectrumExperiment:
         assert max(table.columns["err_minus"]) <= bound
         assert max(table.columns["err_plus"]) <= bound
         assert table.metadata["err_E0"] <= bound
+
+    def test_crossing_rungs_paired_by_overlap(self):
+        # at lam = 0.16, delta_breve = 1.08 the exact levels of rungs 10 and
+        # 11 cross, so pairing by sorted index would compare rung 10 with
+        # rung 11 (error 5.43e-2 at n = 10 instead of 3.72e-2)
+        p = ModelParams.from_balanced(1.0, 1.08, 0.0, 0.16)
+        (table,) = spectrum(p, SPACE, Options({"n_levels": "10"}), map)
+        cols = table.columns
+        got = [max(lo, hi) for lo, hi in zip(cols["err_minus"], cols["err_plus"])]
+        want = [err for _, err in paired_level_errors(p, 10, SPACE)]
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got[-1] == pytest.approx(3.72e-2, abs=5e-5)
+
+    def test_unresolved_rung_is_a_diagnostic(self):
+        # lam sqrt(n) ~ nu mixes the rungs beyond any confident pairing
+        strong = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.6)
+        with pytest.raises(DiagnosticError, match="ambiguous level pairing"):
+            spectrum(strong, SPACE, Options({"n_levels": "10"}), map)
 
     def test_far_detuned_rejected(self):
         far = ModelParams.from_balanced(1.0, 1.7, 0.0, 0.05)
@@ -293,6 +312,15 @@ class TestRunner:
             a = (tmp_path / "a" / name).read_bytes()
             assert a == (tmp_path / "b" / name).read_bytes()
             assert a == (tmp_path / "c" / name).read_bytes()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is a test-only dependency; the runtime must not pull it in
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, iontrap.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_invocation(self, tmp_path):
         cfg = write(tmp_path, REDUCED + "[experiment]\nname = bogus\n")

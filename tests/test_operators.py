@@ -145,6 +145,15 @@ def test_expm_matches_scipy_on_generic_input():
     assert op_norm(got - ref) <= 1e-12 * max(1.0, op_norm(ref))
 
 
+def test_expm_rejects_hermitian_generator():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(SMALL.dim, SMALL.dim)) + 1j * rng.normal(size=(SMALL.dim, SMALL.dim))
+    with pytest.raises(ValueError, match="anti-hermitian"):
+        expm(Operator(m + m.conj().T, SMALL))
+    with pytest.raises(ValueError, match="anti-hermitian"):
+        expm(Operator(m, SMALL))
+
+
 def test_expm_rejects_nonfinite():
     m = np.zeros((SMALL.dim, SMALL.dim))
     m[0, 0] = np.inf
