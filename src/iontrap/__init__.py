@@ -98,7 +98,9 @@ from .closedforms import (
     jc_evolutor,
     jc_evolutor_breve,
     rwa_evolutor,
+    rwa_evolutor_fn,
     first_order_evolutor,
+    first_order_evolutor_fn,
     exp_z1,
     sandwich,
     y1_relation,
@@ -112,10 +114,13 @@ from .oracle import (
     OverlapAmbiguityError,
     ConvergenceFit,
     GapScan,
+    FactoredPropagator,
     exact_eigs,
     exact_propagator,
+    exact_propagator_fn,
     time_ordered_propagator,
     frame_chain_propagator,
+    frame_chain_fn,
     fit_order,
     scan_gap,
 )

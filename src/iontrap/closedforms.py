@@ -27,6 +27,7 @@ from .operators import (
 )
 from .hamiltonians import ModelParams, JCParams, bh_reference
 from .engine import InteractionSeries, chi, gamma
+from .oracle import FactoredPropagator, exact_eigs
 
 REGIME_KINDS = (
     "eta_much_less",     # quadratic drive coupling beyond second order
@@ -234,27 +235,54 @@ def jc_evolutor_breve(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     return from_fock_blocks(space, ee, eg, ge, gg)
 
 
+def rwa_evolutor_fn(p: ModelParams, space: SpaceConfig):
+    """Closure t -> rwa_evolutor(t) with the resonance checked once.
+
+    The reference H0 is diagonal, so exp(-i H0 t) is the phase of its
+    diagonal; no eigendecomposition is involved.
+    """
+    _require_resonance(p, "rwa_evolutor")
+    h0 = bh_reference(p, space).mat.diagonal()
+
+    def evolutor(t: float) -> Operator:
+        jc = jc_evolutor_breve(t, p, space).mat
+        return Operator(np.exp(-1j * t * h0)[:, None] * jc, space)
+
+    return evolutor
+
+
 def rwa_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     """exp(-i H0 t) JC_breve(t): what keeping only the exchange term yields."""
-    _require_resonance(p, "rwa_evolutor")
-    return expm((-1j * t) * bh_reference(p, space)) @ jc_evolutor_breve(t, p, space)
+    return rwa_evolutor_fn(p, space)(t)
 
 
-def first_order_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
-    """exp(-i Z1) exp(-i (H0 + C1) t) exp(i Z1): correct through first order.
+def first_order_evolutor_fn(p: ModelParams,
+                            space: SpaceConfig) -> FactoredPropagator:
+    """t -> exp(-i Z1) exp(-i (H0 + C1) t) exp(i Z1): correct through first order.
 
     Valid in the resonant and nearly resonant windows, where Z1 =
     -(lam/2)(a sigma_- + a^dag sigma_+) and H0 + C1 is the reference plus
     the exchange coupling regardless of which side of resonance the
     detuning sits (the sigma_z mismatch recombines into the reference).
+    exp(i Z1) is built once and H0 + C1 = V E V^dag diagonalized once, so
+    the result is the factored form with L = exp(-i Z1) V and
+    R = V^dag exp(i Z1).
     """
     _require_near_resonance(p, "first_order_evolutor")
     a = annihilation(space)
     sp, sm = pauli("+", space), pauli("-", space)
     z1 = -0.5 * p.lam * (a @ sm + a.dag @ sp)
     gen = bh_reference(p, space) + 1j * p.lam * p.nu * (a @ sp - a.dag @ sm)
-    rot = expm(1j * z1)
-    return rot.dag @ expm((-1j * t) * gen) @ rot
+    rot = expm(1j * z1).mat
+    values, vectors = exact_eigs(gen)
+    return FactoredPropagator(space, values, rot.conj().T @ vectors,
+                              vectors.conj().T @ rot)
+
+
+def first_order_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
+    """exp(-i Z1) exp(-i (H0 + C1) t) exp(i Z1) at one time; see
+    ``first_order_evolutor_fn``."""
+    return first_order_evolutor_fn(p, space)(t)
 
 
 def exp_z1(p: ModelParams, space: SpaceConfig) -> Operator:

@@ -25,11 +25,11 @@ from .hamiltonians import ModelParams, bh, t_delta, t1, ith_fn
 from .engine import decompose, solve, residual_norm
 from .closedforms import (
     REGIME_KINDS, Regime, regime_series, spectrum_second_order,
-    anticrossing_shift, rwa_evolutor, first_order_evolutor,
+    anticrossing_shift, rwa_evolutor_fn, first_order_evolutor_fn,
 )
 from .oracle import (
-    OverlapAmbiguityError, exact_eigs, exact_propagator,
-    frame_chain_propagator, time_ordered_propagator, fit_order, scan_gap,
+    OverlapAmbiguityError, exact_eigs, exact_propagator_fn,
+    frame_chain_fn, time_ordered_propagator, fit_order, scan_gap,
     _rung_levels,
 )
 
@@ -170,7 +170,14 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 
 
 def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
-    """Lab-frame dynamics of a Fock x spin basis state, no approximation."""
+    """Lab-frame dynamics of a Fock x spin basis state, no approximation.
+
+    The frame chain is factored once; each time propagates the state, not
+    the full unitary.  sigma_z and n are diagonal, so P(e) and <n> are
+    weighted sums of |psi|^2.  norm_defect, the largest |<psi|psi> - 1|
+    over the sweep, records how far rounding took the state off the unit
+    sphere.
+    """
     ts = _time_grid(opts, 6.0, 121)
     n0 = opts.get_int("initial_n", 0)
     spin_name = opts.get_str("initial_spin", "g", choices={"g", "e"})
@@ -179,40 +186,47 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         raise ConfigError(f"initial_n must be in 0..{space.n_max}")
     spin = GROUND if spin_name == "g" else EXCITED
     psi0 = basis_vector(space, n0, spin)
-    n_op = number(space).mat
-    # P(excited) projector: spin-z in the +1 eigenspace
-    p_exc = 0.5 * (np.eye(space.dim) + pauli("z", space).mat)
+    n_diag = number(space).mat.diagonal().real
+    # P(excited) weights: spin-z in the +1 eigenspace
+    p_exc = 0.5 * (1.0 + pauli("z", space).mat.diagonal().real)
+    chain = frame_chain_fn(p, space)
 
     def point(t):
-        psi = frame_chain_propagator(float(t), p, space).mat @ psi0
-        return (float(np.real(psi.conj() @ (p_exc @ psi))),
-                float(np.real(psi.conj() @ (n_op @ psi))),
-                float(abs(psi0.conj() @ psi) ** 2))
+        psi = chain.apply(float(t), psi0)
+        prob = np.abs(psi) ** 2
+        return (float(prob @ p_exc), float(prob @ n_diag),
+                float(abs(psi0.conj() @ psi) ** 2), float(prob.sum()))
 
     rows = list(mapper(point, ts))
     cols = {"t": [float(t) for t in ts],
             "p_excited": [r[0] for r in rows],
             "mean_n": [r[1] for r in rows],
             "survival": [r[2] for r in rows]}
-    meta = {"initial_n": n0, "initial_spin": spin_name}
+    meta = {"initial_n": n0, "initial_spin": spin_name,
+            "norm_defect": max(abs(r[3] - 1.0) for r in rows)}
     return [ResultTable("evolve", cols, meta)]
 
 
 def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
-    """Interior-norm error of the RWA and first-order evolutors."""
+    """Interior-norm error of the RWA and first-order evolutors.
+
+    All three propagators are built before the sweep, so parameters
+    outside the evolutors' resonance windows fail before any point runs.
+    """
     ts = _time_grid(opts, 3.0, 61)
     opts.finish()
-    h = bh(p, space)
+    exact = exact_propagator_fn(bh(p, space))
+    try:
+        rwa = rwa_evolutor_fn(p, space)
+        first = first_order_evolutor_fn(p, space)
+    except ValueError as exc:
+        raise _as_config_error(exc)
 
     def point(t):
         t = float(t)
-        ref = exact_propagator(h, t)
-        try:
-            err_r = interior_distance(rwa_evolutor(t, p, space), ref)
-            err_e = interior_distance(first_order_evolutor(t, p, space), ref)
-        except ValueError as exc:
-            raise _as_config_error(exc)
-        return err_r, err_e
+        ref = exact(t)
+        return (interior_distance(rwa(t), ref),
+                interior_distance(first(t), ref))
 
     rows = list(mapper(point, ts))
     cols = {"t": [float(t) for t in ts],
@@ -331,12 +345,12 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     tol = opts.get_float("tolerance", 1e-6)
     opts.finish()
     f = ith_fn(p, space)
+    chain = frame_chain_fn(p, space)
 
     def point(t):
         t = float(t)
-        chain = frame_chain_propagator(t, p, space)
         stepped = time_ordered_propagator(f, t, space, steps_per_unit, order)
-        return interior_distance(chain, stepped)
+        return interior_distance(chain(t), stepped)
 
     errs = list(mapper(point, ts))
     cols = {"t": [float(t) for t in ts], "interior_err": errs}

@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (
-    SpaceConfig, Operator, basis_vector, op_norm,
+    SpaceConfig, Operator, basis_vector, op_norm, pauli,
     GROUND, EXCITED,
 )
-from .hamiltonians import ModelParams, bh, frame_rotation, t_delta
+from .hamiltonians import ModelParams, bh, t_delta
 
 
 class OverlapAmbiguityError(RuntimeError):
@@ -59,11 +59,64 @@ def exact_eigs(h: Operator, herm_tol: float = _HERM_TOL):
     return values, vectors
 
 
-def exact_propagator(h: Operator, t: float) -> Operator:
-    """expm(-i H t) through the eigendecomposition; unitary up to rounding."""
+@dataclass(frozen=True, eq=False)
+class FactoredPropagator:
+    """U(t) = diag(e^{-i t r}) L diag(e^{-i t E}) R, evaluated by phases.
+
+    Built once from one eigendecomposition, so its hermiticity and
+    residual checks run once per build, not once per time: energies E
+    are the eigenvalues, left L and right R the eigenvector matrix with
+    any time-independent frame change folded in, and rates r the
+    diagonal of a time-dependent frame rotation (zero when there is
+    none).  Calling it at t costs one matrix product; ``apply`` costs two
+    matrix-vector products.  The arrays are private read-only copies, so
+    one instance is safely shared between threads.
+    """
+
+    space: SpaceConfig
+    energies: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    rates: np.ndarray | None = None
+
+    def __post_init__(self):
+        dim = self.space.dim
+        rates = np.zeros(dim) if self.rates is None else self.rates
+        for name, value, shape, dtype in (
+                ("energies", self.energies, (dim,), np.float64),
+                ("left", self.left, (dim, dim), np.complex128),
+                ("right", self.right, (dim, dim), np.complex128),
+                ("rates", rates, (dim,), np.float64)):
+            arr = np.array(value, dtype=dtype, copy=True)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, need {shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __call__(self, t: float) -> Operator:
+        """U(t) as an operator."""
+        u = (self.left * np.exp(-1j * t * self.energies)) @ self.right
+        return Operator(np.exp(-1j * t * self.rates)[:, None] * u, self.space)
+
+    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
+        """U(t) psi as a vector, without forming U(t)."""
+        coeff = np.exp(-1j * t * self.energies) * (self.right @ psi)
+        return np.exp(-1j * t * self.rates) * (self.left @ coeff)
+
+
+def exact_propagator_fn(h: Operator) -> FactoredPropagator:
+    """t -> expm(-i H t) from one eigendecomposition H = V E V^dag.
+
+    The factored form has L = V, R = V^dag and no rotation, so each time
+    costs phases and one product; unitary up to rounding.
+    """
     values, vectors = exact_eigs(h)
-    u = (vectors * np.exp(-1j * t * values)) @ vectors.conj().T
-    return Operator(u, h.space)
+    return FactoredPropagator(h.space, values, vectors, vectors.conj().T)
+
+
+def exact_propagator(h: Operator, t: float) -> Operator:
+    """expm(-i H t) = V e^{-i E t} V^dag; see ``exact_propagator_fn``."""
+    return exact_propagator_fn(h)(t)
 
 
 def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
@@ -103,18 +156,29 @@ def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
     return Operator(u, space)
 
 
-def frame_chain_propagator(t: float, p: ModelParams,
-                           space: SpaceConfig) -> Operator:
-    """Lab-frame propagator assembled algebraically, with no time ordering.
+def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> FactoredPropagator:
+    """t -> lab-frame propagator assembled algebraically, with no time ordering.
 
     The laser-frame rotation makes the generator static and the balanced
     transform relates it to the balanced Hamiltonian, so the lab propagator
-    factorizes as R_t^dag T^dag e^{-i H_bal t} T.  Any disagreement with the
-    time-ordered integrator falsifies one of the chain's links.
+    factorizes as R_t^dag T^dag e^{-i H_bal t} T.  With H_bal = V E V^dag
+    and R_t = exp(i omega_L t sigma_z / 2) diagonal, that is the factored
+    form with r = omega_L sigma_z / 2, L = T^dag V and R = V^dag T: the
+    balanced Hamiltonian is built and diagonalized once per call of this
+    builder.  Any disagreement with the time-ordered integrator falsifies
+    one of the chain's links.
     """
-    r = frame_rotation(t, p, space)
-    td = t_delta(p, space)
-    return r.dag @ td.dag @ exact_propagator(bh(p, space), t) @ td
+    td = t_delta(p, space).mat
+    values, vectors = exact_eigs(bh(p, space))
+    rates = 0.5 * p.omega_L * pauli("z", space).mat.diagonal().real
+    return FactoredPropagator(space, values, td.conj().T @ vectors,
+                              vectors.conj().T @ td, rates)
+
+
+def frame_chain_propagator(t: float, p: ModelParams,
+                           space: SpaceConfig) -> Operator:
+    """R_t^dag T^dag e^{-i H_bal t} T at one time; see ``frame_chain_fn``."""
+    return frame_chain_fn(p, space)(t)
 
 
 # -- convergence-order fitting --------------------------------------------------
@@ -186,7 +250,10 @@ class GapScan:
     detuning_offsets holds the scanned values of b = (delta_breve - nu)/2,
     the pair's diagonal splitting parameter; gaps the exact E_plus - E_minus
     of the tracked pair; argmin the parabola-refined location of the
-    smallest gap in the same units.
+    smallest gap in the same units.  The vertex of the parabola through
+    the three lowest gaps amplifies their ~1e-14 eigensolver rounding
+    about 150x, so argmin is reliable to about 1e-11 only; compare it at
+    that tolerance, not to the last printed digit.
     """
 
     detuning_offsets: tuple

@@ -160,6 +160,12 @@ class TestEvolveExperiment:
         assert surv[0] == pytest.approx(1.0, abs=1e-12)
         assert all(v >= 0.99 for v in table.columns["mean_n"])
 
+    def test_norm_defect_recorded(self):
+        opts = Options({"t_max": "6.0", "t_steps": "13", "initial_n": "2",
+                        "initial_spin": "e"})
+        (table,) = evolve(P_RES, SPACE, opts, map)
+        assert 0.0 <= table.metadata["norm_defect"] <= 1e-12
+
     def test_initial_state_validated(self):
         with pytest.raises(ConfigError):
             evolve(P_RES, SPACE, Options({"initial_n": "99"}), map)
@@ -179,6 +185,42 @@ class TestCompareRwaExperiment:
         opts = Options({"t_max": "1.0", "t_steps": "3"})
         with pytest.raises(ConfigError):
             compare_rwa(off, SPACE, opts, map)
+
+    def test_off_resonance_rejected_before_any_point(self):
+        def mapper(f, xs):
+            raise AssertionError("a point was mapped")
+
+        # outside the first-order window, and inside it but off resonance
+        for delta_breve in (1.7, 1.05):
+            off = ModelParams.from_balanced(1.0, delta_breve, 0.0, 0.05)
+            with pytest.raises(ConfigError):
+                compare_rwa(off, SPACE, Options({}), mapper)
+
+
+class TestSweepsFactorOnce:
+    # the time sweeps diagonalize per run, not per time point
+    def count_eigh(self, monkeypatch, experiment, steps):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        opts = Options({"t_max": "1.0", "t_steps": str(steps)})
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counting)
+            experiment(P_RES, SPACE, opts, map)
+        return len(calls)
+
+    @pytest.mark.parametrize("experiment,few,many",
+                             [(evolve, 5, 41), (compare_rwa, 3, 21)],
+                             ids=["evolve", "compare-rwa"])
+    def test_eigh_count_independent_of_steps(self, monkeypatch, experiment,
+                                             few, many):
+        n_few = self.count_eigh(monkeypatch, experiment, few)
+        assert n_few > 0
+        assert self.count_eigh(monkeypatch, experiment, many) == n_few
 
 
 class TestResidualOrderExperiment:
@@ -304,14 +346,23 @@ class TestRunner:
         assert "ambiguity" in meta["diagnostic"]
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
-        text = REDUCED + "[experiment]\nname = compare-rwa\nt_max = 1.0\nt_steps = 5\n"
-        self.run(tmp_path, text, out="a")
-        self.run(tmp_path, text, out="b")
-        self.run(tmp_path, text, out="c", threads=3)
-        for name in ("compare_rwa.csv", "metadata.json"):
-            a = (tmp_path / "a" / name).read_bytes()
-            assert a == (tmp_path / "b" / name).read_bytes()
-            assert a == (tmp_path / "c" / name).read_bytes()
+        # one factored propagator is shared read-only by the worker threads
+        runs = (
+            ("compare-rwa", REDUCED, "t_max = 1.0\nt_steps = 5\n"),
+            ("evolve", REDUCED, "t_max = 2.0\nt_steps = 7\ninitial_n = 1\n"),
+            ("frame-chain", FULL, "t_max = 0.5\nt_steps = 4\n"
+                                  "steps_per_unit = 40\n"),
+        )
+        for name, params, options in runs:
+            text = params + f"[experiment]\nname = {name}\n" + options
+            outs = [f"{name}-a", f"{name}-b", f"{name}-c"]
+            assert self.run(tmp_path, text, out=outs[0]) == 0
+            assert self.run(tmp_path, text, out=outs[1]) == 0
+            assert self.run(tmp_path, text, out=outs[2], threads=3) == 0
+            for f in (name.replace("-", "_") + ".csv", "metadata.json"):
+                a = (tmp_path / outs[0] / f).read_bytes()
+                assert a == (tmp_path / outs[1] / f).read_bytes()
+                assert a == (tmp_path / outs[2] / f).read_bytes()
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy is a test-only dependency; the runtime must not pull it in

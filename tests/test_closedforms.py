@@ -15,6 +15,7 @@ from iontrap import (
     REGIME_KINDS, Regime, SecondOrderSpectrum,
     regime_series, bh_first_second_order,
     jc_evolutor, jc_evolutor_breve, rwa_evolutor, first_order_evolutor,
+    first_order_evolutor_fn,
     exp_z1, sandwich, y1_relation,
     spectrum_second_order, levels_first_order, levels_rwa,
     transition_probability, anticrossing_shift,
@@ -238,6 +239,13 @@ class TestClosedFormEvolutors:
             prod = u.dag @ u
             assert interior_norm(prod - identity(SPACE)) < 1e-10
 
+    def test_rwa_evolutor_equals_exponential_product(self):
+        for p in (POINT_RES, ModelParams.from_balanced(1.0, 1.0, 0.0, 0.12)):
+            for t in (0.0, 0.7, 2.0, -1.3):
+                want = (exact_evolutor(bh_reference(p, SPACE), t)
+                        @ jc_evolutor_breve(t, p, SPACE))
+                assert op_norm(rwa_evolutor(t, p, SPACE) - want) < 1e-13
+
     def test_lam_zero_reductions(self):
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.0)
         free = exact_evolutor(bh_reference(p, SPACE), 1.8)
@@ -289,6 +297,19 @@ class TestFirstOrderEvolutor:
         far = ModelParams.from_balanced(1.0, 1.2, 0.0, 0.05)
         with pytest.raises(ValueError):
             first_order_evolutor(1.0, far, SPACE)
+
+    @pytest.mark.parametrize("p", [POINT_RES, POINT_NEAR],
+                             ids=["resonant", "near-resonant"])
+    def test_factored_form_equals_rotated_exponential(self, p):
+        a = annihilation(SPACE)
+        sp, sm = pauli("+", SPACE), pauli("-", SPACE)
+        rot = expm(-0.5j * p.lam * (a @ sm + a.dag @ sp))  # exp(i Z1)
+        gen = bh_reference(p, SPACE) + 1j * p.lam * p.nu * (a @ sp - a.dag @ sm)
+        u = first_order_evolutor_fn(p, SPACE)
+        for t in (0.0, 0.7, 2.0, -1.3):
+            want = rot.dag @ exact_evolutor(gen, t) @ rot
+            assert op_norm(u(t) - want) < 1e-12
+            assert op_norm(first_order_evolutor(t, p, SPACE) - want) < 1e-12
 
     def test_unitary(self):
         u = first_order_evolutor(2.0, POINT_NEAR, SPACE)

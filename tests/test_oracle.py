@@ -10,11 +10,11 @@ from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams,
     number, pauli, identity, basis_vector, op_norm, interior_distance,
     GROUND, EXCITED,
-    jc_constants, ith_fn, bh, bh_reference,
+    jc_constants, ith_fn, bh, bh_reference, frame_rotation, t_delta,
     spectrum_second_order, anticrossing_shift,
-    OverlapAmbiguityError, ConvergenceFit, GapScan,
-    exact_eigs, exact_propagator, time_ordered_propagator,
-    frame_chain_propagator, fit_order, scan_gap,
+    OverlapAmbiguityError, ConvergenceFit, GapScan, FactoredPropagator,
+    exact_eigs, exact_propagator, exact_propagator_fn, time_ordered_propagator,
+    frame_chain_propagator, frame_chain_fn, fit_order, scan_gap,
 )
 
 SPACE = SpaceConfig()
@@ -98,6 +98,40 @@ class TestExactPropagator:
         u = exact_propagator(h, 2.4)
         v = vectors[:, 7]
         assert np.linalg.norm(u.mat @ v - np.exp(-2.4j * values[7]) * v) < 1e-12
+
+
+class TestFactoredPropagator:
+    TIMES = (0.0, 0.7, 2.0, -1.3)
+
+    @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
+                             ids=["weak-drive", "strong-drive"])
+    def test_frame_chain_equals_explicit_product(self, p):
+        chain = frame_chain_fn(p, SPACE)
+        h, td = bh(p, SPACE), t_delta(p, SPACE)
+        for t in self.TIMES:
+            want = (frame_rotation(t, p, SPACE).dag @ td.dag
+                    @ exact_propagator(h, t) @ td)
+            assert op_norm(chain(t) - want) < 1e-12
+
+    def test_apply_equals_matrix_times_state(self):
+        chain = frame_chain_fn(P_STRONG, SPACE)
+        exact = exact_propagator_fn(bh(P_WEAK, SPACE))
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=SPACE.dim) + 1j * rng.normal(size=SPACE.dim)
+        psi /= np.linalg.norm(psi)
+        for u in (chain, exact):
+            for t in self.TIMES:
+                assert np.linalg.norm(u.apply(t, psi) - u(t).mat @ psi) < 1e-13
+
+    def test_arrays_are_read_only_copies(self):
+        small = SpaceConfig(n_max=4, interior_margin=1)
+        left = np.eye(small.dim, dtype=complex)
+        u = FactoredPropagator(small, np.arange(small.dim), left, left)
+        left[0, 0] = 7.0
+        assert u.left[0, 0] == 1.0 and not u.left.flags.writeable
+        assert np.all(u.rates == 0.0)
+        with pytest.raises(ValueError):
+            FactoredPropagator(small, np.zeros(3), left, left)
 
 
 class TestTimeOrderedPropagator:
