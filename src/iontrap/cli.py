@@ -31,7 +31,9 @@ import numpy as np
 from . import __version__
 from .operators import SpaceConfig
 from .hamiltonians import ModelParams
-from .experiments import EXPERIMENTS, ConfigError, DiagnosticError, Options
+from .experiments import (
+    EXPERIMENTS, ConfigError, DiagnosticError, Options, _finite_float,
+)
 
 _FULL_KEYS = ("nu", "omega_ge", "omega_l", "omega_r", "eta")
 _REDUCED_KEYS = ("nu", "delta_breve", "eta_breve", "lambda")
@@ -46,31 +48,29 @@ class RunConfig:
     raw: dict  # config echo for the metadata file
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}")
-
-
 def _parse_params(items: dict) -> ModelParams:
     keys = set(items)
     if keys == set(_FULL_KEYS):
-        vals = {k: _parse_float("params", k, items[k]) for k in _FULL_KEYS}
-        return ModelParams(nu=vals["nu"], omega_ge=vals["omega_ge"],
-                           omega_L=vals["omega_l"], Omega_R=vals["omega_r"],
-                           eta=vals["eta"])
-    if keys == set(_REDUCED_KEYS):
-        vals = {k: _parse_float("params", k, items[k]) for k in _REDUCED_KEYS}
-        try:
-            return ModelParams.from_balanced(
-                vals["nu"], vals["delta_breve"], vals["eta_breve"],
-                vals["lambda"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    raise ConfigError(
-        "[params] must contain exactly the full set "
-        f"{_FULL_KEYS} or the reduced set {_REDUCED_KEYS}; got {sorted(keys)}")
+        names = _FULL_KEYS
+    elif keys == set(_REDUCED_KEYS):
+        names = _REDUCED_KEYS
+    else:
+        raise ConfigError(
+            "[params] must contain exactly the full set "
+            f"{_FULL_KEYS} or the reduced set {_REDUCED_KEYS}; got {sorted(keys)}")
+    vals = {k: _finite_float(items[k], f"[params] {k}") for k in names}
+    try:
+        if names is _FULL_KEYS:
+            return ModelParams(nu=vals["nu"], omega_ge=vals["omega_ge"],
+                               omega_L=vals["omega_l"], Omega_R=vals["omega_r"],
+                               eta=vals["eta"])
+        return ModelParams.from_balanced(
+            vals["nu"], vals["delta_breve"], vals["eta_breve"], vals["lambda"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    except OverflowError:
+        raise ConfigError(
+            "[params] overflow inverting the balanced parametrization")
 
 
 def _parse_space(items: dict) -> SpaceConfig:

@@ -21,7 +21,6 @@ division by eigenvalue differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,50 +198,48 @@ def diagonal_split(G: Operator, spec: SpectralDecomposition):
     return block_op, G - block_op
 
 
-def _compositions(total: int, max_part: int):
-    """All ordered tuples of integers in 1..max_part summing to total."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, min(total, max_part) + 1):
-        for rest in _compositions(total - first, max_part):
-            yield (first,) + rest
-
-
-def _f_term(order: int, x: np.ndarray, z_mats: list) -> np.ndarray:
-    """F_order(X; Z_1..): sum over compositions of nested commutators.
-
-    F_0(X) = X; higher orders collect (i^m/m!) [Z_{k_1},[...,[Z_{k_m},X]...]]
-    over all compositions k_1+...+k_m = order with parts bounded by the
-    number of available generators.  Bounding the parts is what excludes the
-    unknown i[Z_n, H0] term when assembling G_n.
-    """
-    if order == 0:
-        return x
-    total = np.zeros_like(x)
-    for ks in _compositions(order, len(z_mats)):
-        m = len(ks)
-        nested = x
-        for k in reversed(ks):
-            z = z_mats[k - 1]
-            nested = z @ nested - nested @ z
-        total = total + (1j ** m / math.factorial(m)) * nested
-    return total
+def _add(a, b):
+    """a + b, where None stands for zero."""
+    return b if a is None else a if b is None else a + b
 
 
 def _assemble_G(n: int, h0: np.ndarray, terms: list, z_mats: list) -> np.ndarray:
-    """sum_{m=0}^{n} F_{n-m}(H_m; Z_1..), H_0 = h0, H_m = terms[m-1] or zero."""
-    total = _f_term(n, h0, z_mats)
-    for m in range(1, min(n, len(terms)) + 1):
-        total = total + _f_term(n - m, terms[m - 1], z_mats)
-    return total
+    """G_n: the lam^n coefficient of e^{iZ} H e^{-iZ} without i[Z_n, H0].
+
+    Lie-transform recurrence (Deprit): with row_0[k] = H_k (H_0 = h0,
+    H_m = terms[m-1], zero beyond the stored terms),
+    row_j[k] = (i/j) sum_{p=1}^{min(k, len(z_mats))} [Z_p, row_{j-1}[k-p]]
+    is the lam^k coefficient of (i ad_Z)^j H / j!, and G_n = sum_j row_j[n].
+    Each nested commutator is computed once, so order n costs O(n^3)
+    commutators.  Bounding p by the number of known generators leaves out
+    the unknown i[Z_n, H0] term.  The row is updated in place from the top,
+    since row_j[k] reads only lower entries of row_{j-1}, so it never holds
+    more than n + 1 matrices; None marks a zero entry.
+    """
+    row = [h0] + [terms[m - 1] if m <= len(terms) else None
+                  for m in range(1, n + 1)]
+    h_n, total = row[n], None
+    for j in range(1, n + 1):
+        for k in range(n, j - 1, -1):
+            acc = None
+            for p in range(1, min(k, len(z_mats)) + 1):
+                x, z = row[k - p], z_mats[p - 1]
+                if x is not None:
+                    acc = _add(acc, z @ x - x @ z)
+            row[k] = None if acc is None else (1j / j) * acc
+        row[j - 1] = None
+        total = _add(total, row[n])
+    # H_n last: G_1 and G_2 then equal their explicit sums to the bit
+    total = _add(total, h_n)
+    return np.zeros_like(h0) if total is None else total
 
 
 def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Operator:
     """The order-n data operator G_n, with the i[Z_n, H0] term left out.
 
-    G_n = sum_{m=0}^{n} F_{n-m}(H_m; Z_1..Z_{n-1}) where H_0 = h0 and H_m = 0
-    beyond the stored series terms.  z_prev must hold Z_1..Z_{n-1}.
+    G_n is the lam^n coefficient of e^{iZ} H(lam) e^{-iZ} with
+    Z = sum_{k<n} lam^k Z_k, H_0 = h0 and H_m = 0 beyond the stored series
+    terms.  z_prev must hold Z_1..Z_{n-1}.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")

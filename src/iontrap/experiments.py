@@ -66,6 +66,17 @@ class ResultTable:
         return len(next(iter(self.columns.values())))
 
 
+def _finite_float(raw, what: str) -> float:
+    """float(raw), or ConfigError naming ``what`` unless it is a finite number."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {raw!r}")
+    return value
+
+
 class Options:
     """Typed access to the [experiment] options with leftover detection."""
 
@@ -79,10 +90,7 @@ class Options:
         raw = self._pop(key, None)
         if raw is None:
             return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"option {key!r} must be a number, got {raw!r}")
+        return _finite_float(raw, f"option {key!r}")
 
     def get_int(self, key: str, default: int) -> int:
         raw = self._pop(key, None)
@@ -104,10 +112,8 @@ class Options:
         raw = self._pop(key, None)
         if raw is None:
             return tuple(default)
-        try:
-            vals = tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"option {key!r} must be comma-separated numbers")
+        vals = tuple(_finite_float(tok, f"each entry of option {key!r}")
+                     for tok in str(raw).split(",") if tok.strip())
         if not vals:
             raise ConfigError(f"option {key!r} is empty")
         return vals

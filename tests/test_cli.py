@@ -108,6 +108,14 @@ class TestOptions:
         assert opts.get_ints("c", ()) == (1, 2, 3)
         opts.finish()
 
+    @pytest.mark.parametrize("getter, raw", [
+        ("get_float", "nan"), ("get_float", "-inf"),
+        ("get_floats", "0.02, nan"), ("get_ints", "1, inf"),
+    ])
+    def test_non_finite_rejected(self, getter, raw):
+        with pytest.raises(ConfigError, match="finite"):
+            getattr(Options({"k": raw}), getter)("k", ())
+
     def test_non_integer_rejected(self):
         with pytest.raises(ConfigError):
             Options({"levels": "1.5"}).get_ints("levels", ())
@@ -337,6 +345,14 @@ class TestRunner:
         text = REDUCED + "[experiment]\nname = spectrum\nwidgets = 7\n"
         assert self.run(tmp_path, text) == 2
 
+    @pytest.mark.parametrize("text", [
+        FULL.replace("nu = 1.0", "nu = -1") + "[experiment]\nname = limits\n",
+        FULL + "[experiment]\nname = frame-chain\ntolerance = nan\n",
+        REDUCED + "[experiment]\nname = evolve\nt_max = nan\n",
+    ], ids=["negative-nu", "nan-tolerance", "nan-t_max"])
+    def test_bad_value_exit_2(self, tmp_path, text):
+        assert self.run(tmp_path, text) == 2
+
     def test_diagnostic_exit_3_still_writes(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"
                 "eta_breve = 0.12\nlambda = 0.6\n"
@@ -352,6 +368,7 @@ class TestRunner:
             ("evolve", REDUCED, "t_max = 2.0\nt_steps = 7\ninitial_n = 1\n"),
             ("frame-chain", FULL, "t_max = 0.5\nt_steps = 4\n"
                                   "steps_per_unit = 40\n"),
+            ("residual-order", REDUCED, ""),
         )
         for name, params, options in runs:
             text = params + f"[experiment]\nname = {name}\n" + options

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from iontrap import (
-    SpaceConfig, Operator,
+    SpaceConfig, Operator, ModelParams,
     annihilation, number, pauli, identity, op_norm, commutator,
-    interior_norm, hermitize,
+    interior_norm, interior_distance, hermitize,
     chi, gamma, ClusterAmbiguityError, decompose, InteractionSeries,
     diagonal_split, build_G, solve, solve_ladder, assemble, residual_norm,
+    Regime, regime_series, bh, spectrum_second_order, first_order_evolutor,
+    exact_eigs, exact_propagator, fit_order,
 )
+from iontrap.engine import expm
+from iontrap.oracle import _rung_levels
 
 SPACE = SpaceConfig()
 SMALL = SpaceConfig(n_max=4, interior_margin=1)
@@ -196,6 +200,31 @@ class TestBuildG:
             + 1j * commutator(z1, h1) + h2
         assert op_norm(g2 - expected) < 1e-10
 
+    def test_third_order_formula(self):
+        # the first order with mixed parts and three-fold nesting
+        h0 = balanced_reference(1.0)
+        h1 = balanced_leading()
+        h2 = hermitize(number(SPACE))
+        series = InteractionSeries(terms=(h1, h2))
+        rng = np.random.default_rng(11)
+        z1, z2 = (hermitize(Operator(
+            rng.standard_normal((SPACE.dim, SPACE.dim))
+            + 1j * rng.standard_normal((SPACE.dim, SPACE.dim)), SPACE))
+            for _ in range(2))
+        g3 = build_G(3, h0, series, [z1, z2])
+
+        def ad(*ops):
+            # ad(z, ..., x) = [z, [..., x]]
+            x = ops[-1]
+            for z in reversed(ops[:-1]):
+                x = commutator(z, x)
+            return x
+
+        expected = (1j * ad(z1, h2) + 1j * ad(z2, h1)
+                    - 0.5 * ad(z1, z1, h1) - 0.5 * ad(z1, z2, h0)
+                    - 0.5 * ad(z2, z1, h0) - (1j / 6) * ad(z1, z1, z1, h0))
+        assert op_norm(g3 - expected) < 1e-10 * op_norm(expected)
+
     def test_argument_validation(self):
         h0 = balanced_reference(1.0)
         series = InteractionSeries(terms=(balanced_leading(),))
@@ -285,9 +314,9 @@ class TestSolve:
     def test_residual_order_scaling(self):
         spec = decompose(balanced_reference(1.0))
         series = InteractionSeries(terms=(balanced_leading(),))
-        sol = solve(spec, series, 2)
+        sol = solve(spec, series, 4)
         lams = (0.02, 0.04, 0.08)
-        for n in (1, 2):
+        for n in (1, 2, 3, 4):
             r = [residual_norm(spec, series, sol, lam, upto=n) for lam in lams]
             slopes = [math.log(r[i + 1] / r[i]) / math.log(2) for i in range(2)]
             assert min(slopes) > n + 0.7
@@ -339,3 +368,75 @@ class TestAssemble:
         sol = solve(spec, series, 1)
         with pytest.raises(ValueError):
             assemble(h0, sol, 0.05, 2)
+
+
+def _resonant_family(lam):
+    return ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
+
+
+def _near_family(lam):
+    # criterion 5's detuned family: delta_breve - nu counts as O(lam)
+    return ModelParams.from_balanced(1.0, 1.0 + 0.5 * lam, 0.0, lam)
+
+
+class TestHigherOrdersBehindTheGates:
+    """The engine's constants account for what criteria 4 and 5 leave over."""
+
+    LAMS = (0.005, 0.01, 0.02, 0.04)
+
+    @staticmethod
+    def levels(h):
+        """E0, then (E_minus, E_plus) of rungs n <= 10 paired by overlap."""
+        w, v = exact_eigs(h)
+        pairs = [_rung_levels(n, w, v, SPACE) for n in range(1, 11)]
+        return np.array([w[0]] + [e for pair in pairs for e in pair])
+
+    def level_errors(self, family, lam):
+        """Levels of H0 + C(lam) at orders 2 and 3: their distance to the
+        formula at order 2, and the worst error against bh at orders 2, 3."""
+        p = family(lam)
+        h0, series = regime_series(p, Regime.of("near_resonant", p), SPACE)
+        sol = solve(decompose(h0), series, 3)
+        exact = self.levels(bh(p, SPACE))
+        order2 = self.levels(h0 + sol.constant(lam, 2))
+        order3 = self.levels(h0 + sol.constant(lam, 3))
+        spec = spectrum_second_order(p, 10)
+        formula = np.array([spec.E0] + [e for _, lo, hi in spec.levels
+                                        for e in (lo, hi)])
+        return (np.max(np.abs(order2 - formula)),
+                np.max(np.abs(order2 - exact)), np.max(np.abs(order3 - exact)))
+
+    @pytest.mark.parametrize("family", [_resonant_family, _near_family],
+                             ids=["resonant", "near"])
+    def test_third_order_constant_accounts_for_level_remainder(self, family):
+        errs = {lam: self.level_errors(family, lam) for lam in self.LAMS}
+        assert max(e[0] for e in errs.values()) <= 1e-12
+        fit = fit_order(lambda lam: errs[lam][2], self.LAMS)
+        assert fit.slope >= 3.5 and fit.r_squared >= 0.95
+        assert errs[0.02][2] * 20 <= errs[0.02][1]
+
+    def test_second_order_constant_accounts_for_secular_term(self):
+        # U_2(t) = e^{-iW} e^{-i(H0 + C(lam))t} e^{iW} at nu t = 3, where the
+        # first-order evolutor's error is led by the lam^2 secular phase
+        t, grid = 3.0, (0.02, 0.04, 0.08, 0.16)
+
+        def exact(lam):
+            return exact_propagator(bh(_resonant_family(lam), SPACE), t)
+
+        def err_second(lam):
+            p = _resonant_family(lam)
+            h0, series = regime_series(p, Regime.of("eta_much_less", p), SPACE)
+            sol = solve(decompose(h0), series, 2)
+            w = sol.generator(lam, 2)
+            u = (expm(-1j * w) @ exact_propagator(h0 + sol.constant(lam, 2), t)
+                 @ expm(1j * w))
+            return interior_distance(u, exact(lam), SPACE.n_interior)
+
+        def err_first(lam):
+            return interior_distance(
+                first_order_evolutor(t, _resonant_family(lam), SPACE),
+                exact(lam), SPACE.n_interior)
+
+        fit = fit_order(err_second, grid)
+        assert fit.slope >= 2.7 and fit.r_squared >= 0.95
+        assert fit.residuals[0] * 10 <= err_first(grid[0])
