@@ -119,6 +119,7 @@ from .oracle import (
     exact_propagator,
     exact_propagator_fn,
     time_ordered_propagator,
+    time_ordered_sweep,
     frame_chain_propagator,
     frame_chain_fn,
     fit_order,

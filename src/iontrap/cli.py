@@ -212,6 +212,10 @@ def _run(config_path: str, out_dir: str, threads: int) -> int:
     except DiagnosticError as exc:
         tables = exc.tables
         diagnostic = str(exc)
+    except ArithmeticError as exc:
+        # finite input whose numbers leave the floating-point range
+        tables = []
+        diagnostic = f"{type(exc).__name__}: {exc}"
 
     write_tables(tables, out_dir)
     write_metadata(cfg, tables, out_dir, diagnostic)

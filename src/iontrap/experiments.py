@@ -29,7 +29,7 @@ from .closedforms import (
 )
 from .oracle import (
     OverlapAmbiguityError, exact_eigs, exact_propagator_fn,
-    frame_chain_fn, time_ordered_propagator, fit_order, scan_gap,
+    frame_chain_fn, time_ordered_sweep, fit_order, scan_gap,
     _rung_levels,
 )
 
@@ -344,22 +344,28 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 
 
 def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
-    """Self-check: algebraic frame chain against stepwise integration."""
-    ts = _time_grid(opts, 2.0, 5)[1:]  # skip t = 0, trivially exact
+    """Self-check: algebraic frame chain against stepwise integration.
+
+    One time-ordered sweep reaches every time, each continuing from the
+    one before; the points compare the chain with the sweep's propagators.
+    """
+    ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
     steps_per_unit = opts.get_float("steps_per_unit", 200.0)
     order = opts.get_int("order", 4)
     tol = opts.get_float("tolerance", 1e-6)
     opts.finish()
-    f = ith_fn(p, space)
+    if order not in (2, 4) or steps_per_unit <= 0:
+        raise ConfigError("need order 2 or 4 and steps_per_unit > 0")
     chain = frame_chain_fn(p, space)
+    stepped = time_ordered_sweep(ith_fn(p, space), ts, space,
+                                 steps_per_unit, order)
 
-    def point(t):
-        t = float(t)
-        stepped = time_ordered_propagator(f, t, space, steps_per_unit, order)
-        return interior_distance(chain(t), stepped)
+    def point(pair):
+        t, u = pair
+        return interior_distance(chain(t), u)
 
-    errs = list(mapper(point, ts))
-    cols = {"t": [float(t) for t in ts], "interior_err": errs}
+    errs = list(mapper(point, zip(ts, stepped)))
+    cols = {"t": ts, "interior_err": errs}
     meta = {"steps_per_unit": steps_per_unit, "order": order, "tolerance": tol}
     tables = [ResultTable("frame_chain", cols, meta)]
     worst = max(errs)

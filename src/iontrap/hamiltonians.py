@@ -46,8 +46,10 @@ class ModelParams:
     * lam         = eta * Omega_R / delta_breve   (balanced coupling)
     * theta       = arctan(Delta / 2)             (spin rotation angle)
 
-    lam and eta_breve are written in their Rabi-frequency-safe form; the
-    bounds |lam| <= |eta|/2 and |eta_breve| <= |eta| hold for every Omega_R.
+    lam and eta_breve are written in their Rabi-frequency-safe form, eta
+    times a ratio to delta_breve that rounds to at most 1/2 or 1, so the
+    bounds |lam| <= |eta|/2 and |eta_breve| <= |eta| hold exactly in
+    floating point for every Omega_R.
     """
 
     nu: float
@@ -86,14 +88,14 @@ class ModelParams:
         db = self.delta_breve
         if db == 0:
             raise ValueError("eta_breve undefined at Omega_R = delta = 0")
-        return self.eta * self.delta / db
+        return self.eta * (self.delta / db)
 
     @property
     def lam(self) -> float:
         db = self.delta_breve
         if db == 0:
             raise ValueError("lam undefined at Omega_R = delta = 0")
-        return self.eta * self.Omega_R / db
+        return self.eta * (self.Omega_R / db)
 
     @property
     def theta(self) -> float:

@@ -119,41 +119,71 @@ def exact_propagator(h: Operator, t: float) -> Operator:
     return exact_propagator_fn(h)(t)
 
 
-def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
-                            space: SpaceConfig, steps_per_unit: float = 200.0,
-                            order: int = 2) -> Operator:
-    """Propagator of a time-dependent Hamiltonian by uniform Magnus stepping.
+def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
+                       times: Sequence[float], space: SpaceConfig,
+                       steps_per_unit: float = 200.0,
+                       order: int = 2) -> list[Operator]:
+    """Propagators U(t_k, 0) of a time-dependent Hamiltonian, one per time.
+
+    One uniform Magnus stepping run from 0 through the times in turn: the
+    propagator at t_k continues from the one at t_{k-1} (t_0 = 0), so the
+    last time is reached once and every earlier one on the way.  Segment
+    [t_{k-1}, t_k] takes ceil(steps_per_unit * |t_k - t_{k-1}|) uniform
+    steps, at least one.  The times must run monotonically away from 0
+    (all >= 0 and non-decreasing, or all <= 0 and non-increasing).
 
     h_fn maps a time to the (hermitian) Hamiltonian matrix.  order=2
     exponentiates the midpoint Hamiltonian on each step (global error h^2);
     order=4 uses the two-point Gauss-Legendre rule with its commutator
     term (global error h^4, what the acceptance-grade comparisons use).
-    The step count is ceil(steps_per_unit * |t|), at least one.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
     if steps_per_unit <= 0:
         raise ValueError("steps_per_unit must be positive")
-    steps = max(1, math.ceil(steps_per_unit * abs(t)))
-    h_step = t / steps
-    dim = 2 * (space.n_max + 1)
-    u = np.eye(dim, dtype=np.complex128)
-    for k in range(steps):
-        t0 = k * h_step
-        if order == 2:
-            hm = np.asarray(h_fn(t0 + 0.5 * h_step))
-            w, v = np.linalg.eigh(hm)
-            u = (v * np.exp(-1j * h_step * w)) @ v.conj().T @ u
-        else:
-            h1 = np.asarray(h_fn(t0 + _GAUSS_LO * h_step))
-            h2 = np.asarray(h_fn(t0 + _GAUSS_HI * h_step))
-            omega = (-0.5j * h_step * (h1 + h2)
-                     + (math.sqrt(3.0) / 12.0) * h_step * h_step
-                     * (h1 @ h2 - h2 @ h1))
-            # omega is anti-hermitian, so i*omega feeds eigh
-            w, v = np.linalg.eigh(1j * omega)
-            u = (v * np.exp(-1j * w)) @ v.conj().T @ u
-    return Operator(u, space)
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("need a non-empty sequence of times")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("times must be finite")
+    if not ((np.all(ts >= 0) or np.all(ts <= 0))
+            and np.all(np.diff(np.abs(ts)) >= 0)):
+        raise ValueError("times must run monotonically away from 0")
+    u = np.eye(space.dim, dtype=np.complex128)
+    out = []
+    start = 0.0
+    for stop in ts.tolist():
+        steps = max(1, math.ceil(steps_per_unit * abs(stop - start)))
+        h_step = (stop - start) / steps
+        for k in range(steps):
+            t0 = start + k * h_step
+            if order == 2:
+                hm = np.asarray(h_fn(t0 + 0.5 * h_step))
+                w, v = np.linalg.eigh(hm)
+                u = (v * np.exp(-1j * h_step * w)) @ v.conj().T @ u
+            else:
+                h1 = np.asarray(h_fn(t0 + _GAUSS_LO * h_step))
+                h2 = np.asarray(h_fn(t0 + _GAUSS_HI * h_step))
+                omega = (-0.5j * h_step * (h1 + h2)
+                         + (math.sqrt(3.0) / 12.0) * h_step * h_step
+                         * (h1 @ h2 - h2 @ h1))
+                # omega is anti-hermitian, so i*omega feeds eigh
+                w, v = np.linalg.eigh(1j * omega)
+                u = (v * np.exp(-1j * w)) @ v.conj().T @ u
+        out.append(Operator(u, space))
+        start = stop
+    return out
+
+
+def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
+                            space: SpaceConfig, steps_per_unit: float = 200.0,
+                            order: int = 2) -> Operator:
+    """Propagator U(t, 0) by uniform Magnus stepping: a one-time sweep.
+
+    The step count is ceil(steps_per_unit * |t|), at least one; see
+    ``time_ordered_sweep`` for the steps and the orders.
+    """
+    return time_ordered_sweep(h_fn, [t], space, steps_per_unit, order)[0]
 
 
 def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> FactoredPropagator:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from iontrap import SpaceConfig, ModelParams
+from iontrap import SpaceConfig, ModelParams, frame_chain_fn, ith_fn
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
     spectrum, evolve, compare_rwa, residual_order, anticrossing,
@@ -207,7 +207,7 @@ class TestCompareRwaExperiment:
 
 class TestSweepsFactorOnce:
     # the time sweeps diagonalize per run, not per time point
-    def count_eigh(self, monkeypatch, experiment, steps):
+    def count_eigh(self, monkeypatch, fn, *args):
         calls = []
         eigh = np.linalg.eigh
 
@@ -215,10 +215,9 @@ class TestSweepsFactorOnce:
             calls.append(1)
             return eigh(*args, **kwargs)
 
-        opts = Options({"t_max": "1.0", "t_steps": str(steps)})
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", counting)
-            experiment(P_RES, SPACE, opts, map)
+            fn(*args)
         return len(calls)
 
     @pytest.mark.parametrize("experiment,few,many",
@@ -226,9 +225,24 @@ class TestSweepsFactorOnce:
                              ids=["evolve", "compare-rwa"])
     def test_eigh_count_independent_of_steps(self, monkeypatch, experiment,
                                              few, many):
-        n_few = self.count_eigh(monkeypatch, experiment, few)
+        def count(steps):
+            opts = Options({"t_max": "1.0", "t_steps": str(steps)})
+            return self.count_eigh(monkeypatch, experiment,
+                                   P_RES, SPACE, opts, map)
+
+        n_few = count(few)
         assert n_few > 0
-        assert self.count_eigh(monkeypatch, experiment, many) == n_few
+        assert count(many) == n_few
+
+    def test_frame_chain_integrates_once_to_the_last_time(self, monkeypatch):
+        # defaults t = 0.5, 1, 1.5, 2 at 200 steps per unit: one sweep of
+        # 400 order-4 steps, one eigh each, besides building the chain and
+        # the lab Hamiltonian; each time from 0 takes 100 + 200 + 300 + 400
+        n_setup = (self.count_eigh(monkeypatch, frame_chain_fn, P_RES, SPACE)
+                   + self.count_eigh(monkeypatch, ith_fn, P_RES, SPACE))
+        n_run = self.count_eigh(monkeypatch, frame_chain,
+                                P_RES, SPACE, Options({}), map)
+        assert n_run == 400 + n_setup
 
 
 class TestResidualOrderExperiment:
@@ -349,9 +363,28 @@ class TestRunner:
         FULL.replace("nu = 1.0", "nu = -1") + "[experiment]\nname = limits\n",
         FULL + "[experiment]\nname = frame-chain\ntolerance = nan\n",
         REDUCED + "[experiment]\nname = evolve\nt_max = nan\n",
-    ], ids=["negative-nu", "nan-tolerance", "nan-t_max"])
+        FULL + "[experiment]\nname = frame-chain\norder = 3\n",
+    ], ids=["negative-nu", "nan-tolerance", "nan-t_max", "integrator-order"])
     def test_bad_value_exit_2(self, tmp_path, text):
         assert self.run(tmp_path, text) == 2
+
+    # the overflow also warns from inside numpy on its way to the error
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name,raised", [
+        ("spectrum", "OverflowError"),
+        ("evolve", "ArithmeticError"),
+    ])
+    def test_out_of_range_numbers_exit_3(self, tmp_path, capsys, name, raised):
+        # finite parameters whose arithmetic overflows are a diagnostic
+        text = (REDUCED.replace("nu = 1.0", "nu = 1e300")
+                .replace("delta_breve = 1.0", "delta_breve = 1e300")
+                + "[space]\nn_max = 20\ninterior_margin = 5\n"
+                + f"[experiment]\nname = {name}\n")
+        assert self.run(tmp_path, text) == 3
+        assert "numerical diagnostic:" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["diagnostic"].startswith(raised)
+        assert meta["tables"] == {}
 
     def test_diagnostic_exit_3_still_writes(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"

@@ -1,4 +1,5 @@
-"""Property tests: bad config values surface as ConfigError and nothing else."""
+"""Property tests: bad config values surface as ConfigError and nothing else,
+and the balanced couplings keep their bounds and their inversion."""
 
 import math
 import tempfile
@@ -7,6 +8,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from iontrap import ModelParams
 from iontrap.cli import _FULL_KEYS, _REDUCED_KEYS, parse_config
 from iontrap.experiments import ConfigError, Options
 
@@ -54,3 +56,39 @@ def test_options_getters_return_finite_values(raw):
             continue
         values = value if isinstance(value, tuple) else (value,)
         assert all(math.isfinite(v) for v in values)
+
+
+def magnitudes(lo, hi):
+    """Floats log-uniform in exponent between 10**lo and 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def signed(values):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), values).map(
+        lambda pair: pair[0] * pair[1])
+
+
+@settings(DETERMINISTIC, max_examples=400)
+@example(omega_r=3.0, delta=0.0, eta=0.1)  # lam overshot eta/2 by one ulp
+@example(omega_r=0.0, delta=3.0, eta=0.1)  # eta_breve overshot eta
+@given(omega_r=st.one_of(st.just(0.0), magnitudes(-300, 300)),
+       delta=st.one_of(st.just(0.0), signed(magnitudes(-300, 300))),
+       eta=signed(magnitudes(-300, 300)))
+def test_coupling_bounds_hold_exactly(omega_r, delta, eta):
+    if omega_r == 0.0 and delta == 0.0:
+        return  # no balanced frame without drive or detuning
+    p = ModelParams(nu=1.0, omega_ge=delta, omega_L=0.0, Omega_R=omega_r,
+                    eta=eta)
+    assert abs(p.lam) <= abs(eta) / 2
+    assert abs(p.eta_breve) <= abs(eta)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(delta_breve=magnitudes(-30, 30),
+       eta_breve=st.one_of(st.just(0.0), signed(magnitudes(-30, 30))),
+       lam=signed(magnitudes(-30, 30)))
+def test_from_balanced_round_trip(delta_breve, eta_breve, lam):
+    p = ModelParams.from_balanced(1.0, delta_breve, eta_breve, lam)
+    for got, want in ((p.delta_breve, delta_breve),
+                      (p.eta_breve, eta_breve), (p.lam, lam)):
+        assert abs(got - want) <= 1e-15 * abs(want)

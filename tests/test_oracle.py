@@ -14,7 +14,7 @@ from iontrap import (
     spectrum_second_order, anticrossing_shift,
     OverlapAmbiguityError, ConvergenceFit, GapScan, FactoredPropagator,
     exact_eigs, exact_propagator, exact_propagator_fn, time_ordered_propagator,
-    frame_chain_propagator, frame_chain_fn, fit_order, scan_gap,
+    time_ordered_sweep, frame_chain_propagator, frame_chain_fn, fit_order, scan_gap,
 )
 
 SPACE = SpaceConfig()
@@ -176,6 +176,46 @@ class TestTimeOrderedPropagator:
         f = ith_fn(P_WEAK, SPACE)
         u = time_ordered_propagator(f, 0.5, SPACE, 50, order=4)
         assert op_norm(u.dag @ u - identity(SPACE)) < 1e-11
+
+
+class TestTimeOrderedSweep:
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_grid_aligned_sweep_equals_separate_calls(self, order):
+        # every time is on the step grid, so the sweep takes the same steps
+        # as integrating each time from 0; only the node rounding differs
+        f = ith_fn(P_STRONG, SPACE)
+        times = (0.5, 1.0, 1.5, 2.0)
+        swept = time_ordered_sweep(f, times, SPACE, 50, order=order)
+        assert len(swept) == len(times)
+        for t, u in zip(times, swept):
+            ref = time_ordered_propagator(f, t, SPACE, 50, order=order)
+            assert np.abs(u.mat - ref.mat).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
+                             ids=["weak-drive", "strong-drive"])
+    def test_off_grid_times_match_the_frame_chain(self, p):
+        times = (0.3, 0.7, 1.25)
+        swept = time_ordered_sweep(ith_fn(p, SPACE), times, SPACE, 200,
+                                   order=4)
+        chain = frame_chain_fn(p, SPACE)
+        for t, u in zip(times, swept):
+            assert interior_distance(chain(t), u) <= 1e-6
+
+    def test_negative_times_run_backwards(self):
+        f = ith_fn(P_WEAK, SPACE)
+        swept = time_ordered_sweep(f, (0.0, -0.5, -1.0), SPACE, 20, order=4)
+        assert op_norm(swept[0] - identity(SPACE)) < 1e-12
+        ref = time_ordered_propagator(f, -1.0, SPACE, 20, order=4)
+        assert np.abs(swept[2].mat - ref.mat).max() <= 1e-12
+
+    @pytest.mark.parametrize("times", [(1.0, 0.5), (-0.5, 0.5), (0.5, -1.0),
+                                       (0.5, 0.0), (), (0.5, math.nan)],
+                             ids=["decreasing", "mixed-signs", "sign-flip",
+                                  "back-to-zero", "empty", "nan"])
+    def test_times_must_run_away_from_zero(self, times):
+        f = ith_fn(P_WEAK, SPACE)
+        with pytest.raises(ValueError):
+            time_ordered_sweep(f, times, SPACE, 20, order=4)
 
 
 class TestFrameChain:
