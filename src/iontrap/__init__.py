@@ -114,7 +114,6 @@ from .oracle import (
     OverlapAmbiguityError,
     ConvergenceFit,
     GapScan,
-    FactoredPropagator,
     exact_eigs,
     exact_propagator,
     exact_propagator_fn,

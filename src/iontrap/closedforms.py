@@ -27,7 +27,7 @@ from .operators import (
 )
 from .hamiltonians import ModelParams, JCParams, bh_reference
 from .engine import InteractionSeries, chi, gamma
-from .oracle import FactoredPropagator, exact_eigs
+from .oracle import SpectralDecomposition, exact_eigs
 
 REGIME_KINDS = (
     "eta_much_less",     # quadratic drive coupling beyond second order
@@ -257,7 +257,7 @@ def rwa_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
 
 
 def first_order_evolutor_fn(p: ModelParams,
-                            space: SpaceConfig) -> FactoredPropagator:
+                            space: SpaceConfig) -> SpectralDecomposition:
     """t -> exp(-i Z1) exp(-i (H0 + C1) t) exp(i Z1): correct through first order.
 
     Valid in the resonant and nearly resonant windows, where Z1 =
@@ -265,8 +265,7 @@ def first_order_evolutor_fn(p: ModelParams,
     the exchange coupling regardless of which side of resonance the
     detuning sits (the sigma_z mismatch recombines into the reference).
     exp(i Z1) is built once and H0 + C1 = V E V^dag diagonalized once, so
-    the result is the factored form with L = exp(-i Z1) V and
-    R = V^dag exp(i Z1).
+    the result is the decomposition with eigenbasis exp(-i Z1) V.
     """
     _require_near_resonance(p, "first_order_evolutor")
     a = annihilation(space)
@@ -275,8 +274,7 @@ def first_order_evolutor_fn(p: ModelParams,
     gen = bh_reference(p, space) + 1j * p.lam * p.nu * (a @ sp - a.dag @ sm)
     rot = expm(1j * z1).mat
     values, vectors = exact_eigs(gen)
-    return FactoredPropagator(space, values, rot.conj().T @ vectors,
-                              vectors.conj().T @ rot)
+    return SpectralDecomposition(space, values, rot.conj().T @ vectors)
 
 
 def first_order_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operator:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SpaceConfig, Operator, expm, op_norm, interior_norm
-from .oracle import exact_eigs
+from .operators import Operator, expm, op_norm, interior_norm
+from .oracle import SpectralDecomposition, exact_eigs
 
 
 def chi(x: float, eps: float = 1e-12) -> float:
@@ -50,48 +50,14 @@ class ClusterAmbiguityError(RuntimeError):
     """Eigenvalue spacing falls in the grey zone of the clustering tolerance."""
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigen-data of a hermitian H0 with its degenerate eigenspaces grouped.
-
-    eigenvalues are ascending; eigenbasis columns are the eigenvectors;
-    clusters partitions the index range into maximal groups degenerate
-    within eps_deg.
-    """
-
-    eigenvalues: np.ndarray
-    eigenbasis: np.ndarray
-    clusters: tuple
-    eps_deg: float
-    space: SpaceConfig
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    def reconstruct(self) -> Operator:
-        v = self.eigenbasis
-        return Operator((v * self.eigenvalues) @ v.conj().T, self.space)
-
-    def intra_mask(self) -> np.ndarray:
-        """Boolean matrix: True where row and column index share a cluster."""
-        labels = np.empty(self.dim, dtype=int)
-        for i, cluster in enumerate(self.clusters):
-            labels[list(cluster)] = i
-        return labels[:, None] == labels[None, :]
-
-    def projector(self, m: int) -> np.ndarray:
-        cols = self.eigenbasis[:, list(self.clusters[m])]
-        return cols @ cols.conj().T
-
-
 def decompose(h0: Operator, eps_deg: float = 1e-8) -> SpectralDecomposition:
     """Diagonalize a hermitian operator and cluster degenerate eigenvalues.
 
     The eigenpairs come from ``exact_eigs``, with its hermiticity and
-    residual checks.  Adjacent eigenvalues closer than eps_deg share a
-    cluster.  A spacing in the grey zone (eps_deg, 3 eps_deg) means the
-    tolerance cannot cleanly separate the spectrum; that raises
+    residual checks; this is the one builder of a SpectralDecomposition
+    that fills its clusters.  Adjacent eigenvalues closer than eps_deg
+    share a cluster.  A spacing in the grey zone (eps_deg, 3 eps_deg)
+    means the tolerance cannot cleanly separate the spectrum; that raises
     ClusterAmbiguityError rather than silently committing either way.  The
     same happens if chained merging produces a cluster wider than eps_deg.
     """
@@ -119,9 +85,8 @@ def decompose(h0: Operator, eps_deg: float = 1e-8) -> SpectralDecomposition:
             raise ClusterAmbiguityError(
                 f"chained near-degeneracies span {spread:.3e} > eps_deg; "
                 "no consistent clustering at this tolerance")
-    return SpectralDecomposition(eigenvalues=w, eigenbasis=v,
-                                 clusters=tuple(clusters), eps_deg=float(eps_deg),
-                                 space=h0.space)
+    return SpectralDecomposition(h0.space, w, v, clusters=tuple(clusters),
+                                 eps_deg=float(eps_deg))
 
 
 @dataclass(frozen=True)
@@ -304,6 +269,7 @@ def solve_ladder(spec: SpectralDecomposition, series: InteractionSeries,
     cluster mask.  A clean clustering makes the two masks agree, so this
     must reproduce solve, which is what the consistency tests check.
     """
+    spec._require_clusters()
     w = spec.eigenvalues
     return _recursion(spec, series, N,
                       np.abs(w[None, :] - w[:, None]) <= spec.eps_deg)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (
-    SpaceConfig, Operator, basis_vector, op_norm, pauli,
+    SpaceConfig, Operator, basis_vector, op_norm, pauli, _expm_matrix,
     GROUND, EXCITED,
 )
 from .hamiltonians import ModelParams, bh, t_delta
@@ -52,66 +52,102 @@ def exact_eigs(h: Operator, herm_tol: float = _HERM_TOL):
     sym = 0.5 * (h.mat + h.mat.conj().T)
     values, vectors = np.linalg.eigh(sym)
     # factorization residual per pair; eigh leaves ~eps * ||H||
-    worst = np.linalg.norm(sym @ vectors - vectors * values, axis=0).max()
-    if worst > 1e-10 * scale:
+    try:
+        with np.errstate(over="raise"):
+            worst = np.linalg.norm(sym @ vectors - vectors * values, axis=0).max()
+    except FloatingPointError:  # an overflowing residual is infinite
+        worst = math.inf
+    if not worst <= 1e-10 * scale:
         raise ArithmeticError(
             f"eigendecomposition residual {worst:.3e} exceeds 1e-10 * scale")
     return values, vectors
 
 
 @dataclass(frozen=True, eq=False)
-class FactoredPropagator:
-    """U(t) = diag(e^{-i t r}) L diag(e^{-i t E}) R, evaluated by phases.
+class SpectralDecomposition:
+    """Checked eigenpairs of a hermitian operator, callable as its propagator.
 
-    Built once from one eigendecomposition, so its hermiticity and
-    residual checks run once per build, not once per time: energies E
-    are the eigenvalues, left L and right R the eigenvector matrix with
-    any time-independent frame change folded in, and rates r the
-    diagonal of a time-dependent frame rotation (zero when there is
-    none).  Calling it at t costs one matrix product; ``apply`` costs two
-    matrix-vector products.  The arrays are private read-only copies, so
-    one instance is safely shared between threads.
+    Ascending eigenvalues E; eigenbasis L = F^dag V, the eigenvectors V
+    with any time-independent frame change F folded in; rates r, the
+    diagonal of a time-dependent frame rotation (zero when none).  At t
+    it is U(t) = diag(e^{-i t r}) L diag(e^{-i t E}) L^dag, one matrix
+    product; ``apply`` costs two matrix-vector products.  clusters
+    groups the indices degenerate within eps_deg; only
+    ``engine.decompose`` fills them, and the block methods need them.
+    The arrays are private read-only copies, so one instance is safely
+    shared between threads.
     """
 
     space: SpaceConfig
-    energies: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    eigenvalues: np.ndarray
+    eigenbasis: np.ndarray
+    clusters: tuple | None = None
+    eps_deg: float | None = None
     rates: np.ndarray | None = None
 
     def __post_init__(self):
         dim = self.space.dim
         rates = np.zeros(dim) if self.rates is None else self.rates
         for name, value, shape, dtype in (
-                ("energies", self.energies, (dim,), np.float64),
-                ("left", self.left, (dim, dim), np.complex128),
-                ("right", self.right, (dim, dim), np.complex128),
+                ("eigenvalues", self.eigenvalues, (dim,), np.float64),
+                ("eigenbasis", self.eigenbasis, (dim, dim), np.complex128),
                 ("rates", rates, (dim,), np.float64)):
             arr = np.array(value, dtype=dtype, copy=True)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, need {shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        adjoint = self.eigenbasis.conj().T  # L^dag, formed once
+        adjoint.flags.writeable = False
+        object.__setattr__(self, "_adjoint", adjoint)
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+    def _require_clusters(self) -> None:
+        if self.clusters is None or self.eps_deg is None:
+            raise ValueError("needs the clusters of engine.decompose; "
+                             "this decomposition has none")
+
+    def reconstruct(self) -> Operator:
+        """L E L^dag: the operator, in the frame F if one is folded in."""
+        return Operator((self.eigenbasis * self.eigenvalues) @ self._adjoint,
+                        self.space)
+
+    def intra_mask(self) -> np.ndarray:
+        """Boolean matrix: True where row and column index share a cluster."""
+        self._require_clusters()
+        labels = np.empty(self.dim, dtype=int)
+        for i, cluster in enumerate(self.clusters):
+            labels[list(cluster)] = i
+        return labels[:, None] == labels[None, :]
+
+    def projector(self, m: int) -> np.ndarray:
+        self._require_clusters()
+        cols = self.eigenbasis[:, list(self.clusters[m])]
+        return cols @ cols.conj().T
 
     def __call__(self, t: float) -> Operator:
         """U(t) as an operator."""
-        u = (self.left * np.exp(-1j * t * self.energies)) @ self.right
+        u = (self.eigenbasis * np.exp(-1j * t * self.eigenvalues)) @ self._adjoint
         return Operator(np.exp(-1j * t * self.rates)[:, None] * u, self.space)
 
     def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
         """U(t) psi as a vector, without forming U(t)."""
-        coeff = np.exp(-1j * t * self.energies) * (self.right @ psi)
-        return np.exp(-1j * t * self.rates) * (self.left @ coeff)
+        coeff = np.exp(-1j * t * self.eigenvalues) * (self._adjoint @ psi)
+        return np.exp(-1j * t * self.rates) * (self.eigenbasis @ coeff)
 
 
-def exact_propagator_fn(h: Operator) -> FactoredPropagator:
+def exact_propagator_fn(h: Operator) -> SpectralDecomposition:
     """t -> expm(-i H t) from one eigendecomposition H = V E V^dag.
 
-    The factored form has L = V, R = V^dag and no rotation, so each time
-    costs phases and one product; unitary up to rounding.
+    The decomposition itself, with eigenbasis V, no frame and no rotation,
+    so each time costs phases and one product; unitary up to rounding.
+    It carries no clusters; ``engine.decompose`` adds them.
     """
     values, vectors = exact_eigs(h)
-    return FactoredPropagator(h.space, values, vectors, vectors.conj().T)
+    return SpectralDecomposition(h.space, values, vectors)
 
 
 def exact_propagator(h: Operator, t: float) -> Operator:
@@ -136,6 +172,7 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
     exponentiates the midpoint Hamiltonian on each step (global error h^2);
     order=4 uses the two-point Gauss-Legendre rule with its commutator
     term (global error h^4, what the acceptance-grade comparisons use).
+    Either way the step's Magnus exponent goes through ``expm``.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
@@ -159,17 +196,14 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
             t0 = start + k * h_step
             if order == 2:
                 hm = np.asarray(h_fn(t0 + 0.5 * h_step))
-                w, v = np.linalg.eigh(hm)
-                u = (v * np.exp(-1j * h_step * w)) @ v.conj().T @ u
+                omega = -1j * h_step * hm
             else:
                 h1 = np.asarray(h_fn(t0 + _GAUSS_LO * h_step))
                 h2 = np.asarray(h_fn(t0 + _GAUSS_HI * h_step))
                 omega = (-0.5j * h_step * (h1 + h2)
                          + (math.sqrt(3.0) / 12.0) * h_step * h_step
                          * (h1 @ h2 - h2 @ h1))
-                # omega is anti-hermitian, so i*omega feeds eigh
-                w, v = np.linalg.eigh(1j * omega)
-                u = (v * np.exp(-1j * w)) @ v.conj().T @ u
+            u = _expm_matrix(omega) @ u
         out.append(Operator(u, space))
         start = stop
     return out
@@ -186,23 +220,23 @@ def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
     return time_ordered_sweep(h_fn, [t], space, steps_per_unit, order)[0]
 
 
-def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> FactoredPropagator:
+def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> SpectralDecomposition:
     """t -> lab-frame propagator assembled algebraically, with no time ordering.
 
     The laser-frame rotation makes the generator static and the balanced
     transform relates it to the balanced Hamiltonian, so the lab propagator
     factorizes as R_t^dag T^dag e^{-i H_bal t} T.  With H_bal = V E V^dag
-    and R_t = exp(i omega_L t sigma_z / 2) diagonal, that is the factored
-    form with r = omega_L sigma_z / 2, L = T^dag V and R = V^dag T: the
-    balanced Hamiltonian is built and diagonalized once per call of this
-    builder.  Any disagreement with the time-ordered integrator falsifies
-    one of the chain's links.
+    and R_t = exp(i omega_L t sigma_z / 2) diagonal, that is the
+    decomposition with eigenbasis T^dag V and rates omega_L sigma_z / 2:
+    the balanced Hamiltonian is built and diagonalized once per call of
+    this builder.  Any disagreement with the time-ordered integrator
+    falsifies one of the chain's links.
     """
     td = t_delta(p, space).mat
     values, vectors = exact_eigs(bh(p, space))
     rates = 0.5 * p.omega_L * pauli("z", space).mat.diagonal().real
-    return FactoredPropagator(space, values, td.conj().T @ vectors,
-                              vectors.conj().T @ td, rates)
+    return SpectralDecomposition(space, values, td.conj().T @ vectors,
+                                 rates=rates)
 
 
 def frame_chain_propagator(t: float, p: ModelParams,

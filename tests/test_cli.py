@@ -368,8 +368,6 @@ class TestRunner:
     def test_bad_value_exit_2(self, tmp_path, text):
         assert self.run(tmp_path, text) == 2
 
-    # the overflow also warns from inside numpy on its way to the error
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("name,raised", [
         ("spectrum", "OverflowError"),
         ("evolve", "ArithmeticError"),

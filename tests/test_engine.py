@@ -12,7 +12,7 @@ from iontrap import (
     chi, gamma, ClusterAmbiguityError, decompose, InteractionSeries,
     diagonal_split, build_G, solve, solve_ladder, assemble, residual_norm,
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor,
-    exact_eigs, exact_propagator, fit_order,
+    exact_eigs, exact_propagator, exact_propagator_fn, fit_order,
 )
 from iontrap.engine import expm
 from iontrap.oracle import _rung_levels
@@ -109,6 +109,28 @@ class TestDecompose:
             p = spec.projector(m)
             assert np.trace(p).real == pytest.approx(len(cluster), abs=1e-10)
             assert np.linalg.norm(p @ p - p, 2) < 1e-12
+
+    def test_arrays_are_read_only(self):
+        spec = decompose(balanced_reference(1.0))
+        assert not spec.eigenvalues.flags.writeable
+        assert not spec.eigenbasis.flags.writeable
+
+    def test_same_eigenpairs_as_the_exact_propagator(self):
+        h0 = balanced_reference(1.0)
+        spec, prop = decompose(h0), exact_propagator_fn(h0)
+        assert np.array_equal(spec.eigenvalues, prop.eigenvalues)
+        assert np.array_equal(spec.eigenbasis, prop.eigenbasis)
+
+    def test_unclustered_spectrum_is_refused(self):
+        h0 = balanced_reference(1.0)
+        prop = exact_propagator_fn(h0)
+        series = InteractionSeries(terms=(balanced_leading(),))
+        for call in (prop.intra_mask, lambda: prop.projector(0),
+                     lambda: solve(prop, series, 1),
+                     lambda: solve_ladder(prop, series, 1),
+                     lambda: diagonal_split(h0, prop)):
+            with pytest.raises(ValueError, match="decompose"):
+                call()
 
 
 class TestInteractionSeries:
@@ -440,3 +462,19 @@ class TestHigherOrdersBehindTheGates:
         fit = fit_order(err_second, grid)
         assert fit.slope >= 2.7 and fit.r_squared >= 0.95
         assert fit.residuals[0] * 10 <= err_first(grid[0])
+
+    @pytest.mark.parametrize("eta_breve", [0.0, 0.025])
+    @pytest.mark.parametrize("detuning", [1.0, 1.03, 0.95])
+    def test_first_order_closed_form_is_the_recursion(self, detuning,
+                                                       eta_breve):
+        # U_1(t) = e^{-i lam Z_1} e^{-i(H0 + lam C_1)t} e^{i lam Z_1} from
+        # solve equals first_order_evolutor, built from its printed Z1, C1
+        lam = 0.05
+        p = ModelParams.from_balanced(1.0, detuning, eta_breve, lam)
+        h0, series = regime_series(p, Regime.of("near_resonant", p), SPACE)
+        sol = solve(decompose(h0), series, 1)
+        rot = expm(1j * sol.generator(lam, 1))
+        dressed = h0 + sol.constant(lam, 1)
+        for t in (0.0, 0.7, 3.0, -1.3):
+            u1 = rot.dag @ exact_propagator(dressed, t) @ rot
+            assert op_norm(u1 - first_order_evolutor(t, p, SPACE)) < 1e-12

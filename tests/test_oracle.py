@@ -12,7 +12,7 @@ from iontrap import (
     GROUND, EXCITED,
     jc_constants, ith_fn, bh, bh_reference, frame_rotation, t_delta,
     spectrum_second_order, anticrossing_shift,
-    OverlapAmbiguityError, ConvergenceFit, GapScan, FactoredPropagator,
+    OverlapAmbiguityError, ConvergenceFit, GapScan, SpectralDecomposition,
     exact_eigs, exact_propagator, exact_propagator_fn, time_ordered_propagator,
     time_ordered_sweep, frame_chain_propagator, frame_chain_fn, fit_order, scan_gap,
 )
@@ -101,6 +101,8 @@ class TestExactPropagator:
 
 
 class TestFactoredPropagator:
+    """SpectralDecomposition called as the propagator its builders factor."""
+
     TIMES = (0.0, 0.7, 2.0, -1.3)
 
     @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
@@ -125,13 +127,14 @@ class TestFactoredPropagator:
 
     def test_arrays_are_read_only_copies(self):
         small = SpaceConfig(n_max=4, interior_margin=1)
-        left = np.eye(small.dim, dtype=complex)
-        u = FactoredPropagator(small, np.arange(small.dim), left, left)
-        left[0, 0] = 7.0
-        assert u.left[0, 0] == 1.0 and not u.left.flags.writeable
+        basis = np.eye(small.dim, dtype=complex)
+        u = SpectralDecomposition(small, np.arange(small.dim), basis)
+        basis[0, 0] = 7.0
+        assert u.eigenbasis[0, 0] == 1.0 and not u.eigenbasis.flags.writeable
+        assert not u.eigenvalues.flags.writeable
         assert np.all(u.rates == 0.0)
         with pytest.raises(ValueError):
-            FactoredPropagator(small, np.zeros(3), left, left)
+            SpectralDecomposition(small, np.zeros(3), basis)
 
 
 class TestTimeOrderedPropagator:
