@@ -37,6 +37,7 @@ from .experiments import (
 
 _FULL_KEYS = ("nu", "omega_ge", "omega_l", "omega_r", "eta")
 _REDUCED_KEYS = ("nu", "delta_breve", "eta_breve", "lambda")
+_RAISE = {"over": "raise", "invalid": "raise"}
 
 
 @dataclass(frozen=True)
@@ -198,14 +199,20 @@ def _run(config_path: str, out_dir: str, threads: int) -> int:
 
     diagnostic = None
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                # pool.map preserves argument order, so tables stay
-                # deterministic regardless of scheduling
-                tables = fn(cfg.params, cfg.space, Options(cfg.options),
-                            lambda f, xs: list(pool.map(f, xs)))
-        else:
-            tables = fn(cfg.params, cfg.space, Options(cfg.options), map)
+        # numbers that leave the float range raise FloatingPointError, an
+        # ArithmeticError, instead of warning and running on with inf or
+        # nan; worker threads do not inherit the setting, so each sets it
+        with np.errstate(**_RAISE):
+            if threads > 1:
+                with ThreadPoolExecutor(
+                        max_workers=threads,
+                        initializer=lambda: np.seterr(**_RAISE)) as pool:
+                    # pool.map preserves argument order, so tables stay
+                    # deterministic regardless of scheduling
+                    tables = fn(cfg.params, cfg.space, Options(cfg.options),
+                                lambda f, xs: list(pool.map(f, xs)))
+            else:
+                tables = fn(cfg.params, cfg.space, Options(cfg.options), map)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -149,6 +149,8 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Second-order level formula against exact diagonalization."""
     n_levels = opts.get_int("n_levels", 10)
     opts.finish()
+    if n_levels > space.n_max:  # rung n pairs |n-1,e> with |n,g>
+        raise ConfigError(f"n_levels must be at most n_max = {space.n_max}")
     try:
         spec = spectrum_second_order(p, n_levels)
     except ValueError as exc:
@@ -268,7 +270,11 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
             "R2": [r[1] for r in rows]}
     meta = {"regime": kind}
     for label, idx in (("R1", 0), ("R2", 1)):
-        fit = fit_order(lambda lam, i=idx: rows[grid.index(lam)][i], grid)
+        try:
+            fit = fit_order(lambda lam, i=idx: rows[grid.index(lam)][i], grid)
+        except ValueError as exc:  # a vanishing residual has no order
+            raise DiagnosticError(f"no {label} fit: {exc}",
+                                  [ResultTable("residual_order", cols, meta)])
         meta[f"{label}_slope"] = fit.slope
         meta[f"{label}_r_squared"] = fit.r_squared
         meta[f"{label}_conclusive"] = fit.conclusive
@@ -322,7 +328,10 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 
 
 def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
-    """Balanced-transform limits over the dimensionless detuning."""
+    """Balanced-transform limits over the dimensionless detuning.
+
+    delta_grid holds |Delta|; the drive is Omega_R = |delta| / |Delta|.
+    """
     grid = opts.get_floats("delta_grid", (1e-6, 1.0, 1e6))
     opts.finish()
     if p.delta == 0:
@@ -332,7 +341,7 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     eye = identity(space)
 
     def point(big_delta):
-        pd = dataclasses.replace(p, Omega_R=p.delta / big_delta)
+        pd = dataclasses.replace(p, Omega_R=abs(p.delta) / big_delta)
         td = t_delta(pd, space)
         return op_norm(td - eye), op_norm(td - t1(pd, space))
 
@@ -348,6 +357,9 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 
     One time-ordered sweep reaches every time, each continuing from the
     one before; the points compare the chain with the sweep's propagators.
+    unitarity_defect, the largest entry of |U^dag U - 1| over the swept
+    propagators, records how far the integrator's steps, unitary only to
+    rounding, drifted from the unitary group.
     """
     ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
     steps_per_unit = opts.get_float("steps_per_unit", 200.0)
@@ -360,13 +372,18 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     stepped = time_ordered_sweep(ith_fn(p, space), ts, space,
                                  steps_per_unit, order)
 
+    eye = np.eye(space.dim)
+
     def point(pair):
         t, u = pair
-        return interior_distance(chain(t), u)
+        return (interior_distance(chain(t), u),
+                float(np.abs(u.mat.conj().T @ u.mat - eye).max()))
 
-    errs = list(mapper(point, zip(ts, stepped)))
+    rows = list(mapper(point, zip(ts, stepped)))
+    errs = [r[0] for r in rows]
     cols = {"t": ts, "interior_err": errs}
-    meta = {"steps_per_unit": steps_per_unit, "order": order, "tolerance": tol}
+    meta = {"steps_per_unit": steps_per_unit, "order": order, "tolerance": tol,
+            "unitarity_defect": max(r[1] for r in rows)}
     tables = [ResultTable("frame_chain", cols, meta)]
     worst = max(errs)
     if worst > tol:

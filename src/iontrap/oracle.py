@@ -168,11 +168,16 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
     steps, at least one.  The times must run monotonically away from 0
     (all >= 0 and non-decreasing, or all <= 0 and non-increasing).
 
-    h_fn maps a time to the (hermitian) Hamiltonian matrix.  order=2
+    h_fn maps a time to the hermitian Hamiltonian matrix.  order=2
     exponentiates the midpoint Hamiltonian on each step (global error h^2);
     order=4 uses the two-point Gauss-Legendre rule with its commutator
     term (global error h^4, what the acceptance-grade comparisons use).
-    Either way the step's Magnus exponent goes through ``expm``.
+    Because h_fn is hermitian, the commutator [h1, h2] is P - P^dag with
+    P = h1 h2: one matrix product, and exactly anti-hermitian.  Either way
+    the step's Magnus exponent goes through ``expm``.  When its 1-norm is
+    at most 0.33 (0.2 to 0.25 at n_max 40 and 200 steps per unit), that is a
+    Taylor polynomial: the step costs a handful of matrix products and no
+    eigendecomposition.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
@@ -200,9 +205,10 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
             else:
                 h1 = np.asarray(h_fn(t0 + _GAUSS_LO * h_step))
                 h2 = np.asarray(h_fn(t0 + _GAUSS_HI * h_step))
+                prod = h1 @ h2  # [h1, h2] = prod - prod^dag
                 omega = (-0.5j * h_step * (h1 + h2)
                          + (math.sqrt(3.0) / 12.0) * h_step * h_step
-                         * (h1 @ h2 - h2 @ h1))
+                         * (prod - prod.conj().T))
             u = _expm_matrix(omega) @ u
         out.append(Operator(u, space))
         start = stop

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from iontrap import SpaceConfig, ModelParams, frame_chain_fn, ith_fn
+from iontrap import SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
     spectrum, evolve, compare_rwa, residual_order, anticrossing,
@@ -236,13 +236,28 @@ class TestSweepsFactorOnce:
 
     def test_frame_chain_integrates_once_to_the_last_time(self, monkeypatch):
         # defaults t = 0.5, 1, 1.5, 2 at 200 steps per unit: one sweep of
-        # 400 order-4 steps, one eigh each, besides building the chain and
-        # the lab Hamiltonian; each time from 0 takes 100 + 200 + 300 + 400
+        # 400 order-4 steps, two Hamiltonian evaluations each; each time
+        # from 0 would take 100 + 200 + 300 + 400 steps
+        evaluations = []
+
+        def counting_ith_fn(*args):
+            h_of_t = ith_fn(*args)
+
+            def counted(t):
+                evaluations.append(t)
+                return h_of_t(t)
+
+            return counted
+
+        monkeypatch.setattr(experiments, "ith_fn", counting_ith_fn)
+        # the steps' generators are small, so no step needs an eigensolver:
+        # only building the chain and the lab Hamiltonian call eigh
         n_setup = (self.count_eigh(monkeypatch, frame_chain_fn, P_RES, SPACE)
                    + self.count_eigh(monkeypatch, ith_fn, P_RES, SPACE))
         n_run = self.count_eigh(monkeypatch, frame_chain,
                                 P_RES, SPACE, Options({}), map)
-        assert n_run == 400 + n_setup
+        assert len(evaluations) == 2 * 400
+        assert n_run == n_setup
 
 
 class TestResidualOrderExperiment:
@@ -301,6 +316,15 @@ class TestFrameChainExperiment:
         opts = Options({"t_max": "2.0", "t_steps": "3"})
         (table,) = frame_chain(self.P, SPACE, opts, map)
         assert max(table.columns["interior_err"]) <= 1e-6
+
+    @pytest.mark.parametrize("p", [P, ModelParams(nu=1.0, omega_ge=1.3,
+                                                  omega_L=1.0, Omega_R=5.0,
+                                                  eta=0.1)],
+                             ids=["weak-drive", "strong-drive"])
+    def test_unitarity_defect_is_recorded(self, p):
+        # defaults: 400 steps, none of which is unitary by construction
+        (table,) = frame_chain(p, SPACE, Options({}), map)
+        assert 0.0 < table.metadata["unitarity_defect"] <= 1e-12
 
     def test_tolerance_violation_is_a_diagnostic(self):
         opts = Options({"t_max": "1.0", "t_steps": "2", "tolerance": "1e-15"})

@@ -1,5 +1,6 @@
 """Property tests: bad config values surface as ConfigError and nothing else,
-and the balanced couplings keep their bounds and their inversion."""
+finite parameters end every experiment with a documented exit code, and the
+balanced couplings keep their bounds and their inversion."""
 
 import math
 import tempfile
@@ -9,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from iontrap import ModelParams
-from iontrap.cli import _FULL_KEYS, _REDUCED_KEYS, parse_config
-from iontrap.experiments import ConfigError, Options
+from iontrap.cli import _FULL_KEYS, _REDUCED_KEYS, _run, parse_config
+from iontrap.experiments import EXPERIMENTS, ConfigError, Options
 
 # A fixed seed and no example database keep the suite deterministic.
 # Hypothesis still caches unicode tables and source constants on disk, from
@@ -56,6 +57,36 @@ def test_options_getters_return_finite_values(raw):
             continue
         values = value if isinstance(value, tuple) else (value,)
         assert all(math.isfinite(v) for v in values)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+def reduced(nu, delta_breve, eta_breve, lam):
+    return {"params": dict(zip(_REDUCED_KEYS,
+                               map(repr, (nu, delta_breve, eta_breve, lam))))}
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@example(**reduced(1.0, 1.0, 1.0, -1.0))  # limits: negative detuning
+@example(**reduced(1.0, 1.0, 0.0, 0.0))  # spectrum: rungs past n_max
+@example(**reduced(1.0, 1.0, 0.0, 2.0 ** 28))  # residual-order: R = 0
+@example(**reduced(1.0, 1.0, 0.0, 1.034434839619222e153))  # expm norm
+@example(**reduced(5.6e102, 1.0, 0.0, 5.6e102))  # lam^2 nu overflows
+@example(**reduced(3.402823465999998e38, 1.0, 5.129361400639429e112,
+                   3.531004721411451e89))  # anticrossing window overflows
+@given(params=st.fixed_dictionaries({key: FINITE for key in _REDUCED_KEYS}))
+def test_finite_parameters_exit_with_a_documented_code(tmp_path_factory,
+                                                       params):
+    # 0 success, 2 config error, 3 numerical diagnostic; never a traceback
+    base = tmp_path_factory.getbasetemp()
+    lines = ["[params]"] + [f"{key} = {value}" for key, value in params.items()]
+    lines += ["[space]", "n_max = 6", "interior_margin = 2"]
+    for name in sorted(EXPERIMENTS):
+        path = base / "finite.ini"
+        path.write_text("\n".join(lines + ["[experiment]", f"name = {name}"])
+                        + "\n", encoding="utf-8")
+        assert _run(str(path), str(base / "finite-out"), 1) in (0, 2, 3)
 
 
 def magnitudes(lo, hi):

@@ -10,7 +10,7 @@ from iontrap.operators import (
     expm, op_norm, commutator, adjoint, hermitize,
     interior_block, interior_project, interior_norm, interior_distance,
     from_fock_blocks, to_fock_blocks, fock_lowering, fock_number,
-    fock_function, basis_vector,
+    fock_function, basis_vector, _expm_matrix, _TAYLOR_THETA,
 )
 
 SPACE = SpaceConfig()          # n_max=40, margin=10
@@ -159,6 +159,49 @@ def test_expm_rejects_nonfinite():
     m[0, 0] = np.inf
     with pytest.raises(ValueError):
         Operator(m, SMALL)
+
+
+def _anti_hermitian(dim, norm_1, seed):
+    """Random anti-hermitian matrix scaled to the given 1-norm."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    anti = m - m.conj().T
+    return anti * (norm_1 / np.abs(anti).sum(axis=0).max())
+
+
+class TestExpmRoutes:
+    # below theta the Taylor polynomial, above it the eigendecomposition
+    @pytest.mark.parametrize("dim", [82, 242])
+    @pytest.mark.parametrize("factor,eigh_calls", [(0.9, 0), (1.1, 1)],
+                             ids=["taylor", "eigh"])
+    def test_matches_scipy_and_is_unitary(self, monkeypatch, dim, factor,
+                                          eigh_calls):
+        anti = _anti_hermitian(dim, factor * _TAYLOR_THETA, seed=dim)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counting)
+            u = _expm_matrix(anti)
+        assert len(calls) == eigh_calls
+        assert np.abs(u - scipy.linalg.expm(anti)).max() <= 1e-13
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-14
+
+    def test_checks_run_before_the_route_is_chosen(self):
+        small = 0.5 * _TAYLOR_THETA
+        herm = 1j * _anti_hermitian(82, small, seed=3)
+        with pytest.raises(ValueError, match="anti-hermitian"):
+            _expm_matrix(herm)
+        with pytest.raises(ValueError, match="anti-hermitian"):
+            expm(Operator(herm, SpaceConfig(40, 10)))
+        nonfinite = _anti_hermitian(82, small, seed=4)
+        nonfinite[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _expm_matrix(nonfinite)
 
 
 def test_op_norm_identity():

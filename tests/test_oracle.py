@@ -204,6 +204,25 @@ class TestTimeOrderedSweep:
         for t, u in zip(times, swept):
             assert interior_distance(chain(t), u) <= 1e-6
 
+    @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
+                             ids=["weak-drive", "strong-drive"])
+    def test_order_4_sweep_equals_a_reference_loop(self, p):
+        # the textbook step: scipy's expm of the two-node Magnus exponent
+        # with the two-product commutator
+        f = ith_fn(p, SPACE)
+        swept = time_ordered_sweep(f, (0.5, 1.0), SPACE, 200, order=4)
+        h = 1.0 / 200
+        u = np.eye(SPACE.dim, dtype=complex)
+        for k in range(200):
+            h1 = f(k * h + (0.5 - math.sqrt(3.0) / 6.0) * h)
+            h2 = f(k * h + (0.5 + math.sqrt(3.0) / 6.0) * h)
+            omega = (-0.5j * h * (h1 + h2)
+                     + math.sqrt(3.0) / 12.0 * h * h * (h1 @ h2 - h2 @ h1))
+            u = scipy.linalg.expm(omega) @ u
+            if k + 1 == 100:
+                assert np.abs(swept[0].mat - u).max() <= 1e-12
+        assert np.abs(swept[1].mat - u).max() <= 1e-12
+
     def test_negative_times_run_backwards(self):
         f = ith_fn(P_WEAK, SPACE)
         swept = time_ordered_sweep(f, (0.0, -0.5, -1.0), SPACE, 20, order=4)
