@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator, expm, op_norm, interior_norm
+from .operators import Operator, expm, interior_norm, _hermiticity_defect
 from .oracle import SpectralDecomposition, exact_eigs
 
 
@@ -100,7 +100,7 @@ class InteractionSeries:
         for m, term in enumerate(self.terms, start=1):
             if not isinstance(term, Operator):
                 raise TypeError(f"series term {m} is not an Operator")
-            if op_norm(term - term.dag) > 1e-12 * max(1.0, op_norm(term)):
+            if _hermiticity_defect(term, 1e-12) is not None:
                 raise ValueError(f"series term {m} is not hermitian")
         spaces = {term.space for term in self.terms}
         if len(spaces) > 1:
@@ -168,7 +168,66 @@ def _add(a, b):
     return b if a is None else a if b is None else a + b
 
 
-def _assemble_G(n: int, h0: np.ndarray, terms: list, z_mats: list) -> np.ndarray:
+# rows per block of the banded product
+_BAND_BLOCK = 32
+
+
+class _Banded:
+    """A dense matrix with bounds on its lower and upper bandwidth.
+
+    Entries (j, k) with k - j < -lower or k - j > upper are exact zeros.
+    The bounds are read from the exact zeros once, when the matrix is
+    made, and are then carried through sums and products, so no product
+    rescans its operands.  Storage stays dense: only the arithmetic
+    follows the band.
+    """
+
+    __slots__ = ("mat", "lower", "upper")
+
+    def __init__(self, mat: np.ndarray, lower: int | None = None,
+                 upper: int | None = None):
+        if lower is None or upper is None:
+            rows, cols = np.nonzero(mat)
+            offsets = cols - rows
+            lower = max(0, -int(offsets.min())) if offsets.size else 0
+            upper = max(0, int(offsets.max())) if offsets.size else 0
+        self.mat, self.lower, self.upper = mat, lower, upper
+
+    def __add__(self, other: "_Banded") -> "_Banded":
+        return _Banded(self.mat + other.mat, max(self.lower, other.lower),
+                       max(self.upper, other.upper))
+
+
+def _add_commutator(out: _Banded, z: _Banded, x: _Banded) -> None:
+    """out += [z, x] = z x - x z, multiplying only where the bands reach.
+
+    Both products have the band of the sums of the operands' bands, and
+    out's band grows to cover it.  Rows r0..r1 of Z reach the rows
+    r0 - lower_Z .. r1 + upper_Z of X (and the other way round), and
+    those reach the columns of the commutator's band, so each block of
+    _BAND_BLOCK rows is two small dense products, subtracted before they
+    are added in place, as in the dense z @ x - x @ z.  A band wider than
+    a quarter of the dimension (a generic H0, whose eigenbasis mixes
+    every state) is multiplied densely, where the blocks would save
+    nothing.
+    """
+    n = out.mat.shape[0]
+    lower = min(z.lower + x.lower, n - 1)
+    upper = min(z.upper + x.upper, n - 1)
+    out.lower, out.upper = max(out.lower, lower), max(out.upper, upper)
+    if 4 * max(lower, upper) > n:
+        out.mat += z.mat @ x.mat - x.mat @ z.mat
+        return
+    for r0 in range(0, n, _BAND_BLOCK):
+        rows = slice(r0, min(r0 + _BAND_BLOCK, n))
+        cols = slice(max(0, r0 - lower), min(n, rows.stop + upper))
+        kz = slice(max(0, r0 - z.lower), min(n, rows.stop + z.upper))
+        kx = slice(max(0, r0 - x.lower), min(n, rows.stop + x.upper))
+        out.mat[rows, cols] += (z.mat[rows, kz] @ x.mat[kz, cols]
+                                - x.mat[rows, kx] @ z.mat[kx, cols])
+
+
+def _assemble_G(n: int, h0: _Banded, terms: list, z_mats: list) -> np.ndarray:
     """G_n: the lam^n coefficient of e^{iZ} H e^{-iZ} without i[Z_n, H0].
 
     Lie-transform recurrence (Deprit): with row_0[k] = H_k (H_0 = h0,
@@ -180,6 +239,14 @@ def _assemble_G(n: int, h0: np.ndarray, terms: list, z_mats: list) -> np.ndarray
     the unknown i[Z_n, H0] term.  The row is updated in place from the top,
     since row_j[k] reads only lower entries of row_{j-1}, so it never holds
     more than n + 1 matrices; None marks a zero entry.
+
+    Every operand is a ``_Banded`` and each commutator is added into its
+    row entry by ``_add_commutator``, which multiplies only the row
+    blocks the bands reach.  In the eigenbasis of an H0 that is diagonal
+    in the Fock x spin basis the generators are banded (Z_n moves the
+    Fock number by at most n), so the products cost a fraction of dense
+    ones; the results differ from dense products only by summation
+    order.
     """
     row = [h0] + [terms[m - 1] if m <= len(terms) else None
                   for m in range(1, n + 1)]
@@ -190,13 +257,17 @@ def _assemble_G(n: int, h0: np.ndarray, terms: list, z_mats: list) -> np.ndarray
             for p in range(1, min(k, len(z_mats)) + 1):
                 x, z = row[k - p], z_mats[p - 1]
                 if x is not None:
-                    acc = _add(acc, z @ x - x @ z)
-            row[k] = None if acc is None else (1j / j) * acc
+                    if acc is None:
+                        acc = _Banded(np.zeros_like(h0.mat), 0, 0)
+                    _add_commutator(acc, z, x)
+            if acc is not None:
+                acc.mat *= 1j / j
+            row[k] = acc
         row[j - 1] = None
         total = _add(total, row[n])
-    # H_n last: G_1 and G_2 then equal their explicit sums to the bit
+    # H_n last, the order of the explicit sums for G_1 and G_2
     total = _add(total, h_n)
-    return np.zeros_like(h0) if total is None else total
+    return np.zeros_like(h0.mat) if total is None else total.mat
 
 
 def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Operator:
@@ -210,9 +281,51 @@ def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Op
         raise ValueError(f"order must be >= 1, got {n}")
     if len(z_prev) != n - 1:
         raise ValueError(f"expected {n-1} previous generators, got {len(z_prev)}")
-    total = _assemble_G(n, h0.mat, [t.mat for t in series.terms],
-                        [z.mat for z in z_prev])
+    total = _assemble_G(n, _Banded(h0.mat),
+                        [_Banded(t.mat) for t in series.terms],
+                        [_Banded(z.mat) for z in z_prev])
     return Operator(total, h0.space)
+
+
+def _rotations(v: np.ndarray):
+    """The basis changes X -> v^dag X v and Y -> v Y v^dag.
+
+    When v is a permutation up to phases (every column has one nonzero
+    entry, of modulus exactly 1, in distinct rows), as the eigenbasis of
+    an H0 that is diagonal in the Fock x spin basis is, each change is an
+    indexing with the phases applied in the order of the dense products,
+    so the result is the same; any other v takes the two dense products.
+    """
+    nonzero = v != 0
+    rows = nonzero.argmax(axis=0)
+    phases = v[rows, np.arange(v.shape[1])]
+    # one nonzero in each row, n in all, and one of modulus 1 in each
+    # column: so exactly one in each column, in distinct rows
+    if not (np.all(nonzero.sum(axis=1) == 1)
+            and np.all(np.abs(phases) == 1.0)):
+        vd = v.conj().T
+        return (lambda x: vd @ x @ v), (lambda y: v @ y @ vd)
+    # v[rows[a], a] = phases[a]: (v^dag X v)[a, b] is
+    # conj(phases[a]) X[rows[a], rows[b]] phases[b], and v Y v^dag puts
+    # phases[a] Y[a, b] conj(phases[b]) at (rows[a], rows[b]); each is
+    # scaled in place in the indexed copy
+    back = np.argsort(rows)
+    left, right = phases.conj()[:, None], phases
+    left_back, right_back = phases[back][:, None], phases.conj()[back]
+
+    def to_eig(x):
+        out = x[np.ix_(rows, rows)]
+        out *= left
+        out *= right
+        return out
+
+    def from_eig(y):
+        out = y[np.ix_(back, back)]
+        out *= left_back
+        out *= right_back
+        return out
+
+    return to_eig, from_eig
 
 
 def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
@@ -221,19 +334,23 @@ def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
 
     mask[j, k] marks the entries of G_n that commute with H0: they form
     C_n, and the rest is solved away by
-    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j).
+    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j).  The series terms enter the
+    eigenbasis and C_n, Z_n leave it through ``_rotations``: by indexing
+    when the eigenbasis is a permutation up to phases, by dense products
+    otherwise.  Each generator's band is read once, when it is made, for
+    the banded products of ``_assemble_G``.
     """
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
     if series.terms and series.terms[0].dim != spec.dim:
         raise ValueError("series and decomposition dimensions differ")
     w = spec.eigenvalues
-    v = spec.eigenbasis
+    to_eig, from_eig = _rotations(spec.eigenbasis)
     # eigenvalue-difference matrix E(k) - E(j) at entry (j, k)
     diff = w[None, :] - w[:, None]
     inv_diff = np.divide(1.0, diff, out=np.zeros_like(diff), where=~mask)
-    h0_eig = np.diag(w.astype(complex))
-    terms_eig = [v.conj().T @ term.mat @ v for term in series.terms[:N]]
+    h0_eig = _Banded(np.diag(w.astype(complex)), 0, 0)
+    terms_eig = [_Banded(to_eig(term.mat)) for term in series.terms[:N]]
 
     c_ops, z_ops, z_mats = [], [], []
     for n in range(1, N + 1):
@@ -241,9 +358,9 @@ def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
         g = (g + g.conj().T) / 2
         c_eig = np.where(mask, g, 0.0)
         z_eig = 1j * inv_diff * np.where(mask, 0.0, g)
-        z_mats.append(z_eig)
-        c_ops.append(Operator(v @ c_eig @ v.conj().T, spec.space))
-        z_ops.append(Operator(v @ z_eig @ v.conj().T, spec.space))
+        z_mats.append(_Banded(z_eig))
+        c_ops.append(Operator(from_eig(c_eig), spec.space))
+        z_ops.append(Operator(from_eig(z_eig), spec.space))
     return PerturbativeSolution(order=N, C=tuple(c_ops), Z=tuple(z_ops))
 
 

@@ -143,6 +143,24 @@ def _as_config_error(exc: ValueError) -> ConfigError:
     return ConfigError(str(exc))
 
 
+# criterion 1's tolerance, the error a time sweep may carry
+_PHASE_TOL = 1e-6
+
+
+def _check_phase_budget(energies: np.ndarray, t_max: float) -> None:
+    """DiagnosticError when the phases E t lose more than _PHASE_TOL.
+
+    A phase E t is known to about eps |E| t, so a sweep whose largest
+    energy times its last time exceeds _PHASE_TOL / eps has no digit it
+    can vouch for at that tolerance.  Checked before the sweep runs.
+    """
+    loss = np.finfo(float).eps * float(np.abs(energies).max()) * t_max
+    if loss > _PHASE_TOL:
+        raise DiagnosticError(
+            f"phase budget exceeded: eps * max|E| * t_max = {loss:.3e} > "
+            f"{_PHASE_TOL:.0e}")
+
+
 # -- the experiments ----------------------------------------------------------
 
 def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
@@ -184,7 +202,8 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     the full unitary.  sigma_z and n are diagonal, so P(e) and <n> are
     weighted sums of |psi|^2.  norm_defect, the largest |<psi|psi> - 1|
     over the sweep, records how far rounding took the state off the unit
-    sphere.
+    sphere.  A sweep whose phases E t exceed the budget of
+    ``_check_phase_budget`` is a diagnostic before it runs.
     """
     ts = _time_grid(opts, 6.0, 121)
     n0 = opts.get_int("initial_n", 0)
@@ -198,6 +217,7 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     # P(excited) weights: spin-z in the +1 eigenspace
     p_exc = 0.5 * (1.0 + pauli("z", space).mat.diagonal().real)
     chain = frame_chain_fn(p, space)
+    _check_phase_budget(chain.eigenvalues, float(ts[-1]))
 
     def point(t):
         psi = chain.apply(float(t), psi0)
@@ -219,7 +239,8 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Interior-norm error of the RWA and first-order evolutors.
 
     All three propagators are built before the sweep, so parameters
-    outside the evolutors' resonance windows fail before any point runs.
+    outside the evolutors' resonance windows fail before any point runs,
+    as does a sweep past the phase budget of ``_check_phase_budget``.
     """
     ts = _time_grid(opts, 3.0, 61)
     opts.finish()
@@ -229,6 +250,7 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         first = first_order_evolutor_fn(p, space)
     except ValueError as exc:
         raise _as_config_error(exc)
+    _check_phase_budget(exact.eigenvalues, float(ts[-1]))
 
     def point(t):
         t = float(t)

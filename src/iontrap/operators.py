@@ -335,6 +335,39 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+# A bound decides a norm test only when it clears the limit by this
+# relative margin, far above the rounding of either norm; a closer case
+# takes the exact spectral norms, so every decision is theirs.
+_BOUND_MARGIN = 1e-9
+
+
+def _below_limit(value: float, limit: float) -> bool:
+    """value <= limit with the margin; an infinite limit decides nothing."""
+    return math.isfinite(limit) and value <= limit * (1.0 - _BOUND_MARGIN)
+
+
+def _hermiticity_defect(a: Operator, rel_tol: float) -> float | None:
+    """||A - A^dag||_2 if it exceeds rel_tol * max(1, ||A||_2), else None.
+
+    Certified bounds decide first: the Frobenius norm of A - A^dag is at
+    least its spectral norm, and the largest column norm of A at most
+    ||A||_2.  Only when they cannot decide are the spectral norms taken,
+    by two SVDs, so the outcome is always that of the exact test.  A bound
+    that overflows decides nothing.
+    """
+    diff = a - a.dag
+    try:
+        with np.errstate(over="raise"):
+            defect_hi = float(np.linalg.norm(diff.mat))
+            scale_lo = max(1.0, float(np.linalg.norm(a.mat, axis=0).max()))
+    except FloatingPointError:
+        defect_hi, scale_lo = math.inf, math.inf
+    if _below_limit(defect_hi, rel_tol * scale_lo):
+        return None
+    defect = op_norm(diff)
+    return defect if defect > rel_tol * max(1.0, op_norm(a)) else None
+
+
 def commutator(a: Operator, b: Operator) -> Operator:
     a._same_space(b)
     return Operator(a.mat @ b.mat - b.mat @ a.mat, a.space)

@@ -408,6 +408,24 @@ class TestRunner:
         assert meta["diagnostic"].startswith(raised)
         assert meta["tables"] == {}
 
+    @pytest.mark.parametrize("name,params,options", [
+        # the property test's falsifying set: phases E t ~ 1e104
+        ("evolve", {"nu": "5.6e102", "delta_breve": "1", "eta_breve": "0",
+                    "lambda": "5.6e102"}, ""),
+        ("compare-rwa", {"nu": "1e12", "delta_breve": "1e12",
+                         "eta_breve": "0", "lambda": "0.01"}, "t_max = 1e4\n"),
+    ])
+    def test_phases_past_the_budget_exit_3(self, tmp_path, name, params,
+                                           options):
+        # eps * max|E| * t_max above 1e-6 leaves no digit to vouch for
+        text = ("[params]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+                + "[space]\nn_max = 6\ninterior_margin = 2\n"
+                + f"[experiment]\nname = {name}\n" + options)
+        assert self.run(tmp_path, text) == 3
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["diagnostic"].startswith("phase budget exceeded")
+        assert meta["tables"] == {}
+
     def test_diagnostic_exit_3_still_writes(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"
                 "eta_breve = 0.12\nlambda = 0.6\n"

@@ -14,7 +14,7 @@ from iontrap import (
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor,
     exact_eigs, exact_propagator, exact_propagator_fn, fit_order,
 )
-from iontrap.engine import expm
+from iontrap.engine import expm, _Banded, _add_commutator, _rotations
 from iontrap.oracle import _rung_levels
 
 SPACE = SpaceConfig()
@@ -392,6 +392,133 @@ class TestAssemble:
             assemble(h0, sol, 0.05, 2)
 
 
+def _banded(rng, n, lower, upper):
+    """Random complex n x n matrix with the given lower and upper band."""
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    offsets = np.arange(n)[None, :] - np.arange(n)[:, None]
+    m[(offsets < -lower) | (offsets > upper)] = 0.0
+    return m
+
+
+class TestBandedCommutator:
+    """The engine's banded products against dense ones."""
+
+    @pytest.mark.parametrize("n", [82, 242])
+    @pytest.mark.parametrize("bands", [
+        ((1, 1), (1, 1)), ((0, 5), (3, 0)), ((7, 2), (0, 9)), ((13, 13), (6, 6)),
+    ], ids=["tridiagonal", "asymmetric", "skew", "wide"])
+    def test_matches_the_dense_commutator(self, n, bands):
+        rng = np.random.default_rng(n)
+        (zl, zu), (xl, xu) = bands
+        z, x = _banded(rng, n, zl, zu), _banded(rng, n, xl, xu)
+        start = _banded(rng, n, 2, 2)
+        out = _Banded(start.copy())
+        zb, xb = _Banded(z), _Banded(x)
+        assert (zb.lower, zb.upper, xb.lower, xb.upper) == (zl, zu, xl, xu)
+        _add_commutator(out, zb, xb)
+        dense = start + (z @ x - x @ z)
+        assert np.abs(out.mat - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert (out.lower, out.upper) == (max(2, zl + xl), max(2, zu + xu))
+        # the carried band covers every nonzero of the result
+        assert _Banded(out.mat).lower <= out.lower
+        assert _Banded(out.mat).upper <= out.upper
+
+    @pytest.mark.parametrize("n", [82, 242])
+    def test_zero_operands(self, n):
+        rng = np.random.default_rng(1)
+        zero = _Banded(np.zeros((n, n), complex))
+        assert (zero.lower, zero.upper) == (0, 0)
+        start = _banded(rng, n, 3, 1)
+        for z, x in ((zero, _Banded(_banded(rng, n, 4, 4))),
+                     (_Banded(_banded(rng, n, 2, 5)), zero), (zero, zero)):
+            out = _Banded(start.copy())
+            _add_commutator(out, z, x)
+            assert np.array_equal(out.mat, start)
+
+    @pytest.mark.parametrize("n", [82, 242])
+    def test_dense_fallback_above_a_quarter(self, n):
+        # operands dense in fact but declared banded: the blocks drop what
+        # lies outside the declared band, the dense fallback keeps it
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        quarter = n // 4  # 4 * quarter <= n < 4 * (quarter + 1)
+        dense = z @ x - x @ z
+        for band, falls_back in ((quarter + 1, True), (quarter, False)):
+            half = band // 2
+            out = _Banded(np.zeros((n, n), complex), 0, 0)
+            _add_commutator(out, _Banded(z, half, half),
+                            _Banded(x, band - half, band - half))
+            err = np.abs(out.mat - dense).max() / np.abs(dense).max()
+            assert (err <= 1e-14) == falls_back
+
+
+def _phased_permutation(rng, n):
+    rows = rng.permutation(n)
+    phases = rng.choice(np.array([1, -1, 1j, -1j]), n)
+    v = np.zeros((n, n), complex)
+    v[rows, np.arange(n)] = phases
+    return v
+
+
+class TestIndexRotation:
+    @pytest.mark.parametrize("n", [82, 242])
+    def test_equals_the_dense_products(self, n):
+        rng = np.random.default_rng(n)
+        v = _phased_permutation(rng, n)
+        to_eig, from_eig = _rotations(v)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        vd = v.conj().T
+        # without zero entries bit for bit, ...
+        for got, want in ((to_eig(x), vd @ x @ v), (from_eig(x), v @ x @ vd)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # ... with exact zeros equal up to the sign of a zero
+        x[rng.random((n, n)) < 0.8] = 0.0
+        assert np.array_equal(to_eig(x), vd @ x @ v)
+        assert np.array_equal(from_eig(x), v @ x @ vd)
+
+    def test_other_bases_take_the_dense_products(self):
+        rng = np.random.default_rng(5)
+        n = 82
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mixed = _phased_permutation(rng, n)
+        c = math.sqrt(0.5)
+        mixed[:, :2] = mixed[:, :2] @ np.array([[c, c], [-c, c]])
+        repeated = _phased_permutation(rng, n)
+        repeated[:, 1] = repeated[:, 0]  # two columns in one row
+        merged = _phased_permutation(rng, n)
+        merged[:, 0] += merged[:, 1]  # two rows in one column
+        merged[:, 1] = 0.0
+        for v in (mixed, repeated, merged):
+            to_eig, from_eig = _rotations(v)
+            vd = v.conj().T
+            assert np.array_equal(to_eig(x), vd @ x @ v)
+            assert np.array_equal(from_eig(x), v @ x @ vd)
+
+    def test_rotated_basis_solves_like_the_permutation(self):
+        spec = decompose(balanced_reference(1.0))
+        v = spec.eigenbasis
+        assert np.count_nonzero(v) == spec.dim  # a permutation: index route
+        series = InteractionSeries(terms=(balanced_leading(),))
+        sol = solve(spec, series, 4)
+        # a random unitary inside every cluster: the same H0, a dense basis
+        rng = np.random.default_rng(9)
+        mixed = v.copy()
+        for cluster in spec.clusters:
+            k = len(cluster)
+            q, _ = np.linalg.qr(rng.standard_normal((k, k))
+                                + 1j * rng.standard_normal((k, k)))
+            mixed[:, list(cluster)] = v[:, list(cluster)] @ q
+        from iontrap import SpectralDecomposition
+        spec_mixed = SpectralDecomposition(
+            spec.space, spec.eigenvalues, mixed, clusters=spec.clusters,
+            eps_deg=spec.eps_deg)
+        sol_mixed = solve(spec_mixed, series, 4)
+        for n in range(4):
+            for a, b in ((sol.C[n], sol_mixed.C[n]), (sol.Z[n], sol_mixed.Z[n])):
+                assert op_norm(a - b) <= 1e-12 * max(1.0, op_norm(a))
+
+
 def _resonant_family(lam):
     return ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
 
@@ -405,37 +532,51 @@ class TestHigherOrdersBehindTheGates:
     """The engine's constants account for what criteria 4 and 5 leave over."""
 
     LAMS = (0.005, 0.01, 0.02, 0.04)
+    # dim 242: rungs up to its interior edge, n_max - interior_margin = 90
+    HIGH = SpaceConfig(n_max=120, interior_margin=30)
 
     @staticmethod
-    def levels(h):
-        """E0, then (E_minus, E_plus) of rungs n <= 10 paired by overlap."""
+    def levels(h, space=SPACE, top=10):
+        """E0, then (E_minus, E_plus) of rungs n <= top paired by overlap."""
         w, v = exact_eigs(h)
-        pairs = [_rung_levels(n, w, v, SPACE) for n in range(1, 11)]
+        pairs = [_rung_levels(n, w, v, space) for n in range(1, top + 1)]
         return np.array([w[0]] + [e for pair in pairs for e in pair])
 
-    def level_errors(self, family, lam):
+    def level_errors(self, family, lam, space=SPACE, top=10):
         """Levels of H0 + C(lam) at orders 2 and 3: their distance to the
         formula at order 2, and the worst error against bh at orders 2, 3."""
         p = family(lam)
-        h0, series = regime_series(p, Regime.of("near_resonant", p), SPACE)
+        h0, series = regime_series(p, Regime.of("near_resonant", p), space)
         sol = solve(decompose(h0), series, 3)
-        exact = self.levels(bh(p, SPACE))
-        order2 = self.levels(h0 + sol.constant(lam, 2))
-        order3 = self.levels(h0 + sol.constant(lam, 3))
-        spec = spectrum_second_order(p, 10)
+        exact = self.levels(bh(p, space), space, top)
+        order2 = self.levels(h0 + sol.constant(lam, 2), space, top)
+        order3 = self.levels(h0 + sol.constant(lam, 3), space, top)
+        spec = spectrum_second_order(p, top)
         formula = np.array([spec.E0] + [e for _, lo, hi in spec.levels
                                         for e in (lo, hi)])
         return (np.max(np.abs(order2 - formula)),
                 np.max(np.abs(order2 - exact)), np.max(np.abs(order3 - exact)))
 
-    @pytest.mark.parametrize("family", [_resonant_family, _near_family],
-                             ids=["resonant", "near"])
-    def test_third_order_constant_accounts_for_level_remainder(self, family):
-        errs = {lam: self.level_errors(family, lam) for lam in self.LAMS}
+    def check_level_remainder(self, family, space, top):
+        errs = {lam: self.level_errors(family, lam, space, top)
+                for lam in self.LAMS}
         assert max(e[0] for e in errs.values()) <= 1e-12
         fit = fit_order(lambda lam: errs[lam][2], self.LAMS)
         assert fit.slope >= 3.5 and fit.r_squared >= 0.95
         assert errs[0.02][2] * 20 <= errs[0.02][1]
+
+    @pytest.mark.parametrize("family", [_resonant_family, _near_family],
+                             ids=["resonant", "near"])
+    def test_third_order_constant_accounts_for_level_remainder(self, family):
+        self.check_level_remainder(family, SPACE, 10)
+
+    @pytest.mark.parametrize("top", [30, 90])
+    @pytest.mark.parametrize("family", [_resonant_family, _near_family],
+                             ids=["resonant", "near"])
+    def test_third_order_constant_at_the_high_rungs(self, family, top):
+        # the formula's remainder grows like n^(3/2) lam^3 nu / 4; the
+        # third-order constant still removes it, at the same order rules
+        self.check_level_remainder(family, self.HIGH, top)
 
     def test_second_order_constant_accounts_for_secular_term(self):
         # U_2(t) = e^{-iW} e^{-i(H0 + C(lam))t} e^{iW} at nu t = 3, where the

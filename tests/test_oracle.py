@@ -65,6 +65,47 @@ class TestExactEigs:
         values, _ = exact_eigs(Operator(base, tiny))
         assert np.allclose(values, want, atol=1e-12)
 
+    @staticmethod
+    def with_defect(c):
+        """diag(-10..10) + i c: ||H - H^dag||_2 = 2c, while its Frobenius
+        norm is 2c sqrt(dim) and ||H||_2 = sqrt(100 + c^2) ~ 10."""
+        w = np.linspace(-10.0, 10.0, SPACE.dim)
+        return Operator(np.diag(w + 1j * c), SPACE)
+
+    @staticmethod
+    def count_svds(monkeypatch):
+        from iontrap import operators, oracle
+        calls = []
+
+        def counting(a):
+            calls.append(1)
+            return op_norm(a)
+
+        monkeypatch.setattr(operators, "op_norm", counting)
+        monkeypatch.setattr(oracle, "op_norm", counting)
+        return calls
+
+    def test_hermitian_input_is_decided_without_svds(self, monkeypatch):
+        calls = self.count_svds(monkeypatch)
+        exact_eigs(bh(ModelParams.from_balanced(1.0, 1.03, 0.02, 0.05), SPACE))
+        exact_eigs(self.with_defect(0.0))
+        assert calls == []
+
+    def test_defect_past_the_frobenius_bound_only_is_accepted(self,
+                                                             monkeypatch):
+        # spectral defect 5e-10 <= 1e-10 * 10, Frobenius 4.5e-9 is not
+        calls = self.count_svds(monkeypatch)
+        h = self.with_defect(2.5e-10)
+        values, _ = exact_eigs(h)
+        assert calls  # the bound could not decide: the exact norms did
+        assert np.allclose(values, np.linspace(-10.0, 10.0, SPACE.dim))
+
+    def test_defect_just_past_the_spectral_bound_is_rejected(self):
+        # 2c = 1.01e-9 against 1e-10 * sqrt(100 + c^2)
+        with pytest.raises(ValueError,
+                           match=r"^operator is not hermitian \(defect 1\.01e-09\)$"):
+            exact_eigs(self.with_defect(5.05e-10))
+
     def test_lowest_level_matches_second_order_formula(self):
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.05)
         values, _ = exact_eigs(bh(p, SPACE))
