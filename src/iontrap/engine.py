@@ -206,18 +206,15 @@ def _add_commutator(out: _Banded, z: _Banded, x: _Banded) -> None:
     r0 - lower_Z .. r1 + upper_Z of X (and the other way round), and
     those reach the columns of the commutator's band, so each block of
     _BAND_BLOCK rows is two small dense products, subtracted before they
-    are added in place, as in the dense z @ x - x @ z.  A band wider than
-    a quarter of the dimension (a generic H0, whose eigenbasis mixes
-    every state) is multiplied densely, where the blocks would save
-    nothing.
+    are added in place, as in the dense z @ x - x @ z.  A band as wide as
+    the matrix (a generic H0, whose eigenbasis mixes every state) clamps
+    the slices to whole rows and columns, at the flops of the dense
+    products.
     """
     n = out.mat.shape[0]
     lower = min(z.lower + x.lower, n - 1)
     upper = min(z.upper + x.upper, n - 1)
     out.lower, out.upper = max(out.lower, lower), max(out.upper, upper)
-    if 4 * max(lower, upper) > n:
-        out.mat += z.mat @ x.mat - x.mat @ z.mat
-        return
     for r0 in range(0, n, _BAND_BLOCK):
         rows = slice(r0, min(r0 + _BAND_BLOCK, n))
         cols = slice(max(0, r0 - lower), min(n, rows.stop + upper))

@@ -436,21 +436,19 @@ class TestBandedCommutator:
             assert np.array_equal(out.mat, start)
 
     @pytest.mark.parametrize("n", [82, 242])
-    def test_dense_fallback_above_a_quarter(self, n):
-        # operands dense in fact but declared banded: the blocks drop what
-        # lies outside the declared band, the dense fallback keeps it
+    def test_full_band_matches_the_dense_commutator(self, n):
+        # dense operands, as in the eigenbasis of a generic H0: the clamped
+        # blocks cover whole rows and columns
         rng = np.random.default_rng(2)
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        quarter = n // 4  # 4 * quarter <= n < 4 * (quarter + 1)
+        zb, xb = _Banded(z), _Banded(x)
+        assert (zb.lower, zb.upper, xb.lower, xb.upper) == (n - 1,) * 4
+        out = _Banded(np.zeros((n, n), complex), 0, 0)
+        _add_commutator(out, zb, xb)
         dense = z @ x - x @ z
-        for band, falls_back in ((quarter + 1, True), (quarter, False)):
-            half = band // 2
-            out = _Banded(np.zeros((n, n), complex), 0, 0)
-            _add_commutator(out, _Banded(z, half, half),
-                            _Banded(x, band - half, band - half))
-            err = np.abs(out.mat - dense).max() / np.abs(dense).max()
-            assert (err <= 1e-14) == falls_back
+        assert np.abs(out.mat - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert (out.lower, out.upper) == (n - 1, n - 1)
 
 
 def _phased_permutation(rng, n):
