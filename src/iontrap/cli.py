@@ -142,20 +142,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _csv_text(table) -> str:
-    names, series = [], []
-    for name, vals in table.columns.items():
-        arr = np.asarray(vals)
-        if np.iscomplexobj(arr):
-            if np.any(arr.imag != 0):
-                names += [f"{name}_re", f"{name}_im"]
-                series += [arr.real, arr.imag]
-                continue
-            arr = arr.real
-        names.append(name)
-        series.append(arr)
-    lines = [",".join(names)]
+    columns = list(table.columns.values())
+    lines = [",".join(table.columns)]
     for i in range(table.n_rows):
-        lines.append(",".join(format(float(col[i]), ".17g") for col in series))
+        lines.append(",".join(format(float(col[i]), ".17g") for col in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -50,11 +50,11 @@ def _require_resonance(p: ModelParams, what: str) -> None:
             "(build the operator with expm instead)")
 
 
-def _require_near_resonance(p: ModelParams, what: str, rho: float = _NEAR_RHO) -> None:
-    if abs(p.nu - p.delta_breve) > rho * p.nu:
+def _require_near_resonance(p: ModelParams, what: str) -> None:
+    if abs(p.nu - p.delta_breve) > _NEAR_RHO * p.nu:
         raise ValueError(
             f"{what} assumes the nearly resonant window "
-            f"|nu - delta_breve| <= {rho} nu; got offset "
+            f"|nu - delta_breve| <= {_NEAR_RHO} nu; got offset "
             f"{p.delta_breve - p.nu!r}")
 
 

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator, expm, interior_norm, _hermiticity_defect
+from .operators import (
+    Operator, expm, interior_norm, _expm_matrix, _hermiticity_defect,
+)
 from .oracle import SpectralDecomposition, exact_eigs
 
 
@@ -138,34 +140,34 @@ class PerturbativeSolution:
 
 
 def _lam_polynomial(lam: float, coeffs, upto: int | None = None) -> Operator:
-    """sum_{k<=upto} lam^k coeffs[k-1] (all terms by default), from k = 1 up."""
+    """sum_{k<=upto} lam^k coeffs[k-1] (all terms by default), from k = 1 up.
+
+    The coefficient arrays are scaled and summed in that order, each
+    lam^k as a complex scalar, and the sum is wrapped in one Operator.
+    """
     n = len(coeffs) if upto is None else upto
     if not 1 <= n <= len(coeffs):
         raise ValueError(f"upto must be in 1..{len(coeffs)}, got {n}")
-    total = float(lam) * coeffs[0]
+    total = coeffs[0].mat * complex(float(lam))
     for k in range(2, n + 1):
-        total = total + float(lam) ** k * coeffs[k - 1]
-    return total
+        total += coeffs[k - 1].mat * complex(float(lam) ** k)
+    return Operator(total, coeffs[0].space)
 
 
 def diagonal_split(G: Operator, spec: SpectralDecomposition):
     """Split G into Sum_m P_m G P_m and the rest.
 
+    G enters the eigenbasis of H0, keeps its intra-cluster entries and
+    leaves it again, both through ``_rotations``, as in the recursion.
     Returns (block_diag, off_diag); the two add back to G exactly since the
     off part is defined as the difference.
     """
     if G.dim != spec.dim:
         raise ValueError(f"operator dim {G.dim} != decomposition dim {spec.dim}")
-    v = spec.eigenbasis
-    g_eig = v.conj().T @ G.mat @ v
-    block = v @ (g_eig * spec.intra_mask()) @ v.conj().T
-    block_op = Operator(block, G.space)
+    mask = spec.intra_mask()
+    to_eig, from_eig = _rotations(spec.eigenbasis)
+    block_op = Operator(from_eig(to_eig(G.mat) * mask), G.space)
     return block_op, G - block_op
-
-
-def _add(a, b):
-    """a + b, where None stands for zero."""
-    return b if a is None else a if b is None else a + b
 
 
 # rows per block of the banded product
@@ -177,9 +179,9 @@ class _Banded:
 
     Entries (j, k) with k - j < -lower or k - j > upper are exact zeros.
     The bounds are read from the exact zeros once, when the matrix is
-    made, and are then carried through sums and products, so no product
-    rescans its operands.  Storage stays dense: only the arithmetic
-    follows the band.
+    made, and are then carried through products, so no product rescans
+    its operands.  Storage stays dense: only the arithmetic follows the
+    band.
     """
 
     __slots__ = ("mat", "lower", "upper")
@@ -192,10 +194,6 @@ class _Banded:
             lower = max(0, -int(offsets.min())) if offsets.size else 0
             upper = max(0, int(offsets.max())) if offsets.size else 0
         self.mat, self.lower, self.upper = mat, lower, upper
-
-    def __add__(self, other: "_Banded") -> "_Banded":
-        return _Banded(self.mat + other.mat, max(self.lower, other.lower),
-                       max(self.upper, other.upper))
 
 
 def _add_commutator(out: _Banded, z: _Banded, x: _Banded) -> None:
@@ -235,7 +233,9 @@ def _assemble_G(n: int, h0: _Banded, terms: list, z_mats: list) -> np.ndarray:
     commutators.  Bounding p by the number of known generators leaves out
     the unknown i[Z_n, H0] term.  The row is updated in place from the top,
     since row_j[k] reads only lower entries of row_{j-1}, so it never holds
-    more than n + 1 matrices; None marks a zero entry.
+    more than n + 1 matrices; None marks a zero entry.  Each row_j[n] is
+    added into one array as it is made, and H_n last; the sum carries no
+    band, since nothing multiplies G_n.
 
     Every operand is a ``_Banded`` and each commutator is added into its
     row entry by ``_add_commutator``, which multiplies only the row
@@ -261,10 +261,15 @@ def _assemble_G(n: int, h0: _Banded, terms: list, z_mats: list) -> np.ndarray:
                 acc.mat *= 1j / j
             row[k] = acc
         row[j - 1] = None
-        total = _add(total, row[n])
+        # row_j[n] is a fresh array that nothing reads again
+        if row[n] is not None:
+            total = (row[n].mat if total is None
+                     else np.add(total, row[n].mat, out=total))
     # H_n last, the order of the explicit sums for G_1 and G_2
-    total = _add(total, h_n)
-    return np.zeros_like(h0.mat) if total is None else total.mat
+    if h_n is not None:
+        total = (h_n.mat.copy() if total is None
+                 else np.add(total, h_n.mat, out=total))
+    return np.zeros_like(h0.mat) if total is None else total
 
 
 def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Operator:
@@ -394,10 +399,9 @@ def assemble(h0: Operator, sol: PerturbativeSolution, lam: float, n: int):
 
     Returns (H0n, Cn_op) = (e^{-iW} H0 e^{iW}, e^{-iW} C(lam) e^{iW}) with
     W = sum_{k<=n} lam^k Z_k.  The pair commutes like (H0, C) does and their
-    sum approximates H(lam) to O(lam^{n+1}).
+    sum approximates H(lam) to O(lam^{n+1}).  An n outside 1..sol.order is
+    a ValueError, raised by ``PerturbativeSolution.generator``.
     """
-    if not 1 <= n <= sol.order:
-        raise ValueError(f"n must be in 1..{sol.order}, got {n}")
     w_op = sol.generator(lam, n)
     u = expm(-1j * w_op)
     h0n = u @ h0 @ u.dag
@@ -414,12 +418,13 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     This is the quantity whose lam-scaling certifies the order of the
     solution: O(lam^{n+1}) for a correct order-n run.  n_keep pins the
     measurement window to a fixed Fock cutoff so residuals computed on
-    different truncations stay comparable.
+    different truncations stay comparable.  The dressing is arithmetic on
+    the arrays, wrapped in one Operator for ``interior_norm``.
     """
     n = sol.order if upto is None else upto
-    h0 = spec.reconstruct()
-    h_full = h0 + series.evaluate(lam)
-    w_op = sol.generator(lam, n)
-    u = expm(1j * w_op)
-    moved = u @ h_full @ u.dag
-    return interior_norm(moved - h0 - sol.constant(lam, n), n_keep)
+    h0 = spec.reconstruct().mat
+    h_full = h0 + series.evaluate(lam).mat
+    u = _expm_matrix(sol.generator(lam, n).mat * 1j)
+    moved = u @ h_full @ u.conj().T
+    return interior_norm(
+        Operator(moved - h0 - sol.constant(lam, n).mat, spec.space), n_keep)

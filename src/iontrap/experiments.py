@@ -83,17 +83,14 @@ class Options:
     def __init__(self, raw: dict):
         self._raw = dict(raw)
 
-    def _pop(self, key, default):
-        return self._raw.pop(key, default)
-
     def get_float(self, key: str, default: float) -> float:
-        raw = self._pop(key, None)
+        raw = self._raw.pop(key, None)
         if raw is None:
             return default
         return _finite_float(raw, f"option {key!r}")
 
     def get_int(self, key: str, default: int) -> int:
-        raw = self._pop(key, None)
+        raw = self._raw.pop(key, None)
         if raw is None:
             return default
         try:
@@ -102,14 +99,14 @@ class Options:
             raise ConfigError(f"option {key!r} must be an integer, got {raw!r}")
 
     def get_str(self, key: str, default: str, choices=None) -> str:
-        val = str(self._pop(key, default)).strip()
+        val = str(self._raw.pop(key, default)).strip()
         if choices is not None and val not in choices:
             raise ConfigError(
                 f"option {key!r} must be one of {sorted(choices)}, got {val!r}")
         return val
 
     def get_floats(self, key: str, default: tuple) -> tuple:
-        raw = self._pop(key, None)
+        raw = self._raw.pop(key, None)
         if raw is None:
             return tuple(default)
         vals = tuple(_finite_float(tok, f"each entry of option {key!r}")
@@ -137,10 +134,6 @@ def _time_grid(opts: Options, t_max_default: float, steps_default: int):
     if t_max <= 0 or steps < 2:
         raise ConfigError("need t_max > 0 and t_steps >= 2")
     return np.linspace(0.0, t_max, steps)
-
-
-def _as_config_error(exc: ValueError) -> ConfigError:
-    return ConfigError(str(exc))
 
 
 # criterion 1's tolerance, the error a time sweep may carry
@@ -172,7 +165,7 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     try:
         spec = spectrum_second_order(p, n_levels)
     except ValueError as exc:
-        raise _as_config_error(exc)
+        raise ConfigError(str(exc))
     values, vectors = exact_eigs(bh(p, space))
     cols = {"n": [], "E_minus": [], "E_plus": [],
             "E_minus_exact": [], "E_plus_exact": [],
@@ -249,7 +242,7 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         rwa = rwa_evolutor_fn(p, space)
         first = first_order_evolutor_fn(p, space)
     except ValueError as exc:
-        raise _as_config_error(exc)
+        raise ConfigError(str(exc))
     _check_phase_budget(exact.eigenvalues, float(ts[-1]))
 
     def point(t):
@@ -269,16 +262,22 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 
 
 def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
-    """Interaction-frame residual scaling for the first two orders."""
+    """Interaction-frame residual scaling for the first two orders.
+
+    lambda_grid needs at least four entries, all positive, to fit an order;
+    any other grid is a config error before anything is solved.
+    """
     kind = opts.get_str("regime", "eta_much_less",
                         choices=set(REGIME_KINDS))
     grid = opts.get_floats("lambda_grid", (0.02, 0.04, 0.08, 0.16))
     opts.finish()
+    if len(grid) < 4 or any(lam <= 0 for lam in grid):
+        raise ConfigError("lambda_grid needs at least 4 entries, all positive")
     try:
         regime = Regime.of(kind, p)
         h0, series = regime_series(p, regime, space)
     except ValueError as exc:
-        raise _as_config_error(exc)
+        raise ConfigError(str(exc))
     spec = decompose(h0)
     sol = solve(spec, series, 2)
 
@@ -323,7 +322,7 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         try:
             shift = anticrossing_shift(n, p)
         except ValueError as exc:
-            raise _as_config_error(exc)
+            raise ConfigError(str(exc))
         if offsets_raw:
             offsets = offsets_raw
         else:
@@ -332,7 +331,7 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         try:
             scan = scan_gap(n, p, offsets, space)
         except ValueError as exc:
-            raise _as_config_error(exc)
+            raise ConfigError(str(exc))
         cols = {"offset": list(scan.detuning_offsets),
                 "gap": list(scan.gaps)}
         meta = {"n": n, "argmin": scan.argmin, "predicted_argmin": -shift,

@@ -347,8 +347,8 @@ def _series_sum(term, p: ModelParams, M: int, space: SpaceConfig) -> Operator:
     return total
 
 
-def bh_series_order(p: ModelParams, space: SpaceConfig, tol: float = 1e-12) -> int:
-    """Smallest M whose dropped tail is below tol by the factorial bound.
+def bh_series_order(p: ModelParams, space: SpaceConfig) -> int:
+    """Smallest M whose dropped tail is below 1e-12 by the factorial bound.
 
     Bound used: |eta_breve|^(M+1) * ||a + a^dag||_interior^M * e / (M+1)!.
     """
@@ -359,7 +359,7 @@ def bh_series_order(p: ModelParams, space: SpaceConfig, tol: float = 1e-12) -> i
     b = 2.0 * math.sqrt(space.n_interior + 1.0)
     m = 0
     bound = eb * math.e
-    while bound >= tol:
+    while bound >= 1e-12:
         m += 1
         bound = bound * eb * b / (m + 1.0)
         if m > 200:

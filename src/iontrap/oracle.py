@@ -38,13 +38,13 @@ _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
 
 # -- exact diagonalization and propagation -------------------------------------
 
-def exact_eigs(h: Operator, herm_tol: float = _HERM_TOL):
+def exact_eigs(h: Operator):
     """Ascending eigenvalues and eigenvector matrix of a hermitian operator.
 
     The matrix is symmetrized as (H + H^dag)/2 before factorization;
-    a hermiticity defect beyond herm_tol (relative to max(1, ||H||)) is a
-    caller bug and is rejected rather than silently averaged away.  Each
-    pair's residual must stay within 1e-10 max(1, ||H||).
+    a hermiticity defect beyond _HERM_TOL = 1e-10 (relative to
+    max(1, ||H||)) is a caller bug and is rejected rather than silently
+    averaged away.  Each pair's residual must stay within 1e-10 max(1, ||H||).
 
     Both checks are decided from cheap certified bounds first and from
     the exact spectral norms only when the bounds cannot decide, so every
@@ -53,7 +53,7 @@ def exact_eigs(h: Operator, herm_tol: float = _HERM_TOL):
     max|E| of the symmetrized matrix is at most ||H||_2.  For a
     hermitian operator the bounds decide, and no SVD runs.
     """
-    defect = _hermiticity_defect(h, herm_tol)
+    defect = _hermiticity_defect(h, _HERM_TOL)
     if defect is not None:
         raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
     sym = 0.5 * (h.mat + h.mat.conj().T)

@@ -388,7 +388,12 @@ class TestRunner:
         FULL + "[experiment]\nname = frame-chain\ntolerance = nan\n",
         REDUCED + "[experiment]\nname = evolve\nt_max = nan\n",
         FULL + "[experiment]\nname = frame-chain\norder = 3\n",
-    ], ids=["negative-nu", "nan-tolerance", "nan-t_max", "integrator-order"])
+        REDUCED + "[experiment]\nname = residual-order\n"
+                  "lambda_grid = -0.02,0.04,0.08,0.16\n",
+        REDUCED + "[experiment]\nname = residual-order\n"
+                  "lambda_grid = 0.02,0.04,0.08\n",
+    ], ids=["negative-nu", "nan-tolerance", "nan-t_max", "integrator-order",
+            "nonpositive-lambda", "three-lambdas"])
     def test_bad_value_exit_2(self, tmp_path, text):
         assert self.run(tmp_path, text) == 2
 

@@ -349,6 +349,25 @@ class TestSolve:
         sol = solve(spec, series, 1)
         assert residual_norm(spec, series, sol, 0.0) < 1e-14
 
+    def test_residual_norm_wraps_few_operators(self, monkeypatch):
+        # the dressing runs on arrays: one Operator per lam-sum, one for
+        # H0 and one for interior_norm, whatever the order and the terms
+        spec = decompose(balanced_reference(1.0))
+        series = InteractionSeries(terms=(balanced_leading(),) * 3)
+        sol = solve(spec, series, 6)
+        made = []
+        post_init = Operator.__post_init__
+
+        def counting(self):
+            made.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counting)
+        for upto in (1, 6):
+            made.clear()
+            residual_norm(spec, series, sol, 0.05, upto=upto)
+            assert 0 < len(made) <= 7
+
 
 class TestAssemble:
     def test_zero_generators_leave_h0(self):
@@ -493,14 +512,12 @@ class TestIndexRotation:
             assert np.array_equal(to_eig(x), vd @ x @ v)
             assert np.array_equal(from_eig(x), v @ x @ vd)
 
-    def test_rotated_basis_solves_like_the_permutation(self):
-        spec = decompose(balanced_reference(1.0))
-        v = spec.eigenbasis
-        assert np.count_nonzero(v) == spec.dim  # a permutation: index route
-        series = InteractionSeries(terms=(balanced_leading(),))
-        sol = solve(spec, series, 4)
-        # a random unitary inside every cluster: the same H0, a dense basis
+    @staticmethod
+    def mixed_within_clusters(spec):
+        """spec with a random unitary inside every cluster: the same H0,
+        a dense basis that takes the dense products."""
         rng = np.random.default_rng(9)
+        v = spec.eigenbasis
         mixed = v.copy()
         for cluster in spec.clusters:
             k = len(cluster)
@@ -508,13 +525,35 @@ class TestIndexRotation:
                                 + 1j * rng.standard_normal((k, k)))
             mixed[:, list(cluster)] = v[:, list(cluster)] @ q
         from iontrap import SpectralDecomposition
-        spec_mixed = SpectralDecomposition(
+        return SpectralDecomposition(
             spec.space, spec.eigenvalues, mixed, clusters=spec.clusters,
             eps_deg=spec.eps_deg)
-        sol_mixed = solve(spec_mixed, series, 4)
+
+    def test_rotated_basis_solves_like_the_permutation(self):
+        spec = decompose(balanced_reference(1.0))
+        v = spec.eigenbasis
+        assert np.count_nonzero(v) == spec.dim  # a permutation: index route
+        series = InteractionSeries(terms=(balanced_leading(),))
+        sol = solve(spec, series, 4)
+        sol_mixed = solve(self.mixed_within_clusters(spec), series, 4)
         for n in range(4):
             for a, b in ((sol.C[n], sol_mixed.C[n]), (sol.Z[n], sol_mixed.Z[n])):
                 assert op_norm(a - b) <= 1e-12 * max(1.0, op_norm(a))
+
+    def test_rotated_basis_splits_like_the_permutation(self):
+        spec = decompose(balanced_reference(1.0))
+        spec_mixed = self.mixed_within_clusters(spec)
+        assert np.count_nonzero(spec_mixed.eigenbasis) > spec.dim
+        # the resonant pair coupling lies inside the clusters, the leading
+        # interaction across them: both parts of the split are nonzero
+        a = annihilation(SPACE)
+        g = (a @ pauli("+", SPACE) + a.dag @ pauli("-", SPACE)
+             + balanced_leading())
+        block, off = diagonal_split(g, spec)
+        block_mixed, off_mixed = diagonal_split(g, spec_mixed)
+        assert op_norm(block) > 1.0 and op_norm(off) > 1.0
+        for x, y in ((block, block_mixed), (off, off_mixed)):
+            assert op_norm(x - y) <= 1e-12 * max(1.0, op_norm(x))
 
 
 def _resonant_family(lam):
