@@ -265,7 +265,10 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Interaction-frame residual scaling for the first two orders.
 
     lambda_grid needs at least four entries, all positive, to fit an order;
-    any other grid is a config error before anything is solved.
+    any other grid is a config error before anything is solved.  The
+    metadata's R2_ge_R1 lists the grid points where second order does not
+    improve on first (R2 >= R1): past them the fitted R2 slope describes a
+    series that has stopped converging, however clean the power law.
     """
     kind = opts.get_str("regime", "eta_much_less",
                         choices=set(REGIME_KINDS))
@@ -289,7 +292,8 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     cols = {"lam": list(grid),
             "R1": [r[0] for r in rows],
             "R2": [r[1] for r in rows]}
-    meta = {"regime": kind}
+    meta = {"regime": kind,
+            "R2_ge_R1": [lam for lam, (r1, r2) in zip(grid, rows) if r2 >= r1]}
     for label, idx in (("R1", 0), ("R2", 1)):
         try:
             fit = fit_order(lambda lam, i=idx: rows[grid.index(lam)][i], grid)
@@ -308,7 +312,13 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 
 
 def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
-    """Avoided-crossing scan around each requested pair level."""
+    """Avoided-crossing scan around each requested pair level.
+
+    A scan whose smallest gap is its first or last sample has not
+    bracketed the minimum, so its argmin would only be the window's edge:
+    that is a DiagnosticError naming the rung, with the tables scanned so
+    far, that rung's included.
+    """
     levels = opts.get_ints("levels", (1, 2, 3))
     offsets_raw = opts.get_floats("offsets", ())
     points = opts.get_int("points", 13)
@@ -345,6 +355,11 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
             tables.append(one_scan(n))
         except OverlapAmbiguityError as exc:
             raise DiagnosticError(f"cluster ambiguity at n={n}: {exc}", tables)
+        gaps = tables[-1].columns["gap"]
+        if int(np.argmin(gaps)) in (0, len(gaps) - 1):
+            raise DiagnosticError(
+                f"missed minimum at n={n}: the smallest gap is at the edge "
+                "of the scan window", tables)
     return tables
 
 

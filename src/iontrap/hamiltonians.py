@@ -28,8 +28,8 @@ import numpy as np
 from .operators import (
     SpaceConfig, Operator,
     annihilation, number, pauli, identity, displacement,
-    expm, hermitize, from_fock_blocks,
-    fock_displacement, fock_parity,
+    expm, hermitize, from_fock_blocks, fock_parity,
+    _block_matrix, _gauge_displacement, _out_of_gauge,
 )
 
 
@@ -207,10 +207,20 @@ def frame_rotation(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
 
 
 def rfh(p: ModelParams, space: SpaceConfig) -> Operator:
-    """Rotating-frame Hamiltonian: time independent, detuning delta on spin."""
-    drive = pauli("+", space) @ displacement(1j * p.eta, space)
-    return (p.nu * number(space) + 0.5 * p.delta * pauli("z", space)
-            + p.Omega_R * (drive + drive.dag))
+    """Rotating-frame Hamiltonian: time independent, detuning delta on spin.
+
+    nu n + delta/2 sigma_z + Omega_R (sigma_+ D(i eta) + D(i eta)^dag sigma_-),
+    built real symmetric in the Fock phase gauge and taken out of it once.
+    """
+    return _gauge_operator(_rfh_gauge(p, space), space)
+
+
+def _rfh_gauge(p: ModelParams, space: SpaceConfig) -> np.ndarray:
+    """U^dag rfh U: D(i eta) becomes the real orthogonal G(eta)."""
+    drive = p.Omega_R * _gauge_displacement(p.eta, space.n_max)
+    n = np.arange(space.n_max + 1.0)
+    return _block_matrix(space, np.diag(p.nu * n + 0.5 * p.delta), drive,
+                         drive.T, np.diag(p.nu * n - 0.5 * p.delta))
 
 
 def rwa_effective(which: str, p: ModelParams, space: SpaceConfig) -> Operator:
@@ -263,10 +273,10 @@ def _require_rabi(p: ModelParams) -> None:
 def t1(p: ModelParams, space: SpaceConfig) -> Operator:
     """Strong-field limit of the balanced transform (spin flip + half displacement)."""
     _require_rabi(p)
-    d = fock_displacement(0.5j * p.eta, space)
-    dd = d.conj().T
+    d = _gauge_displacement(0.5 * p.eta, space.n_max)
     s = 1.0 / math.sqrt(2.0)
-    return from_fock_blocks(space, s * dd, s * d, -s * dd, s * d)
+    return _gauge_operator(_block_matrix(space, s * d.T, s * d, -s * d.T, s * d),
+                           space)
 
 
 def t2(p: ModelParams, space: SpaceConfig) -> Operator:
@@ -280,20 +290,30 @@ def t2(p: ModelParams, space: SpaceConfig) -> Operator:
 def t3(p: ModelParams, space: SpaceConfig) -> Operator:
     """Spin-conditioned half displacement by the balanced Lamb-Dicke factor."""
     _require_rabi(p)
-    d = fock_displacement(0.5j * p.eta_breve, space)
+    d = _gauge_displacement(0.5 * p.eta_breve, space.n_max)
     z = np.zeros_like(d)
-    return from_fock_blocks(space, d, z, z, d.conj().T)
+    return _gauge_operator(_block_matrix(space, d, z, z, d.T), space)
 
 
 def t_delta(p: ModelParams, space: SpaceConfig) -> Operator:
     """The balanced transform in closed form; equals t3 @ t2 @ t1."""
+    return _gauge_operator(_t_delta_gauge(p, space), space)
+
+
+def _t_delta_gauge(p: ModelParams, space: SpaceConfig) -> np.ndarray:
+    """U^dag t_delta U, real orthogonal: blocks of the two half displacements
+    D(i(eta_breve -+ eta)/2), each the real G of ``_gauge_displacement``."""
     _require_rabi(p)
     kp, km = kappa_coefficients(p.Delta)
-    d_minus = fock_displacement(0.5j * (p.eta_breve - p.eta), space)
-    d_plus = fock_displacement(0.5j * (p.eta_breve + p.eta), space)
-    return from_fock_blocks(space,
-                            kp * d_minus, km * d_plus,
-                            -km * d_plus.conj().T, kp * d_minus.conj().T)
+    d_minus = _gauge_displacement(0.5 * (p.eta_breve - p.eta), space.n_max)
+    d_plus = _gauge_displacement(0.5 * (p.eta_breve + p.eta), space.n_max)
+    return _block_matrix(space, kp * d_minus, km * d_plus,
+                         -km * d_plus.T, kp * d_minus.T)
+
+
+def _gauge_operator(g: np.ndarray, space: SpaceConfig) -> Operator:
+    """The Operator of a real gauge array, out of the gauge."""
+    return Operator(_out_of_gauge(g, space), space)
 
 
 def bh_reference(p: ModelParams, space: SpaceConfig) -> Operator:
@@ -371,14 +391,16 @@ def bh(p: ModelParams, space: SpaceConfig, route: str = "conjugation") -> Operat
     """Balanced Hamiltonian, by conjugation or by its closed-form series.
 
     route="conjugation" computes t_delta @ rfh @ t_delta^dag (hermitian by
-    construction); route="closed_form" sums bh_reference and the interaction
-    series truncated by bh_series_order.  The two agree on the interior block
-    to 1e-8 over the supported parameter ranges.
+    construction) as two real products in the Fock phase gauge, where all
+    three are real; route="closed_form" sums bh_reference and the
+    interaction series truncated by bh_series_order.  The two agree on the
+    interior block to 1e-8 over the supported parameter ranges.  Either
+    result is real symmetric in the gauge, which ``exact_eigs`` uses.
     """
     _require_rabi(p)
     if route == "conjugation":
-        td = t_delta(p, space)
-        return td @ rfh(p, space) @ td.dag
+        td = _t_delta_gauge(p, space)
+        return _gauge_operator(td @ _rfh_gauge(p, space) @ td.T, space)
     if route == "closed_form":
         return _closed_form(p, space, bh_reference, bh_interaction_series)
     raise ValueError(f"unknown route {route!r}; valid: conjugation, closed_form")

@@ -18,6 +18,8 @@ comparisons elsewhere in the package go through interior_* helpers.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,14 +195,105 @@ def fock_function(space: SpaceConfig, f) -> np.ndarray:
 
 
 def fock_displacement(alpha: complex, space: SpaceConfig) -> np.ndarray:
-    """Fock-factor matrix of D(alpha), exponentiated after truncation."""
-    a = fock_lowering(space)
-    return _expm_matrix(complex(alpha) * a.conj().T - np.conj(complex(alpha)) * a)
+    """Fock-factor matrix of D(alpha) = exp(alpha a^dag - conj(alpha) a).
+
+    The truncated generator is exponentiated through the one real
+    decomposition a + a^dag = V diag(x) V^T (``_gauge_displacement``).
+    With phi = arg(alpha), D(alpha) = P G(|alpha|) P^dag, where
+    P = diag(e^{i phi n}) and G(y) = exp(-y (a - a^dag)) is real
+    orthogonal.  For alpha = iy, the only displacements the package
+    builds, P is the Fock phase gauge diag(i^n), applied exactly, and y
+    keeps its sign.  Against scipy's expm of the truncated generator the
+    result agrees to 1e-13 at n_max 40 and 120.
+    """
+    alpha = complex(alpha)
+    if alpha.real == 0.0:
+        y, phases = alpha.imag, _gauge_phases(space.n_max + 1)
+    else:
+        y = abs(alpha)
+        phases = np.exp(1j * cmath.phase(alpha) * np.arange(space.n_max + 1))
+    return phases[:, None] * _gauge_displacement(y, space.n_max) * phases.conj()
 
 
 def fock_parity(space: SpaceConfig) -> np.ndarray:
     """diag((-1)^n): the exponential of (i pi n) on the Fock factor."""
     return np.diag((-1.0 + 0j) ** np.arange(space.n_max + 1))
+
+
+# -- the Fock phase gauge ------------------------------------------------------
+# U = diag(i^n) (x) 1 maps a + a^dag to U^dag (a + a^dag) U = i (a - a^dag),
+# so every displacement D(iy) = exp(iy (a + a^dag)) becomes the real
+# orthogonal exp(-y (a - a^dag)).  The time-independent Hamiltonians of the
+# frame chain are real symmetric in this gauge.  Its phases are 1, i, -1, -i,
+# so going into it and out of it is an exact elementwise scaling.
+
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# sign of G(y) = U^dag D(iy) U per (column - row) mod 4 of the Fock indices:
+# the even offsets take cos(y x), the odd ones sin(y x)
+_OFFSET_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _gauge_phases(n_fock: int) -> np.ndarray:
+    """i^n for n = 0..n_fock-1, read off exactly from (1, i, -1, -i)."""
+    return _QUARTER_TURNS[np.arange(n_fock) % 4]
+
+
+def _flat_gauge_phases(space: SpaceConfig) -> np.ndarray:
+    """The diagonal of U on the flattened basis: i^fock, repeated over spin."""
+    return np.repeat(_gauge_phases(space.n_max + 1), 2)
+
+
+def _into_gauge(m: np.ndarray, space: SpaceConfig) -> np.ndarray:
+    """U^dag M U, complex; its imaginary part is exactly zero when M is
+    real in the gauge."""
+    u = _flat_gauge_phases(space)
+    out = u.conj()[:, None] * m
+    out *= u
+    return out
+
+
+def _out_of_gauge(g: np.ndarray, space: SpaceConfig) -> np.ndarray:
+    """U G U^dag: a gauge array back in the Fock x spin basis."""
+    u = _flat_gauge_phases(space)
+    out = u[:, None] * g
+    out *= u.conj()
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _position_eigen(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, V) with a + a^dag = V diag(x) V^T on Fock levels 0..n_max.
+
+    The truncated a + a^dag is real tridiagonal; its eigenvalues x are the
+    Gauss-Hermite nodes times sqrt(2) (Golub & Welsch, Math. Comp. 23, 221
+    (1969)).  Kept per n_max, read-only: the decomposition is most of the
+    cost of a displacement, and a balanced Hamiltonian needs three.
+    """
+    nf = n_max + 1
+    off = np.sqrt(np.arange(1.0, nf))
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    x.flags.writeable = False
+    v.flags.writeable = False
+    return x, v
+
+
+def _gauge_displacement(y: float, n_max: int) -> np.ndarray:
+    """G(y) = U^dag D(iy) U = exp(-y (a - a^dag)) on the Fock factor, real.
+
+    D(iy) = V diag(e^{iyx}) V^T = C + iS with C = V cos(yx) V^T and
+    S = V sin(yx) V^T.  C moves the Fock number by even steps and S by
+    odd ones, so G takes C on the even offsets m - n and S on the odd
+    ones, signed by the phase pattern i^(n-m); rounding-level entries of
+    C and S on the other offsets are never read.  C is formed as
+    1 - 2 V sin^2(yx/2) V^T, so y = 0 gives the identity exactly.
+    """
+    x, v = _position_eigen(n_max)
+    nf = n_max + 1
+    even = (v * (-2.0 * np.sin(0.5 * y * x) ** 2)) @ v.T
+    even.flat[::nf + 1] += 1.0
+    odd = (v * np.sin(y * x)) @ v.T
+    offset = (np.arange(nf)[None, :] - np.arange(nf)[:, None]) % 4
+    return np.where(offset % 2 == 0, even, odd) * _OFFSET_SIGNS[offset]
 
 
 def basis_vector(space: SpaceConfig, fock: int, spin: int) -> np.ndarray:
@@ -248,8 +341,9 @@ def zero(space: SpaceConfig) -> Operator:
 def displacement(alpha: complex, space: SpaceConfig) -> Operator:
     """D(alpha) = exp(alpha a^dag - conj(alpha) a) on the truncated space.
 
-    The truncated generator is exponentiated directly, so the result is
-    exactly unitary; the price is edge distortion, which is why displacement
+    The truncated generator is exponentiated as it stands
+    (``fock_displacement``, no ``expm``), so the result is unitary to
+    rounding; the price is edge distortion, which is why displacement
     identities are only claimed on the interior block.
     """
     return Operator(np.kron(fock_displacement(alpha, space), np.eye(2)), space)
@@ -258,7 +352,8 @@ def displacement(alpha: complex, space: SpaceConfig) -> Operator:
 # -- numerical primitives -----------------------------------------------------
 
 # Generators with ||A||_1 <= _TAYLOR_THETA take the degree-12 Taylor
-# polynomial.  A is anti-hermitian, so ||A||_inf = ||A||_1 and
+# polynomial, larger ones that of A/2^s squared s times (see ``expm``).
+# A is anti-hermitian, so ||A||_inf = ||A||_1 and
 # ||A||_2 <= sqrt(||A||_1 ||A||_inf) = ||A||_1; the dropped tail
 # sum_{k>=13} A^k/k! is then at most theta^13/13! / (1 - theta/14)
 # ~ 9e-17 < 2^-53, so the polynomial is exact to rounding.
@@ -278,17 +373,18 @@ def _taylor12(a: np.ndarray) -> np.ndarray:
     polynomial is B0 + A^4 (B1 + A^4 B2): A^2, A^3, A^4 and two Horner
     steps.  The blocks come from one real linear combination of the
     stored powers, with the identity terms added on their diagonals; the
-    first Horner step writes into the buffer A no longer needs.
+    first Horner step writes into the buffer A no longer needs.  A may be
+    real or complex; the result has its dtype.
     """
     n = a.shape[0]
-    powers = np.empty((4, n, n), dtype=np.complex128)
+    powers = np.empty((4, n, n), dtype=a.dtype)
     powers[0] = a
     a1, a2, a3, a4 = powers
     np.matmul(a1, a1, out=a2)
     np.matmul(a1, a2, out=a3)
     np.matmul(a2, a2, out=a4)
     blocks = (_TAYLOR_BLOCKS @ powers.view(np.float64).reshape(4, -1))
-    blocks = blocks.view(np.complex128).reshape(3, n, n)
+    blocks = blocks.view(a.dtype).reshape(3, n, n)
     for j in range(3):
         blocks[j].flat[::n + 1] += _TAYLOR_COEF[4 * j]
     horner = np.matmul(a4, blocks[2], out=a1)
@@ -296,6 +392,14 @@ def _taylor12(a: np.ndarray) -> np.ndarray:
     out = a4 @ horner
     out += blocks[0]
     return out
+
+
+def _squarings(norm_1: float) -> int:
+    """Smallest s >= 0 with norm_1 / 2^s <= _TAYLOR_THETA."""
+    s = 0
+    while norm_1 > _TAYLOR_THETA * 2.0 ** s:
+        s += 1
+    return s
 
 
 def _expm_matrix(m: np.ndarray) -> np.ndarray:
@@ -307,10 +411,15 @@ def _expm_matrix(m: np.ndarray) -> np.ndarray:
         defect = np.linalg.norm(m + m.conj().T, "fro")
     if defect > 1e-13 * scale:
         raise ValueError("expm takes anti-hermitian generators only")
-    if np.abs(m).sum(axis=0).max() <= _TAYLOR_THETA:
-        return _taylor12(m)
-    w, v = np.linalg.eigh(1j * m)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    squarings = _squarings(np.abs(m).sum(axis=0).max())
+    if np.iscomplexobj(m) and squarings > 1:
+        w, v = np.linalg.eigh(1j * m)
+        return (v * np.exp(-1j * w)) @ v.conj().T
+    # scaling by 2^-s is exact; each squaring is one product
+    out = _taylor12(m / 2.0 ** squarings if squarings else m)
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def expm(a: Operator) -> Operator:
@@ -319,10 +428,21 @@ def expm(a: Operator) -> Operator:
     A^dag = -A must hold to 1e-13 relative (Frobenius norm); any other
     input raises ValueError.  The route follows the size of A.  When
     ||A||_1 <= 0.33 it is the degree-12 Taylor polynomial, whose dropped
-    tail is below 2^-53 there; it is unitary to rounding but not by
-    construction.  Larger generators go through the eigendecomposition
-    of the hermitian iA, so the result is unitary up to rounding and
-    accurate to 1e-12 relative for ||A|| <= 1e3.
+    tail is below 2^-53 there; up to 0.66 it is that polynomial of A/2,
+    squared once.  Both are unitary to rounding but not by construction;
+    at ||A||_1 = 0.5 and 0.65 they agree with scipy's expm to 1e-13 and
+    are unitary to 1e-14.  Larger generators go through the
+    eigendecomposition of the hermitian iA, so the result is unitary up
+    to rounding and accurate to 1e-12 relative for ||A|| <= 1e3.
+
+    A real antisymmetric A (the generators of the Fock phase gauge, on
+    the private array route) always takes the Taylor polynomial of
+    A/2^s followed by s squarings (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005)), with the smallest s that brings ||A/2^s||_1 under 0.33:
+    there is no real eigensolver for such a generator.  Measured at
+    dim 242 on random generators against scipy's expm: 1.2e-15, 3.0e-14
+    and 2.9e-14 at ||A||_1 = 0.5, 20 and 500, with orthogonality defects
+    (largest entry of |U^T U - 1|) of 2.4e-15, 6.7e-14 and 1.5e-13.
     """
     return Operator(_expm_matrix(a.mat), a.space)
 
@@ -384,12 +504,18 @@ def hermitize(a: Operator) -> Operator:
 # -- interior-block helpers ---------------------------------------------------
 # The flattened ordering makes the interior a contiguous leading block.
 
+def _interior_size(space: SpaceConfig, n_keep: int | None = None) -> int:
+    """Side of the leading block with both Fock indices <= n_keep
+    (default: the interior)."""
+    n = space.n_interior if n_keep is None else int(n_keep)
+    if not 0 <= n <= space.n_max:
+        raise ValueError(f"n_keep must be in [0, {space.n_max}], got {n}")
+    return 2 * (n + 1)
+
+
 def interior_block(a: Operator, n_keep: int | None = None) -> np.ndarray:
     """Copy of the block with both Fock indices <= n_keep (default interior)."""
-    n = a.space.n_interior if n_keep is None else int(n_keep)
-    if not 0 <= n <= a.space.n_max:
-        raise ValueError(f"n_keep must be in [0, {a.space.n_max}], got {n}")
-    k = 2 * (n + 1)
+    k = _interior_size(a.space, n_keep)
     return a.mat[:k, :k].copy()
 
 
@@ -421,15 +547,20 @@ def from_fock_blocks(space: SpaceConfig, ee, eg, ge, gg) -> Operator:
     eg[r, c] becomes <r, e| O |c, g>.  This is the layout in which all the
     closed-form evolutors are stated.
     """
+    return Operator(_block_matrix(space, ee, eg, ge, gg), space)
+
+
+def _block_matrix(space: SpaceConfig, ee, eg, ge, gg) -> np.ndarray:
+    """The array of ``from_fock_blocks``, in the blocks' common dtype."""
     nf = space.n_max + 1
-    full = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for rows, cols, blk in ((1, 1, ee), (1, 0, eg), (0, 1, ge), (0, 0, gg)):
-        b = np.asarray(blk, dtype=np.complex128)
+    blocks = [np.asarray(b) for b in (ee, eg, ge, gg)]
+    full = np.zeros((space.dim, space.dim), dtype=np.result_type(*blocks))
+    for (rows, cols), b in zip(((1, 1), (1, 0), (0, 1), (0, 0)), blocks):
         if b.shape != (nf, nf):
             raise ValueError(
                 f"fock block must have shape {(nf, nf)}, got {b.shape}")
         full[rows::2, cols::2] = b
-    return Operator(full, space)
+    return full
 
 
 def to_fock_blocks(a: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

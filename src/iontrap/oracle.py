@@ -18,7 +18,8 @@ import numpy as np
 
 from .operators import (
     SpaceConfig, Operator, basis_vector, op_norm, pauli, _expm_matrix,
-    _below_limit, _hermiticity_defect, GROUND, EXCITED,
+    _below_limit, _hermiticity_defect, _flat_gauge_phases, _into_gauge,
+    GROUND, EXCITED,
 )
 from .hamiltonians import ModelParams, bh, t_delta
 
@@ -46,6 +47,14 @@ def exact_eigs(h: Operator):
     max(1, ||H||)) is a caller bug and is rejected rather than silently
     averaged away.  Each pair's residual must stay within 1e-10 max(1, ||H||).
 
+    The symmetrized matrix is taken into the Fock phase gauge
+    U = diag(i^n) (x) 1.  When its imaginary part there is exactly zero,
+    as for ``rfh``, ``bh`` (both routes) and every H0 of the engine, the
+    one ``eigh`` call factors the real symmetric array, and the
+    eigenvectors come back to the Fock basis by the exact phases of U.
+    Any other hermitian input (``h_check``, say) is factored in complex
+    arithmetic.  The dispatch is an exact test, with no tolerance.
+
     Both checks are decided from cheap certified bounds first and from
     the exact spectral norms only when the bounds cannot decide, so every
     accept, reject and message is that of the exact test.  Hermiticity is
@@ -57,11 +66,15 @@ def exact_eigs(h: Operator):
     if defect is not None:
         raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
     sym = 0.5 * (h.mat + h.mat.conj().T)
-    values, vectors = np.linalg.eigh(sym)
-    # factorization residual per pair; eigh leaves ~eps * ||H||
+    gauged = _into_gauge(sym, h.space)
+    real = not gauged.imag.any()
+    mat = gauged.real if real else sym
+    values, vectors = np.linalg.eigh(mat)
+    # factorization residual per pair; eigh leaves ~eps * ||H||, and the
+    # gauge's phases leave the column norms as they are
     try:
         with np.errstate(over="raise"):
-            worst = np.linalg.norm(sym @ vectors - vectors * values, axis=0).max()
+            worst = np.linalg.norm(mat @ vectors - vectors * values, axis=0).max()
     except FloatingPointError:  # an overflowing residual is infinite
         worst = math.inf
     scale_lo = max(1.0, float(np.abs(values).max()))
@@ -69,6 +82,8 @@ def exact_eigs(h: Operator):
             and not worst <= 1e-10 * max(1.0, op_norm(h))):
         raise ArithmeticError(
             f"eigendecomposition residual {worst:.3e} exceeds 1e-10 * scale")
+    if real:
+        vectors = _flat_gauge_phases(h.space)[:, None] * vectors
     return values, vectors
 
 
@@ -185,8 +200,9 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
     P = h1 h2: one matrix product, and exactly anti-hermitian.  Either way
     the step's Magnus exponent goes through ``expm``.  When its 1-norm is
     at most 0.33 (0.2 to 0.25 at n_max 40 and 200 steps per unit), that is a
-    Taylor polynomial: the step costs a handful of matrix products and no
-    eigendecomposition.
+    Taylor polynomial, and up to 0.66 (the strong drive at n_max 60) the
+    same polynomial of half the exponent squared once: the step costs a
+    handful of matrix products and no eigendecomposition.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")

@@ -35,8 +35,7 @@ from iontrap import (
     frame_chain_propagator, fit_order, scan_gap,
 )
 from iontrap.engine import decompose, solve, residual_norm, expm
-
-from level_pairing import paired_level_errors
+from iontrap.oracle import _rung_levels
 
 DESK = SpaceConfig(n_max=40, interior_margin=10)
 BIG = SpaceConfig(n_max=60, interior_margin=15)
@@ -174,10 +173,11 @@ def crit4(space: SpaceConfig):
 
 def _worst_level_error(p: ModelParams, space: SpaceConfig, n_levels: int):
     """max |E_formula - E_exact| over E0 and the rungs n <= n_levels."""
-    values, _ = exact_eigs(bh(p, space))
+    values, vectors = exact_eigs(bh(p, space))
     worst = abs(spectrum_second_order(p, 0).E0 - values[0])
-    for _, err in paired_level_errors(p, n_levels, space):
-        worst = max(worst, err)
+    for n, e_lo, e_hi in spectrum_second_order(p, n_levels).levels:
+        lo, hi = _rung_levels(n, values, vectors, space)
+        worst = max(worst, abs(lo - e_lo), abs(hi - e_hi))
     return worst
 
 

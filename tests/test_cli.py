@@ -9,14 +9,18 @@ import sys
 import numpy as np
 import pytest
 
-from iontrap import SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn
+from iontrap import (
+    SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn, bh,
+    exact_eigs, spectrum_second_order, time_ordered_propagator,
+)
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
     spectrum, evolve, compare_rwa, residual_order, anticrossing,
     limits, frame_chain,
 )
 from iontrap.cli import main, parse_config
-from level_pairing import paired_level_errors
+from iontrap.operators import _position_eigen
+from iontrap.oracle import _rung_levels
 
 SPACE = SpaceConfig()
 P_RES = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.05)
@@ -142,7 +146,11 @@ class TestSpectrumExperiment:
         (table,) = spectrum(p, SPACE, Options({"n_levels": "10"}), map)
         cols = table.columns
         got = [max(lo, hi) for lo, hi in zip(cols["err_minus"], cols["err_plus"])]
-        want = [err for _, err in paired_level_errors(p, 10, SPACE)]
+        values, vectors = exact_eigs(bh(p, SPACE))
+        want = []
+        for n, e_lo, e_hi in spectrum_second_order(p, 10).levels:
+            lo, hi = _rung_levels(n, values, vectors, SPACE)
+            want.append(max(abs(lo - e_lo), abs(hi - e_hi)))
         assert got == pytest.approx(want, abs=1e-12)
         assert got[-1] == pytest.approx(3.72e-2, abs=5e-5)
 
@@ -208,6 +216,9 @@ class TestCompareRwaExperiment:
 class TestSweepsFactorOnce:
     # the time sweeps diagonalize per run, not per time point
     def count_eigh(self, monkeypatch, fn, *args):
+        # the displacements' one decomposition is kept per n_max: made
+        # before counting, so the counts see only what each call factors
+        _position_eigen(SPACE.n_max)
         calls = []
         eigh = np.linalg.eigh
 
@@ -259,6 +270,20 @@ class TestSweepsFactorOnce:
         assert len(evaluations) == 2 * 400
         assert n_run == n_setup
 
+    def test_replay_steps_need_no_eigensolver(self, monkeypatch):
+        # criterion 10's replay of criterion 1: n_max 60, the strong drive,
+        # order 4 at 200 steps per unit.  The steps' generators pass the
+        # Taylor bound 0.33 but not twice it, so one squaring serves
+        big = SpaceConfig(n_max=60, interior_margin=15)
+        strong = ModelParams(nu=1.0, omega_ge=1.3, omega_L=1.0,
+                             Omega_R=5.0, eta=0.1)
+        h_of_t = ith_fn(strong, big)
+        norms = [np.abs(h_of_t(t)).sum(axis=0).max() / 200.0
+                 for t in np.linspace(0.0, 2.0, 9)]
+        assert 0.33 < max(norms) <= 0.66
+        assert self.count_eigh(monkeypatch, time_ordered_propagator,
+                               h_of_t, 2.0, big, 200.0, 4) == 0
+
 
 class TestResidualOrderExperiment:
     def test_slopes_certify_the_orders(self):
@@ -272,6 +297,20 @@ class TestResidualOrderExperiment:
         with pytest.raises(ConfigError):
             residual_order(P_RES, SPACE, Options({"regime": "bogus"}), map)
 
+    def test_points_where_second_order_stops_helping_are_named(self):
+        assert residual_order(P_RES, SPACE, Options({}), map)[0].metadata[
+            "R2_ge_R1"] == []
+        # near resonance at lam = 0.16: R1 = 1.0137 and R2 = 1.1331, with
+        # an R2 slope of 3.0 that is a clean power all the same
+        near = ModelParams.from_balanced(1.0, 1.05, 0.025, 0.05)
+        (table,) = residual_order(near, SPACE,
+                                  Options({"regime": "near_resonant"}), map)
+        cols = table.columns
+        assert cols["R1"][-1] == pytest.approx(1.0137, abs=1e-4)
+        assert cols["R2"][-1] == pytest.approx(1.1331, abs=1e-4)
+        assert table.metadata["R2_ge_R1"] == [0.16]
+        assert table.metadata["R2_conclusive"]
+
 
 class TestAnticrossingExperiment:
     def test_argmin_matches_prediction(self):
@@ -284,6 +323,23 @@ class TestAnticrossingExperiment:
             got = table.metadata["argmin"]
             want = table.metadata["predicted_argmin"]
             assert abs(got - want) <= base.lam ** 3 * base.nu * n
+
+    def test_minimum_at_the_window_edge_is_a_diagnostic(self):
+        # at lam = 0.08 the fourth-order remainder (~ -0.65 n^2 lam^4 nu)
+        # carries rungs 12 and 14 out of the default +-6 lam^3 nu window,
+        # and leaves rung 10's minimum between its first two samples: in
+        # each the smallest gap is the first sample, so no sample on the
+        # left brackets the minimum.  The first such rung is named.
+        p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.08)
+        with pytest.raises(DiagnosticError, match=r"missed minimum at n=10"):
+            anticrossing(p, SPACE, Options({"levels": "10,12,14"}), map)
+        with pytest.raises(DiagnosticError,
+                           match=r"missed minimum at n=12") as exc:
+            anticrossing(p, SPACE, Options({"levels": "12,14"}), map)
+        (table,) = exc.value.tables
+        assert table.name == "anticrossing_n12"
+        # the clamped vertex is the window's first offset
+        assert table.metadata["argmin"] == table.columns["offset"][0]
 
     def test_ambiguity_is_a_diagnostic(self):
         strong = ModelParams.from_balanced(1.0, 1.0, 0.12, 0.6)
@@ -438,6 +494,15 @@ class TestRunner:
         assert self.run(tmp_path, text) == 3
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert "ambiguity" in meta["diagnostic"]
+
+    def test_missed_minimum_exit_3(self, tmp_path):
+        text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"
+                "eta_breve = 0.0\nlambda = 0.08\n"
+                "[experiment]\nname = anticrossing\nlevels = 10,12,14\n")
+        assert self.run(tmp_path, text) == 3
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["diagnostic"].startswith("missed minimum at n=10")
+        assert sorted(meta["tables"]) == ["anticrossing_n10"]
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
         # one factored propagator is shared read-only by the worker threads

@@ -18,10 +18,9 @@ from iontrap import (
     first_order_evolutor_fn,
     exp_z1, sandwich, y1_relation,
     spectrum_second_order, levels_first_order, levels_rwa,
-    transition_probability, anticrossing_shift,
+    transition_probability, anticrossing_shift, exact_eigs,
 )
-
-from level_pairing import paired_level_errors
+from iontrap.oracle import _rung_levels
 
 SPACE = SpaceConfig()
 
@@ -34,6 +33,17 @@ POINT_TWO_PHOTON = ModelParams.from_balanced(1.0, 2.0, 0.05, 0.05)
 POINT_COMPARABLE = ModelParams.from_balanced(1.0, GOLDEN, 0.05, 0.05)
 POINT_GREATER = ModelParams.from_balanced(1.0, GOLDEN, 0.08, 0.002)
 POINT_NEAR = ModelParams.from_balanced(1.0, 1.05, 0.025, 0.05)
+
+
+def level_errors(p, n_levels):
+    """(n, |formula - exact|) per rung, the larger of the pair's two errors;
+    the exact pair is the one ``oracle._rung_levels`` matches by overlap."""
+    values, vectors = exact_eigs(bh(p, SPACE))
+    out = []
+    for n, e_lo, e_hi in spectrum_second_order(p, n_levels).levels:
+        lo, hi = _rung_levels(n, values, vectors, SPACE)
+        out.append((n, max(abs(lo - e_lo), abs(hi - e_hi))))
+    return out
 
 
 def fit_slope(xs, ys):
@@ -396,7 +406,7 @@ class TestSecondOrderSpectrum:
         # the remainder grows ~n^(3/2) lam^3 / 4; the 5 lam^3 budget holds
         # through n = 5 at every near-resonant point measured
         p = ModelParams.from_balanced(1.0, db, eb, lam)
-        for n, err in paired_level_errors(p, 5, SPACE):
+        for n, err in level_errors(p, 5):
             assert err <= 5.0 * lam ** 3 * p.nu, (n, err)
 
     @pytest.mark.parametrize("db,eb,lam", [
@@ -411,7 +421,7 @@ class TestSecondOrderSpectrum:
         errs = []
         for lam in lams:
             p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
-            errs.append(max(e for _, e in paired_level_errors(p, 10, SPACE)))
+            errs.append(max(e for _, e in level_errors(p, 10)))
         assert fit_slope(lams, errs) > 2.7
 
     def test_lam_zero_collapse(self):

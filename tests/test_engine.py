@@ -350,8 +350,8 @@ class TestSolve:
         assert residual_norm(spec, series, sol, 0.0) < 1e-14
 
     def test_residual_norm_wraps_few_operators(self, monkeypatch):
-        # the dressing runs on arrays: one Operator per lam-sum, one for
-        # H0 and one for interior_norm, whatever the order and the terms
+        # the dressing runs on arrays: one Operator per lam-sum, whatever
+        # the order and the terms
         spec = decompose(balanced_reference(1.0))
         series = InteractionSeries(terms=(balanced_leading(),) * 3)
         sol = solve(spec, series, 6)
@@ -367,6 +367,31 @@ class TestSolve:
             made.clear()
             residual_norm(spec, series, sol, 0.05, upto=upto)
             assert 0 < len(made) <= 7
+
+
+class TestResidualNormReference:
+    # the benchmark's perturbative grid at dim 242, against a dense
+    # complex reference: scipy's expm and the SVD of the interior block
+    @pytest.mark.parametrize("kind,delta_breve,eta_breve", [
+        ("eta_much_less", 1.0, 0.0), ("near_resonant", 1.05, 0.025)])
+    def test_matches_expm_and_svd(self, kind, delta_breve, eta_breve):
+        import scipy.linalg
+
+        space = SpaceConfig(120, 30)
+        p = ModelParams.from_balanced(1.0, delta_breve, eta_breve, 0.05)
+        h0, series = regime_series(p, Regime.of(kind, p), space)
+        spec = decompose(h0)
+        sol = solve(spec, series, 6)
+        k = space.interior_dim
+        for lam in (0.02, 0.04, 0.08, 0.16):
+            h = h0.mat + series.evaluate(lam).mat
+            scale = max(1.0, op_norm(h))
+            for n in range(1, 7):
+                u = scipy.linalg.expm(1j * sol.generator(lam, n).mat)
+                moved = u @ h @ u.conj().T - h0.mat - sol.constant(lam, n).mat
+                want = op_norm(moved[:k, :k])
+                got = residual_norm(spec, series, sol, lam, upto=n)
+                assert abs(got - want) <= 1e-12 * scale, (lam, n, got, want)
 
 
 class TestAssemble:

@@ -1,9 +1,13 @@
 """Frame chain: lab -> rotating -> balanced -> spin-decoupled."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams,
@@ -16,7 +20,9 @@ from iontrap import (
     bh_reference, bh_interaction_term, bh_interaction_series, bh_series_order, bh,
     check_transform, h_check_reference, h_check_interaction_term,
     h_check_interaction_series, h_check,
+    REGIME_KINDS, Regime, regime_series,
 )
+from iontrap.operators import _into_gauge
 
 SPACE = SpaceConfig()
 P_REF = ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0, Omega_R=0.25, eta=0.1)
@@ -356,3 +362,39 @@ class TestCheckFrame:
         w_b = np.linalg.eigvalsh(bh(P_REF, SPACE, "conjugation").mat)
         w_c = np.linalg.eigvalsh(h_check(P_REF, SPACE, "conjugation").mat)
         assert np.max(np.abs(w_b - w_c)) < 1e-10
+
+
+# A fixed seed and no example database keep the suite deterministic.
+DETERMINISTIC = settings(database=None, derandomize=True, deadline=None)
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "iontrap-hypothesis")
+GAUGE_SPACE = SpaceConfig(16, 4)
+
+
+def real_in_gauge(op):
+    """U^dag O U with U = diag(i^n) (x) 1 has no imaginary part at all."""
+    return not _into_gauge(op.mat, op.space).imag.any()
+
+
+class TestFockPhaseGauge:
+    @DETERMINISTIC
+    @given(omega_ge=st.floats(-3.0, 3.0), omega_r=st.floats(1e-3, 10.0),
+           eta=st.floats(-0.5, 0.5))
+    def test_frame_chain_is_real(self, omega_ge, omega_r, eta):
+        p = ModelParams(nu=1.0, omega_ge=omega_ge, omega_L=1.0,
+                        Omega_R=omega_r, eta=eta)
+        for make in (rfh, t_delta, t1, t3, bh_reference, bh,
+                     lambda p, sp: bh(p, sp, "closed_form")):
+            assert real_in_gauge(make(p, GAUGE_SPACE))
+
+    @DETERMINISTIC
+    @given(delta_breve=st.floats(0.91, 1.09), eta_breve=st.floats(-0.1, 0.1),
+           lam=st.floats(1e-3, 0.2), kind=st.sampled_from(REGIME_KINDS))
+    def test_regime_series_terms_are_real(self, delta_breve, eta_breve, lam,
+                                          kind):
+        p = ModelParams.from_balanced(1.0, delta_breve, eta_breve, lam)
+        h0, series = regime_series(p, Regime.of(kind, p), GAUGE_SPACE)
+        for op in (h0, *series.terms):
+            assert real_in_gauge(op)
+
+    def test_check_frame_is_not_real(self):
+        assert not real_in_gauge(h_check(P_REF, GAUGE_SPACE))

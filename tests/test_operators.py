@@ -10,7 +10,8 @@ from iontrap.operators import (
     expm, op_norm, commutator, adjoint, hermitize,
     interior_block, interior_project, interior_norm, interior_distance,
     from_fock_blocks, to_fock_blocks, fock_lowering, fock_number,
-    fock_function, basis_vector, _expm_matrix, _TAYLOR_THETA,
+    fock_function, fock_displacement, basis_vector, _expm_matrix,
+    _TAYLOR_THETA, _into_gauge, _out_of_gauge,
 )
 
 SPACE = SpaceConfig()          # n_max=40, margin=10
@@ -170,13 +171,16 @@ def _anti_hermitian(dim, norm_1, seed):
 
 
 class TestExpmRoutes:
-    # below theta the Taylor polynomial, above it the eigendecomposition
+    # below theta the Taylor polynomial, up to 2 theta that polynomial of
+    # A/2 squared once, above it the eigendecomposition
     @pytest.mark.parametrize("dim", [82, 242])
-    @pytest.mark.parametrize("factor,eigh_calls", [(0.9, 0), (1.1, 1)],
-                             ids=["taylor", "eigh"])
-    def test_matches_scipy_and_is_unitary(self, monkeypatch, dim, factor,
+    @pytest.mark.parametrize("norm_1,eigh_calls", [
+        (0.9 * _TAYLOR_THETA, 0), (0.5, 0), (0.65, 0),
+        (2.1 * _TAYLOR_THETA, 1)],
+        ids=["taylor", "squared-0.5", "squared-0.65", "eigh"])
+    def test_matches_scipy_and_is_unitary(self, monkeypatch, dim, norm_1,
                                           eigh_calls):
-        anti = _anti_hermitian(dim, factor * _TAYLOR_THETA, seed=dim)
+        anti = _anti_hermitian(dim, norm_1, seed=dim)
         calls = []
         eigh = np.linalg.eigh
 
@@ -190,6 +194,21 @@ class TestExpmRoutes:
         assert len(calls) == eigh_calls
         assert np.abs(u - scipy.linalg.expm(anti)).max() <= 1e-13
         assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-14
+
+    # a real antisymmetric generator always takes Taylor and squarings
+    @pytest.mark.parametrize("norm_1,distance,defect", [
+        (0.5, 1e-14, 1e-14), (20.0, 2e-13, 5e-13), (500.0, 2e-13, 1e-12)])
+    def test_real_route_matches_scipy_and_is_orthogonal(
+            self, monkeypatch, norm_1, distance, defect):
+        rng = np.random.default_rng(242)
+        m = rng.normal(size=(242, 242))
+        anti = (m - m.T) * (norm_1 / np.abs(m - m.T).sum(axis=0).max())
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", None)  # any call would fail
+            u = _expm_matrix(anti)
+        assert u.dtype == np.float64
+        assert np.abs(u - scipy.linalg.expm(anti)).max() <= distance
+        assert np.abs(u.T @ u - np.eye(242)).max() <= defect
 
     def test_checks_run_before_the_route_is_chosen(self):
         small = 0.5 * _TAYLOR_THETA
@@ -309,3 +328,41 @@ def test_truncation_consistency(make):
     big = make(SpaceConfig(80, 50))
     delta = interior_block(small, 30) - interior_block(big, 30)
     assert op_norm(delta) <= 1e-8
+
+
+class TestFockPhaseGauge:
+    def test_round_trip_is_exact_and_real(self):
+        rng = np.random.default_rng(61)
+        m = rng.normal(size=(242, 242))
+        real = m + m.T
+        space = SpaceConfig(120, 30)
+        fock = _out_of_gauge(real, space)
+        back = _into_gauge(fock, space)
+        assert np.array_equal(back.real, real)
+        assert not back.imag.any()
+
+    @pytest.mark.parametrize("n_max", [40, 120])
+    @pytest.mark.parametrize("alpha", [0.3, -0.1 + 0.25j, 0.05j, -0.07j, 0.5j])
+    def test_displacement_matches_scipy(self, n_max, alpha):
+        space = SpaceConfig(n_max, 10)
+        a = fock_lowering(space)
+        want = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+        assert np.abs(fock_displacement(alpha, space) - want).max() <= 1e-13
+
+    def test_zero_displacement_is_the_identity(self):
+        assert np.array_equal(fock_displacement(0j, SPACE),
+                              np.eye(SPACE.n_max + 1))
+
+    def test_displacement_factors_nothing_complex(self, monkeypatch):
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", recording)
+            for alpha in (0.3, -0.1 + 0.25j, 0.2j):
+                fock_displacement(alpha, SpaceConfig(57, 10))
+        assert all(dtype == np.float64 for dtype in dtypes)

@@ -10,7 +10,7 @@ from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams,
     number, pauli, identity, basis_vector, op_norm, interior_distance,
     GROUND, EXCITED,
-    jc_constants, ith_fn, bh, bh_reference, frame_rotation, t_delta,
+    jc_constants, ith_fn, bh, bh_reference, h_check, frame_rotation, t_delta,
     spectrum_second_order, anticrossing_shift,
     OverlapAmbiguityError, ConvergenceFit, GapScan, SpectralDecomposition,
     exact_eigs, exact_propagator, exact_propagator_fn, time_ordered_propagator,
@@ -105,6 +105,41 @@ class TestExactEigs:
         with pytest.raises(ValueError,
                            match=r"^operator is not hermitian \(defect 1\.01e-09\)$"):
             exact_eigs(self.with_defect(5.05e-10))
+
+    @staticmethod
+    def record_eigh_dtypes(monkeypatch):
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        return dtypes
+
+    @pytest.mark.parametrize("route", ["conjugation", "closed_form"])
+    def test_balanced_hamiltonian_factors_real(self, monkeypatch, route):
+        # real symmetric in the Fock phase gauge: one real eigh, and the
+        # eigenvectors, back in the Fock basis, are eigenvectors of bh
+        h = bh(ModelParams.from_balanced(1.0, 1.03, 0.02, 0.05), SPACE, route)
+        dtypes = self.record_eigh_dtypes(monkeypatch)
+        values, vectors = exact_eigs(h)
+        assert dtypes == [np.float64]
+        res = h.mat @ vectors - vectors * values
+        assert np.linalg.norm(res, axis=0).max() <= 1e-12 * op_norm(h)
+        assert np.abs(vectors.conj().T @ vectors - np.eye(SPACE.dim)).max() <= 1e-13
+
+    def test_check_frame_still_factors_complex(self, monkeypatch):
+        p = ModelParams.from_balanced(1.0, 1.03, 0.02, 0.05)
+        want, _ = exact_eigs(bh(p, SPACE))
+        h = h_check(p, SPACE)
+        dtypes = self.record_eigh_dtypes(monkeypatch)
+        values, vectors = exact_eigs(h)
+        assert dtypes == [np.complex128]
+        res = h.mat @ vectors - vectors * values
+        assert np.linalg.norm(res, axis=0).max() <= 1e-12 * op_norm(h)
+        assert np.abs(values - want).max() <= 1e-10
 
     def test_lowest_level_matches_second_order_formula(self):
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.05)
