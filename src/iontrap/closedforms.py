@@ -25,8 +25,8 @@ from .operators import (
     annihilation, number, pauli, identity,
     fock_lowering, from_fock_blocks, expm, hermitize,
 )
-from .hamiltonians import ModelParams, JCParams, bh_reference
-from .engine import InteractionSeries, chi, gamma
+from .hamiltonians import ModelParams, JCParams, bh_reference, _exactly_resonant
+from .engine import InteractionSeries, _degenerate
 from .oracle import SpectralDecomposition, exact_eigs
 
 REGIME_KINDS = (
@@ -36,14 +36,12 @@ REGIME_KINDS = (
     "near_resonant",     # detuning mismatch moved into the perturbation
 )
 
-# resonance nu = delta_breve demanded by the closed-form evolutors
-_RES_RTOL = 1e-12
-# admission window of the nearly resonant treatment, |nu - delta_breve| <= rho nu
+# the nearly resonant window, |nu - delta_breve| <= _NEAR_RHO nu
 _NEAR_RHO = 0.1
 
 
 def _require_resonance(p: ModelParams, what: str) -> None:
-    if abs(p.nu - p.delta_breve) > _RES_RTOL * p.nu:
+    if not _exactly_resonant(p.nu, p.delta_breve):
         raise ValueError(
             f"{what} is a closed form at resonance nu = delta_breve; "
             f"got nu={p.nu!r}, delta_breve={p.delta_breve!r} "
@@ -77,46 +75,38 @@ class Regime:
     kind names the bookkeeping intent (what formal order in lam the
     eta_breve-quadratic coupling is assigned, or that the detuning
     mismatch joins the perturbation); it is never inferred from
-    magnitudes.  resonant_flag states whether nu = delta_breve within
-    the degeneracy tolerance, and must agree with the parameters it is
-    used with.  rho bounds the admissible detuning mismatch of the
-    near_resonant kind, in units of nu.
+    magnitudes.  resonant_flag states whether nu = delta_breve, decided
+    by ``engine._degenerate`` (absolute tolerance, ambiguous band) as the
+    engine clusters, and must agree with the parameters it is used with;
+    nu - delta_breve, or 2 nu - delta_breve in the eta kinds, in the band
+    raises ClusterAmbiguityError.
     """
 
     kind: str
     resonant_flag: bool = False
-    rho: float = _NEAR_RHO
 
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise ValueError(
                 f"unknown regime kind {self.kind!r}; valid: {REGIME_KINDS}")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
 
     @classmethod
-    def of(cls, kind: str, p: ModelParams, rho: float = _NEAR_RHO,
-           eps_deg: float = 1e-8) -> "Regime":
+    def of(cls, kind: str, p: ModelParams) -> "Regime":
         """Regime with resonant_flag read off the parameters."""
-        flag = abs(p.nu - p.delta_breve) <= eps_deg * p.nu
-        r = cls(kind=kind, resonant_flag=flag, rho=rho)
-        r.validate(p, eps_deg)
+        r = cls(kind, bool(_degenerate(p.nu - p.delta_breve, "nu - delta_breve")))
+        r.validate(p)
         return r
 
-    def validate(self, p: ModelParams, eps_deg: float = 1e-8) -> None:
+    def validate(self, p: ModelParams) -> None:
         """Reject a regime/parameter mismatch."""
-        flag = abs(p.nu - p.delta_breve) <= eps_deg * p.nu
-        if flag != self.resonant_flag:
-            raise ValueError(
-                f"resonant_flag={self.resonant_flag} contradicts the "
-                f"parameters (|nu - delta_breve| = {abs(p.nu - p.delta_breve)!r}, "
-                f"tolerance {eps_deg * p.nu!r})")
+        gap = p.nu - p.delta_breve
+        if _degenerate(gap, "nu - delta_breve") != self.resonant_flag:
+            raise ValueError(f"resonant_flag={self.resonant_flag} contradicts "
+                             f"|nu - delta_breve| = {abs(gap)!r}")
         if self.kind == "near_resonant":
-            if abs(p.nu - p.delta_breve) > self.rho * p.nu:
-                raise ValueError(
-                    "near_resonant regime requires |nu - delta_breve| <= "
-                    f"rho nu = {self.rho * p.nu!r}; got "
-                    f"{abs(p.nu - p.delta_breve)!r}")
+            _require_near_resonance(p, "the near_resonant regime")
+        else:
+            _degenerate(2.0 * p.nu - p.delta_breve, "2 nu - delta_breve")
 
 
 def regime_series(p: ModelParams, regime: Regime,
@@ -155,8 +145,7 @@ def regime_series(p: ModelParams, regime: Regime,
     return h0, InteractionSeries(terms=(linear, quadratic))
 
 
-def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig,
-                          eps_deg: float = 1e-8
+def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig
                           ) -> tuple[Operator, Operator, Operator]:
     """The constants of motion C1, C2 and generator Z1, in closed form.
 
@@ -165,10 +154,10 @@ def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig,
     three eta regimes C1 vanishes off resonance and the second-order
     constant acquires the two-quantum exchange term exactly on the
     two-photon resonance 2 nu = delta_breve (kept only when the regime
-    declares eta_breve of order lam or larger).  eps_deg is the degeneracy
-    tolerance behind the chi/gamma selectors and the resonant_flag check.
+    declares eta_breve of order lam or larger).  The chi/gamma selectors
+    are ``engine._degenerate``'s: one absolute tolerance, an ambiguous band.
     """
-    regime.validate(p, eps_deg)
+    regime.validate(p)
     nu, db, lam, eb = p.nu, p.delta_breve, p.lam, p.eta_breve
     a = annihilation(space)
     sp, sm, sz = pauli("+", space), pauli("-", space), pauli("z", space)
@@ -183,18 +172,31 @@ def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig,
         c2 = 0.5 * lam ** 2 * nu * diag_minus
         return c1, z1, c2
 
+    gam = 0.0 if regime.resonant_flag else 1.0 / (nu - db)  # gamma(nu - db)
     c1 = jc_like if regime.resonant_flag else 0.0 * one
-    z1 = (-lam * nu * gamma(nu - db, eps_deg) * (a @ sp + a.dag @ sm)
+    z1 = (-lam * nu * gam * (a @ sp + a.dag @ sm)
           - (lam * nu / (nu + db)) * (a @ sm + a.dag @ sp))
     c2 = (lam ** 2 * nu ** 2 / (nu + db)) * diag_minus \
-        - lam ** 2 * nu ** 2 * gamma(nu - db, eps_deg) * diag_plus
-    if regime.kind in ("eta_comparable", "eta_much_greater"):
-        c2 = c2 - lam * eb * nu * chi(2.0 * nu - db, eps_deg) * hermitize(
-            a @ a @ sp + a.dag @ a.dag @ sm)
+        - lam ** 2 * nu ** 2 * gam * diag_plus
+    if (regime.kind in ("eta_comparable", "eta_much_greater")
+            and _degenerate(2.0 * nu - db)):  # chi(2 nu - delta_breve)
+        c2 = c2 - lam * eb * nu * hermitize(a @ a @ sp + a.dag @ a.dag @ sm)
     return c1, z1, c2
 
 
 # -- closed-form evolutors ----------------------------------------------------
+
+def _exchange_blocks(phi: float, space: SpaceConfig) -> tuple:
+    """(ee, eg, ge, gg): cos and sin of phi sqrt(n+1) on each pair
+    |n, e>, |n+1, g>, the one-photon exchange rotation."""
+    ns = np.arange(space.n_max + 1)
+    root_up = np.sqrt(ns + 1.0)
+    low = fock_lowering(space)
+    return (np.diag(np.cos(phi * root_up)),
+            np.diag(np.sin(phi * root_up) / root_up) @ low,
+            np.diag(_sin_over_sqrt(phi, ns)) @ low.conj().T,
+            np.diag(np.cos(phi * np.sqrt(ns))))
+
 
 def jc_evolutor(t: float, p: JCParams, space: SpaceConfig) -> Operator:
     """Resonant evolutor exp(-i S t) of the exchange constant of motion.
@@ -205,15 +207,8 @@ def jc_evolutor(t: float, p: JCParams, space: SpaceConfig) -> Operator:
     if not p.resonant:
         raise ValueError(
             "closed-form evolutor needs nu = omega; use expm off resonance")
-    phi = p.lam * p.nu * t
-    ns = np.arange(space.n_max + 1)
-    root_up = np.sqrt(ns + 1.0)
-    low = fock_lowering(space)
-    ee = np.diag(np.cos(phi * root_up))
-    gg = np.diag(np.cos(phi * np.sqrt(ns)))
-    eg = -1j * np.diag(np.sin(phi * root_up) / root_up) @ low
-    ge = -1j * np.diag(_sin_over_sqrt(phi, ns)) @ low.conj().T
-    return from_fock_blocks(space, ee, eg, ge, gg)
+    ee, eg, ge, gg = _exchange_blocks(p.lam * p.nu * t, space)
+    return from_fock_blocks(space, ee, -1j * eg, -1j * ge, gg)
 
 
 def jc_evolutor_breve(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
@@ -224,15 +219,8 @@ def jc_evolutor_breve(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     real sines instead of -i sines.
     """
     _require_resonance(p, "jc_evolutor_breve")
-    phi = p.lam * p.nu * t
-    ns = np.arange(space.n_max + 1)
-    root_up = np.sqrt(ns + 1.0)
-    low = fock_lowering(space)
-    ee = np.diag(np.cos(phi * root_up))
-    gg = np.diag(np.cos(phi * np.sqrt(ns)))
-    eg = np.diag(np.sin(phi * root_up) / root_up) @ low
-    ge = -np.diag(_sin_over_sqrt(phi, ns)) @ low.conj().T
-    return from_fock_blocks(space, ee, eg, ge, gg)
+    ee, eg, ge, gg = _exchange_blocks(p.lam * p.nu * t, space)
+    return from_fock_blocks(space, ee, eg, -ge, gg)
 
 
 def rwa_evolutor_fn(p: ModelParams, space: SpaceConfig):
@@ -286,20 +274,13 @@ def first_order_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operat
 def exp_z1(p: ModelParams, space: SpaceConfig) -> Operator:
     """Closed form of exp(i Z1) at resonance.
 
-    Z1 = -(lam/2)(a sigma_- + a^dag sigma_+) exchanges |n, e> with
-    |n+1, g>, so the exponential closes over half-angle cos/sin of
-    (lam/2) sqrt(n).
+    Z1 = -(lam/2)(a sigma_- + a^dag sigma_+) exchanges |n+1, e> with
+    |n, g>, so the exponential is the pair rotation of ``jc_evolutor``
+    with the spins swapped, by the half-angle lam/2.
     """
     _require_resonance(p, "exp_z1")
-    theta = 0.5 * p.lam
-    ns = np.arange(space.n_max + 1)
-    root_up = np.sqrt(ns + 1.0)
-    low = fock_lowering(space)
-    ee = np.diag(np.cos(theta * np.sqrt(ns)))
-    gg = np.diag(np.cos(theta * root_up))
-    eg = -1j * np.diag(_sin_over_sqrt(theta, ns)) @ low.conj().T
-    ge = -1j * np.diag(np.sin(theta * root_up) / root_up) @ low
-    return from_fock_blocks(space, ee, eg, ge, gg)
+    ee, eg, ge, gg = _exchange_blocks(0.5 * p.lam, space)
+    return from_fock_blocks(space, gg, -1j * ge, -1j * eg, ee)
 
 
 def sandwich(t: float, p: ModelParams, space: SpaceConfig) -> Operator:

@@ -50,46 +50,48 @@ def gamma(x: float, eps: float = 1e-12) -> float:
 
 
 class ClusterAmbiguityError(RuntimeError):
-    """Eigenvalue spacing falls in the grey zone of the clustering tolerance."""
+    """An energy gap falls in the ambiguous band of the degeneracy test."""
 
 
-def decompose(h0: Operator, eps_deg: float = 1e-8) -> SpectralDecomposition:
+# the one degeneracy tolerance, absolute
+_EPS_DEG = 1e-8
+
+
+def _degenerate(gap, what: str = "energy gap"):
+    """Elementwise: True where |gap| <= _EPS_DEG, False where |gap| >=
+    3 _EPS_DEG; a gap in the ambiguous band between raises
+    ClusterAmbiguityError, naming the first one as ``what``."""
+    size = np.abs(gap)
+    grey = (size > _EPS_DEG) & (size < 3.0 * _EPS_DEG)
+    if np.any(grey):
+        raise ClusterAmbiguityError(
+            f"{what} {float(size[grey].flat[0]):.3e} is inside the "
+            f"ambiguous band ({_EPS_DEG:.1e}, {3 * _EPS_DEG:.1e})")
+    return size <= _EPS_DEG
+
+
+def decompose(h0: Operator) -> SpectralDecomposition:
     """Diagonalize a hermitian operator and cluster degenerate eigenvalues.
 
     The eigenpairs come from ``exact_eigs``, with its hermiticity and
     residual checks; this is the one builder of a SpectralDecomposition
-    that fills its clusters.  Adjacent eigenvalues closer than eps_deg
-    share a cluster.  A spacing in the grey zone (eps_deg, 3 eps_deg)
-    means the tolerance cannot cleanly separate the spectrum; that raises
-    ClusterAmbiguityError rather than silently committing either way.  The
-    same happens if chained merging produces a cluster wider than eps_deg.
+    that fills its clusters.  Adjacent eigenvalues share a cluster when
+    ``_degenerate`` (absolute tolerance _EPS_DEG) calls their gap a
+    degeneracy; a gap in its ambiguous band, or chained merging into a
+    cluster wider than _EPS_DEG, raises ClusterAmbiguityError rather
+    than silently committing either way.
     """
-    if eps_deg <= 0:
-        raise ValueError(f"eps_deg must be > 0, got {eps_deg}")
     w, v = exact_eigs(h0)
-    clusters = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size:
-            clusters.append(tuple(range(start, i)))
-            break
-        gap = w[i] - w[i - 1]
-        if gap <= eps_deg:
-            continue
-        if gap < 3.0 * eps_deg:
-            raise ClusterAmbiguityError(
-                f"eigenvalue gap {gap:.3e} between indices {i-1},{i} is inside "
-                f"the ambiguous band ({eps_deg:.1e}, {3*eps_deg:.1e})")
-        clusters.append(tuple(range(start, i)))
-        start = i
-    for cluster in clusters:
-        spread = w[cluster[-1]] - w[cluster[0]]
-        if spread > eps_deg:
-            raise ClusterAmbiguityError(
-                f"chained near-degeneracies span {spread:.3e} > eps_deg; "
-                "no consistent clustering at this tolerance")
-    return SpectralDecomposition(h0.space, w, v, clusters=tuple(clusters),
-                                 eps_deg=float(eps_deg))
+    # a cluster starts at 0 and after every gap that is no degeneracy
+    cuts = np.flatnonzero(~_degenerate(np.diff(w), "eigenvalue gap")) + 1
+    bounds = [0, *cuts.tolist(), w.size]
+    clusters = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    spread = max(w[c[-1]] - w[c[0]] for c in clusters)
+    if spread > _EPS_DEG:
+        raise ClusterAmbiguityError(
+            f"chained near-degeneracies span {spread:.3e} > {_EPS_DEG:.1e}; "
+            "no consistent clustering at this tolerance")
+    return SpectralDecomposition(h0.space, w, v, clusters=clusters)
 
 
 @dataclass(frozen=True)
@@ -384,15 +386,15 @@ def solve_ladder(spec: SpectralDecomposition, series: InteractionSeries,
     """The recursion with the chi/gamma weighting as its block mask.
 
     C_n keeps the entries where chi(E(k) - E(j)) = 1 and Z_n weights the
-    rest by gamma(E(k) - E(j)), both at the tolerance eps_deg: the shared
-    recursion core with the mask |E(k) - E(j)| <= eps_deg in place of the
-    cluster mask.  A clean clustering makes the two masks agree, so this
-    must reproduce solve, which is what the consistency tests check.
+    rest by gamma(E(k) - E(j)), both decided by ``_degenerate`` (absolute
+    tolerance, ambiguous band): the shared recursion core with that mask
+    in place of the cluster mask.  A clean clustering makes the two masks
+    agree, so this must reproduce solve, as the consistency tests check.
     """
     spec._require_clusters()
     w = spec.eigenvalues
     return _recursion(spec, series, N,
-                      np.abs(w[None, :] - w[:, None]) <= spec.eps_deg)
+                      _degenerate(w[None, :] - w[:, None], "energy difference"))
 
 
 def assemble(h0: Operator, sol: PerturbativeSolution, lam: float, n: int):

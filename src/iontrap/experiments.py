@@ -3,8 +3,8 @@
 Each experiment takes the model parameters, a space, an option mapping
 (raw strings from the config file) and an order-preserving map function,
 and returns a list of ResultTable objects.  Bad options raise
-ConfigError; numerical trouble discovered mid-run (ambiguous level
-pairing, an inconclusive fit, a broken self-check) raises
+ConfigError; numerical trouble discovered mid-run (an ambiguous level
+pairing or degeneracy, an inconclusive fit, a broken self-check) raises
 DiagnosticError, which still carries whatever tables were produced so
 the runner can write them before reporting the failure.
 """
@@ -22,7 +22,7 @@ from .operators import (
     op_norm, interior_distance, EXCITED, GROUND,
 )
 from .hamiltonians import ModelParams, bh, t_delta, t1, ith_fn
-from .engine import decompose, solve, residual_norm
+from .engine import ClusterAmbiguityError, decompose, solve, residual_norm
 from .closedforms import (
     REGIME_KINDS, Regime, regime_series, spectrum_second_order,
     anticrossing_shift, rwa_evolutor_fn, first_order_evolutor_fn,
@@ -30,7 +30,7 @@ from .closedforms import (
 from .oracle import (
     OverlapAmbiguityError, exact_eigs, exact_propagator_fn,
     frame_chain_fn, time_ordered_sweep, fit_order, scan_gap,
-    _rung_levels,
+    _rung_levels, _CONCLUSIVE_R2,
 )
 
 
@@ -268,7 +268,9 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     any other grid is a config error before anything is solved.  The
     metadata's R2_ge_R1 lists the grid points where second order does not
     improve on first (R2 >= R1): past them the fitted R2 slope describes a
-    series that has stopped converging, however clean the power law.
+    series that has stopped converging, however clean the power law.  An
+    ambiguous degeneracy, an inconclusive fit or a slope below N + 0.7 is
+    a DiagnosticError.
     """
     kind = opts.get_str("regime", "eta_much_less",
                         choices=set(REGIME_KINDS))
@@ -279,9 +281,11 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     try:
         regime = Regime.of(kind, p)
         h0, series = regime_series(p, regime, space)
+        spec = decompose(h0)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    spec = decompose(h0)
+    except ClusterAmbiguityError as exc:
+        raise DiagnosticError(f"ambiguous degeneracy: {exc}")
     sol = solve(spec, series, 2)
 
     def point(lam):
@@ -303,11 +307,16 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         meta[f"{label}_slope"] = fit.slope
         meta[f"{label}_r_squared"] = fit.r_squared
         meta[f"{label}_conclusive"] = fit.conclusive
-    meta["r_squared_threshold"] = 0.95
+    meta["r_squared_threshold"] = _CONCLUSIVE_R2
     tables = [ResultTable("residual_order", cols, meta)]
     if not (meta["R1_conclusive"] and meta["R2_conclusive"]):
-        raise DiagnosticError(
-            "inconclusive fit: residual-order r^2 below 0.95", tables)
+        raise DiagnosticError("inconclusive fit: residual-order r^2 below "
+                              f"{_CONCLUSIVE_R2}", tables)
+    for n in (1, 2):  # criterion 3: order N needs a slope of N + 0.7
+        if meta[f"R{n}_slope"] < n + 0.7:
+            raise DiagnosticError(
+                f"uncertified order: residual-order R{n} slope "
+                f"{meta[f'R{n}_slope']:.3f} below {n + 0.7}", tables)
     return tables
 
 

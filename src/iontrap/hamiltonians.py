@@ -132,6 +132,11 @@ class ModelParams:
         return p
 
 
+def _exactly_resonant(nu: float, omega: float) -> bool:
+    """nu = omega to 1e-12 relative: the resonance closed forms are exact at."""
+    return abs(nu - omega) <= 1e-12 * max(nu, abs(omega))
+
+
 @dataclass(frozen=True)
 class JCParams:
     """Jaynes-Cummings inputs: trap and spin frequencies plus coupling lam."""
@@ -149,7 +154,7 @@ class JCParams:
 
     @property
     def resonant(self) -> bool:
-        return abs(self.nu - self.omega) <= 1e-12 * max(self.nu, abs(self.omega))
+        return _exactly_resonant(self.nu, self.omega)
 
 
 # -- Jaynes-Cummings model -----------------------------------------------------

@@ -96,8 +96,8 @@ class SpectralDecomposition:
     diagonal of a time-dependent frame rotation (zero when none).  At t
     it is U(t) = diag(e^{-i t r}) L diag(e^{-i t E}) L^dag, one matrix
     product; ``apply`` costs two matrix-vector products.  clusters
-    groups the indices degenerate within eps_deg; only
-    ``engine.decompose`` fills them, and the block methods need them.
+    groups the indices ``engine.decompose`` finds degenerate, at its one
+    absolute tolerance; only it fills them, and the block methods need them.
     The arrays are private read-only copies, so one instance is safely
     shared between threads.
     """
@@ -106,7 +106,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
     clusters: tuple | None = None
-    eps_deg: float | None = None
     rates: np.ndarray | None = None
 
     def __post_init__(self):
@@ -130,7 +129,7 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
     def _require_clusters(self) -> None:
-        if self.clusters is None or self.eps_deg is None:
+        if self.clusters is None:
             raise ValueError("needs the clusters of engine.decompose; "
                              "this decomposition has none")
 
@@ -278,13 +277,16 @@ def frame_chain_propagator(t: float, p: ModelParams,
 
 # -- convergence-order fitting --------------------------------------------------
 
+_CONCLUSIVE_R2 = 0.95
+
+
 @dataclass(frozen=True)
 class ConvergenceFit:
     """Least-squares power-law fit of residuals over a coupling grid.
 
     slope and intercept live in log-log coordinates; a fit only counts as
-    conclusive when r_squared >= 0.95, below that the residual is not
-    behaving like a power of the coupling and no order can be claimed.
+    conclusive when r_squared >= _CONCLUSIVE_R2 = 0.95, below that the
+    residual is no power of the coupling and no order can be claimed.
     """
 
     lambdas: tuple
@@ -301,7 +303,7 @@ class ConvergenceFit:
 
     @property
     def conclusive(self) -> bool:
-        return self.r_squared >= 0.95
+        return self.r_squared >= _CONCLUSIVE_R2
 
 
 def fit_order(residual_fn: Callable[[float], float],

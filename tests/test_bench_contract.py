@@ -1,0 +1,52 @@
+"""The benchmark's contract with the package: every part runs and checks clean.
+
+``bench/workloads.py`` calls the package the way a command-line user and
+the demos do (``cli.parse_config``, the experiments, ``Regime.of``,
+``regime_series``, ``decompose``, ``solve``, ``residual_norm``).  One pass
+of each of its four parts at seed 1, with its own check, catches a change
+of any of those calls before a benchmark run does.  The module is loaded
+by path and nothing is written under ``bench/``.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+from iontrap import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.modules.pop(spec.name, None)
+        sys.dont_write_bytecode = saved
+
+
+@pytest.mark.parametrize("part", ["time-sweep", "oracle-selfcheck",
+                                  "param-scan", "perturbative"])
+def test_one_pass_checks_clean(workloads, part, tmp_path):
+    work = workloads.PARTS[part]
+    cfgs = {}
+    for key, text in work.configs(1).items():
+        path = tmp_path / f"{key}.ini"
+        path.write_text(text, encoding="utf-8")
+        cfgs[key] = cli.parse_config(str(path))
+    result = work.run_pass(cfgs, lambda f, xs: list(map(f, xs)),
+                           str(tmp_path / "out"))
+    errors = {key: run.error for key, run in result.runs.items() if run.error}
+    assert errors == {}
+    attempted, failed = work.check(cfgs, result)
+    assert attempted > 0 and failed == 0

@@ -311,6 +311,20 @@ class TestResidualOrderExperiment:
         assert table.metadata["R2_ge_R1"] == [0.16]
         assert table.metadata["R2_conclusive"]
 
+    def test_uncertified_order_is_a_diagnostic(self):
+        # the README full set: delta_breve - nu = 0.03 makes the first-order
+        # generator large, and the clean fits (r^2 0.9997 and 0.9993) read
+        # slopes 1.12 and 2.12, below criterion 3's N + 0.7
+        full = ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0, Omega_R=0.25,
+                           eta=0.1)
+        with pytest.raises(DiagnosticError, match="uncertified order") as info:
+            residual_order(full, SPACE, Options({}), map)
+        (table,) = info.value.tables
+        meta = table.metadata
+        assert meta["R1_conclusive"] and meta["R2_conclusive"]
+        assert meta["R1_slope"] < 1.7 and meta["R2_slope"] < 2.7
+        assert meta["R2_ge_R1"] == list(table.columns["lam"])
+
 
 class TestAnticrossingExperiment:
     def test_argmin_matches_prediction(self):
@@ -486,6 +500,18 @@ class TestRunner:
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert meta["diagnostic"].startswith("phase budget exceeded")
         assert meta["tables"] == {}
+
+    @pytest.mark.parametrize("params,diagnostic", [
+        (FULL, "uncertified order"),
+        (REDUCED.replace("delta_breve = 1.0", "delta_breve = 1.00000002"),
+         "ambiguous degeneracy"),
+    ], ids=["readme-full-set", "ambiguous-resonance"])
+    def test_residual_order_diagnostics_exit_3(self, tmp_path, params,
+                                               diagnostic):
+        text = params + "[experiment]\nname = residual-order\n"
+        assert self.run(tmp_path, text) == 3
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["diagnostic"].startswith(diagnostic)
 
     def test_diagnostic_exit_3_still_writes(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"

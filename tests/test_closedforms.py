@@ -11,7 +11,7 @@ from iontrap import (
     op_norm, commutator, interior_norm, interior_distance, hermitize, expm,
     GROUND, EXCITED,
     bh, bh_reference, jc_constants,
-    decompose, solve,
+    decompose, solve, ClusterAmbiguityError,
     REGIME_KINDS, Regime, SecondOrderSpectrum,
     regime_series, bh_first_second_order,
     jc_evolutor, jc_evolutor_breve, rwa_evolutor, first_order_evolutor,
@@ -65,10 +65,6 @@ class TestRegime:
         with pytest.raises(ValueError):
             Regime(kind="eta_resonant")
 
-    def test_rho_positive(self):
-        with pytest.raises(ValueError):
-            Regime(kind="near_resonant", rho=0.0)
-
     def test_of_reads_resonance_off_parameters(self):
         assert Regime.of("eta_much_less", POINT_RES).resonant_flag
         assert not Regime.of("eta_much_less", POINT_OFF).resonant_flag
@@ -84,8 +80,6 @@ class TestRegime:
         far = ModelParams.from_balanced(1.0, 1.25, 0.02, 0.05)
         with pytest.raises(ValueError):
             Regime.of("near_resonant", far)
-        # a wider declared window admits the same point
-        assert Regime.of("near_resonant", far, rho=0.3).rho == 0.3
         Regime.of("near_resonant", POINT_NEAR)  # inside the default window
 
 
@@ -186,6 +180,35 @@ class TestPrintedVersusEngine:
         v_out = basis_vector(SPACE, 0, EXCITED)
         v_in = basis_vector(SPACE, 2, GROUND)
         assert abs(v_out.conj() @ c2.mat @ v_in) < 1e-15
+
+    @pytest.mark.parametrize("nu,offset", [(0.1, 5e-9), (10.0, 5e-8)])
+    def test_engine_agrees_away_from_unit_nu(self, nu, offset):
+        # both decide nu = delta_breve by the same absolute test: at
+        # nu = 0.1 a mismatch of 5e-9 is a degeneracy, so C1 is the
+        # exchange; at nu = 10 one of 5e-8 is not, so C1 = 0 and Z1
+        # divides by the mismatch
+        space = SpaceConfig(n_max=20, interior_margin=5)
+        p = ModelParams.from_balanced(nu, nu + offset, 0.0, 0.05)
+        regime = Regime.of("eta_much_less", p)
+        h0, series = regime_series(p, regime, space)
+        sol = solve(decompose(h0), series, 2)
+        c1, z1, c2 = bh_first_second_order(p, regime, space)
+        assert interior_distance(p.lam * sol.C[0], c1) <= 1e-12
+        assert (interior_distance(p.lam * sol.Z[0], z1)
+                <= 1e-5 * interior_norm(z1))
+        assert (interior_distance(p.lam ** 2 * sol.C[1], c2)
+                <= 1e-5 * interior_norm(c2))
+
+    @pytest.mark.parametrize("nu", [1.0, 10.0])
+    def test_ambiguous_mismatch_raises_on_both_routes(self, nu):
+        space = SpaceConfig(n_max=20, interior_margin=5)
+        p = ModelParams.from_balanced(nu, nu + 2e-8, 0.0, 0.05)
+        with pytest.raises(ClusterAmbiguityError):
+            Regime.of("eta_much_less", p)
+        with pytest.raises(ClusterAmbiguityError):
+            bh_first_second_order(p, Regime(kind="eta_much_less"), space)
+        with pytest.raises(ClusterAmbiguityError):
+            decompose(bh_reference(p, space))
 
     def test_hermiticity(self):
         for kind, p in self.POINTS:

@@ -71,6 +71,7 @@ def reduced(nu, delta_breve, eta_breve, lam):
 @example(**reduced(1.0, 1.0, 1.0, -1.0))  # limits: negative detuning
 @example(**reduced(1.0, 1.0, 0.0, 0.0))  # spectrum: rungs past n_max
 @example(**reduced(1.0, 1.0, 0.0, 2.0 ** 28))  # residual-order: R = 0
+@example(**reduced(1.0, 1.00000002, 0.0, 0.05))  # ambiguous degeneracy
 @example(**reduced(1.0, 1.0, 0.0, 1.034434839619222e153))  # expm norm
 @example(**reduced(5.6e102, 1.0, 0.0, 5.6e102))  # lam^2 nu overflows
 @example(**reduced(3.402823465999998e38, 1.0, 5.129361400639429e112,

@@ -81,7 +81,7 @@ class TestDecompose:
         np.fill_diagonal(mat, np.arange(SMALL.dim, dtype=float))
         mat[1, 1] = mat[0, 0] + 2e-8
         with pytest.raises(ClusterAmbiguityError):
-            decompose(Operator(mat, SMALL), eps_deg=1e-8)
+            decompose(Operator(mat, SMALL))
 
     def test_chained_spread_raises(self):
         mat = np.zeros((SMALL.dim, SMALL.dim))
@@ -89,14 +89,26 @@ class TestDecompose:
         mat[1, 1] = 0.9e-8
         mat[2, 2] = 1.8e-8
         with pytest.raises(ClusterAmbiguityError):
-            decompose(Operator(mat, SMALL), eps_deg=1e-8)
+            decompose(Operator(mat, SMALL))
 
     def test_clean_merge_and_split(self):
         mat = np.zeros((SMALL.dim, SMALL.dim))
         np.fill_diagonal(mat, 10.0 * np.arange(SMALL.dim, dtype=float))
         mat[1, 1] = 5e-9
-        spec = decompose(Operator(mat, SMALL), eps_deg=1e-8)
+        spec = decompose(Operator(mat, SMALL))
         assert len(spec.clusters[0]) == 2
+
+    def test_clusters_match_a_loop_over_adjacent_gaps(self):
+        levels = 10.0 * np.arange(SMALL.dim, dtype=float)
+        levels[[1, 4, 5, 9]] = [4e-9, 30.0 + 3e-9, 30.0 + 7e-9, 80.0 - 1e-9]
+        spec = decompose(Operator(np.diag(levels), SMALL))
+        w, want, start = spec.eigenvalues, [], 0
+        for i in range(1, w.size + 1):
+            if i == w.size or w[i] - w[i - 1] >= 3e-8:
+                want.append(tuple(range(start, i)))
+                start = i
+        assert spec.clusters == tuple(want)
+        assert [len(c) for c in want].count(2) == 2 and (3, 4, 5) in want
 
     def test_rejects_non_hermitian(self):
         a = annihilation(SMALL)
@@ -309,7 +321,7 @@ class TestSolve:
         from iontrap import SpectralDecomposition
         spec_perm = SpectralDecomposition(
             eigenvalues=spec.eigenvalues, eigenbasis=v,
-            clusters=spec.clusters, eps_deg=spec.eps_deg, space=spec.space)
+            clusters=spec.clusters, space=spec.space)
         sol_perm = solve(spec_perm, series, 2)
         for n in range(2):
             assert op_norm(sol.C[n] - sol_perm.C[n]) < 1e-10
@@ -551,8 +563,7 @@ class TestIndexRotation:
             mixed[:, list(cluster)] = v[:, list(cluster)] @ q
         from iontrap import SpectralDecomposition
         return SpectralDecomposition(
-            spec.space, spec.eigenvalues, mixed, clusters=spec.clusters,
-            eps_deg=spec.eps_deg)
+            spec.space, spec.eigenvalues, mixed, clusters=spec.clusters)
 
     def test_rotated_basis_solves_like_the_permutation(self):
         spec = decompose(balanced_reference(1.0))
