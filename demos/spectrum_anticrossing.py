@@ -11,11 +11,8 @@ import math
 
 import numpy as np
 
-from iontrap import (
-    SpaceConfig, ModelParams, bh,
-    spectrum_second_order, anticrossing_shift,
-    exact_eigs, scan_gap,
-)
+from iontrap import SpaceConfig, ModelParams, anticrossing_shift, scan_gap
+from iontrap.experiments import EXPERIMENTS, Options
 
 
 def main():
@@ -23,19 +20,22 @@ def main():
     p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.05)
     n_show = 5
 
-    spec = spectrum_second_order(p, n_show)
-    values, _ = exact_eigs(bh(p, space))
+    # exact levels are paired with each rung by overlap; an ambiguous
+    # pairing stops the experiment with a diagnostic
+    (table,) = EXPERIMENTS["spectrum"](
+        p, space, Options({"n_levels": str(n_show)}), map)
+    cols, meta = table.columns, table.metadata
     unit = p.lam ** 3 * p.nu
     print(f"levels at resonance, lambda = {p.lam} "
           f"(errors in units of lambda^3 nu = {unit:.2e}):\n")
     print(f"  {'level':>10}  {'formula':>12}  {'exact':>12}  {'err/unit':>9}")
-    print(f"  {'E0':>10}  {spec.E0:12.6f}  {values[0]:12.6f}  "
-          f"{abs(spec.E0 - values[0]) / unit:9.3f}")
-    for n, e_minus, e_plus in spec.levels:
-        for label, e_f, e_x in ((f"E{n}-", e_minus, values[2 * n - 1]),
-                                (f"E{n}+", e_plus, values[2 * n])):
-            print(f"  {label:>10}  {e_f:12.6f}  {e_x:12.6f}  "
-                  f"{abs(e_f - e_x) / unit:9.3f}")
+    print(f"  {'E0':>10}  {meta['E0']:12.6f}  {meta['E0_exact']:12.6f}  "
+          f"{meta['err_E0'] / unit:9.3f}")
+    for k, n in enumerate(cols["n"]):
+        for sign, side in (("-", "minus"), ("+", "plus")):
+            print(f"  {f'E{n}{sign}':>10}  {cols[f'E_{side}'][k]:12.6f}  "
+                  f"{cols[f'E_{side}_exact'][k]:12.6f}  "
+                  f"{cols[f'err_{side}'][k] / unit:9.3f}")
 
     print("\nanticrossing scan (gap between the n-th doublet levels while "
           "sweeping\nthe detuning mismatch; argmin from parabolic refinement):\n")

@@ -427,7 +427,7 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     permutation eigenbasis (bit-identical to ``spec.reconstruct()``).
     H0, H, iW and C are taken into the Fock phase gauge, where the
     engine's solutions of ``regime_series`` are real: e^{iW} = e^{-A} is
-    then real orthogonal (``expm``'s scaling-and-squaring route) and the
+    then real orthogonal (``expm``, within its accuracy contract) and the
     dressing is two real products.  Any other input stays complex, on
     the same arithmetic.  The residual is hermitian, so its interior
     norm is the largest |eigenvalue| of the symmetrized interior block,

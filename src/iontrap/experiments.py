@@ -334,6 +334,8 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     opts.finish()
     if any(n < 1 for n in levels):
         raise ConfigError("levels must be positive integers")
+    if max(levels) > space.n_max:  # rung n pairs |n-1,e> with |n,g>
+        raise ConfigError(f"levels must be at most n_max = {space.n_max}")
     if points < 5:
         raise ConfigError("points must be at least 5")
 

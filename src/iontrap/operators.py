@@ -297,6 +297,8 @@ def _gauge_displacement(y: float, n_max: int) -> np.ndarray:
 
 
 def basis_vector(space: SpaceConfig, fock: int, spin: int) -> np.ndarray:
+    if not 0 <= fock <= space.n_max:
+        raise ValueError(f"fock must be in 0..{space.n_max}, got {fock}")
     v = np.zeros(space.dim, dtype=np.complex128)
     v[BasisIndex(fock, spin).flat] = 1.0
     return v
@@ -394,14 +396,6 @@ def _taylor12(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squarings(norm_1: float) -> int:
-    """Smallest s >= 0 with norm_1 / 2^s <= _TAYLOR_THETA."""
-    s = 0
-    while norm_1 > _TAYLOR_THETA * 2.0 ** s:
-        s += 1
-    return s
-
-
 def _expm_matrix(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("expm input must be finite")
@@ -411,11 +405,11 @@ def _expm_matrix(m: np.ndarray) -> np.ndarray:
         defect = np.linalg.norm(m + m.conj().T, "fro")
     if defect > 1e-13 * scale:
         raise ValueError("expm takes anti-hermitian generators only")
-    squarings = _squarings(np.abs(m).sum(axis=0).max())
-    if np.iscomplexobj(m) and squarings > 1:
-        w, v = np.linalg.eigh(1j * m)
-        return (v * np.exp(-1j * w)) @ v.conj().T
-    # scaling by 2^-s is exact; each squaring is one product
+    # the smallest s >= 0 with ||A/2^s||_1 <= theta; scaling by 2^-s is
+    # exact, and each squaring is one product
+    norm_1, squarings = np.abs(m).sum(axis=0).max(), 0
+    while norm_1 > _TAYLOR_THETA * 2.0 ** squarings:
+        squarings += 1
     out = _taylor12(m / 2.0 ** squarings if squarings else m)
     for _ in range(squarings):
         out = out @ out
@@ -425,24 +419,28 @@ def _expm_matrix(m: np.ndarray) -> np.ndarray:
 def expm(a: Operator) -> Operator:
     """Unitary exp(A) of an anti-hermitian generator A.
 
-    A^dag = -A must hold to 1e-13 relative (Frobenius norm); any other
-    input raises ValueError.  The route follows the size of A.  When
-    ||A||_1 <= 0.33 it is the degree-12 Taylor polynomial, whose dropped
-    tail is below 2^-53 there; up to 0.66 it is that polynomial of A/2,
-    squared once.  Both are unitary to rounding but not by construction;
-    at ||A||_1 = 0.5 and 0.65 they agree with scipy's expm to 1e-13 and
-    are unitary to 1e-14.  Larger generators go through the
-    eigendecomposition of the hermitian iA, so the result is unitary up
-    to rounding and accurate to 1e-12 relative for ||A|| <= 1e3.
+    A^dag = -A must hold to 1e-13 relative (Frobenius norm), and A must be
+    finite; any other input raises ValueError.  Every generator, real or
+    complex, takes one algorithm: the degree-12 Taylor polynomial of
+    A/2^s in five products, squared s times (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)), with the smallest s >= 0 that brings
+    ||A/2^s||_1 to 0.33 or below, where the polynomial's dropped tail is
+    under 2^-53.  So ||A||_1 <= 0.33 costs five products, and each
+    doubling past it one more.  No eigensolver runs, and the result keeps
+    A's dtype; it is unitary to rounding, not by construction.
 
-    A real antisymmetric A (the generators of the Fock phase gauge, on
-    the private array route) always takes the Taylor polynomial of
-    A/2^s followed by s squarings (Higham, SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005)), with the smallest s that brings ||A/2^s||_1 under 0.33:
-    there is no real eigensolver for such a generator.  Measured at
-    dim 242 on random generators against scipy's expm: 1.2e-15, 3.0e-14
-    and 2.9e-14 at ||A||_1 = 0.5, 20 and 500, with orthogonality defects
-    (largest entry of |U^T U - 1|) of 2.4e-15, 6.7e-14 and 1.5e-13.
+    Measured on random generators at dims 82 and 242, three seeds each,
+    as the largest entry of |U - scipy's expm| / of |U^dag U - 1|:
+
+        ||A||_1   real                 complex
+        0.5       1.3e-15 / 2.9e-15    1.1e-15 / 2.2e-15
+        20        2.5e-14 / 5.8e-14    2.0e-14 / 4.2e-14
+        500       3.2e-14 / 1.6e-13    1.9e-14 / 8.2e-14
+        5000      1.4e-13 / 6.9e-13    1.1e-13 / 8.1e-13
+
+    The contract, held by ``tests/test_operators.py`` for both dtypes:
+    through ||A||_1 = 5000, U is within 5e-13 of exp(A) and U^dag U
+    within 2e-12 of 1, entrywise.  Larger generators are outside it.
     """
     return Operator(_expm_matrix(a.mat), a.space)
 

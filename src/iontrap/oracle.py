@@ -197,11 +197,9 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
     term (global error h^4, what the acceptance-grade comparisons use).
     Because h_fn is hermitian, the commutator [h1, h2] is P - P^dag with
     P = h1 h2: one matrix product, and exactly anti-hermitian.  Either way
-    the step's Magnus exponent goes through ``expm``.  When its 1-norm is
-    at most 0.33 (0.2 to 0.25 at n_max 40 and 200 steps per unit), that is a
-    Taylor polynomial, and up to 0.66 (the strong drive at n_max 60) the
-    same polynomial of half the exponent squared once: the step costs a
-    handful of matrix products and no eigendecomposition.
+    the step's Magnus exponent goes through ``expm`` (its docstring states
+    the accuracy): at any step size a step costs a handful of matrix
+    products and no eigendecomposition.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")

@@ -355,6 +355,14 @@ class TestAnticrossingExperiment:
         # the clamped vertex is the window's first offset
         assert table.metadata["argmin"] == table.columns["offset"][0]
 
+    def test_rung_above_n_max_is_a_config_error(self):
+        # rung n pairs |n-1,e> with |n,g>, so n_max 6 holds rungs up to 6
+        small = SpaceConfig(n_max=6, interior_margin=2)
+        with pytest.raises(ConfigError, match="at most n_max = 6"):
+            anticrossing(P_RES, small, Options({"levels": "1,7"}), map)
+        with pytest.raises(DiagnosticError, match="missed minimum at n=6"):
+            anticrossing(P_RES, small, Options({"levels": "6"}), map)
+
     def test_ambiguity_is_a_diagnostic(self):
         strong = ModelParams.from_balanced(1.0, 1.0, 0.12, 0.6)
         opts = Options({"levels": "1", "offsets": "0.0"})

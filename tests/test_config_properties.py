@@ -1,6 +1,7 @@
 """Property tests: bad config values surface as ConfigError and nothing else,
-finite parameters end every experiment with a documented exit code, and the
-balanced couplings keep their bounds and their inversion."""
+finite parameters and Fock-level options end every experiment with a
+documented exit code, and the balanced couplings keep their bounds and their
+inversion."""
 
 import math
 import tempfile
@@ -88,6 +89,31 @@ def test_finite_parameters_exit_with_a_documented_code(tmp_path_factory,
         path.write_text("\n".join(lines + ["[experiment]", f"name = {name}"])
                         + "\n", encoding="utf-8")
         assert _run(str(path), str(base / "finite-out"), 1) in (0, 2, 3)
+
+
+# a Fock level at n_max 6, drawn from one below the range to two above it
+FOCK = st.integers(-1, 6 + 2)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@example(levels=[7], n_levels=1, initial_n=0)  # a rung above n_max
+@given(levels=st.lists(FOCK, min_size=1, max_size=3), n_levels=FOCK,
+       initial_n=FOCK)
+def test_fock_level_options_exit_with_a_documented_code(tmp_path_factory,
+                                                        levels, n_levels,
+                                                        initial_n):
+    base = tmp_path_factory.getbasetemp()
+    params = reduced(1.0, 1.0, 0.0, 0.05)["params"]
+    lines = ["[params]"] + [f"{key} = {value}" for key, value in params.items()]
+    lines += ["[space]", "n_max = 6", "interior_margin = 2"]
+    options = {"anticrossing": "levels = " + ",".join(map(str, levels)),
+               "spectrum": f"n_levels = {n_levels}",
+               "evolve": f"initial_n = {initial_n}"}
+    for name, option in options.items():
+        path = base / "fock.ini"
+        path.write_text("\n".join(lines + ["[experiment]", f"name = {name}",
+                                           option]) + "\n", encoding="utf-8")
+        assert _run(str(path), str(base / "fock-out"), 1) in (0, 2, 3)
 
 
 def magnitudes(lo, hi):

@@ -62,6 +62,12 @@ def test_annihilation_kills_vacuum():
     assert np.all(a.mat @ v == 0.0)
 
 
+def test_basis_vector_names_the_fock_range():
+    for fock in (-1, SMALL.n_max + 1):
+        with pytest.raises(ValueError, match=r"fock must be in 0\.\.4"):
+            basis_vector(SMALL, fock, GROUND)
+
+
 def test_ladder_commutator_is_identity_inside():
     a = annihilation(SPACE)
     c = commutator(a, a.dag)
@@ -140,7 +146,7 @@ def test_expm_group_inverse():
 def test_expm_matches_scipy_on_generic_input():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(SMALL.dim, SMALL.dim)) + 1j * rng.normal(size=(SMALL.dim, SMALL.dim))
-    anti = m - m.conj().T        # eigh route
+    anti = m - m.conj().T        # scaled and squared
     got = expm(Operator(anti, SMALL)).mat
     ref = scipy.linalg.expm(anti)
     assert op_norm(got - ref) <= 1e-12 * max(1.0, op_norm(ref))
@@ -171,44 +177,41 @@ def _anti_hermitian(dim, norm_1, seed):
 
 
 class TestExpmRoutes:
-    # below theta the Taylor polynomial, up to 2 theta that polynomial of
-    # A/2 squared once, above it the eigendecomposition
+    # below theta the Taylor polynomial, above it that polynomial of
+    # A/2^s squared s times; no size calls an eigensolver, "eigh" (past
+    # 2 theta) included
     @pytest.mark.parametrize("dim", [82, 242])
-    @pytest.mark.parametrize("norm_1,eigh_calls", [
-        (0.9 * _TAYLOR_THETA, 0), (0.5, 0), (0.65, 0),
-        (2.1 * _TAYLOR_THETA, 1)],
+    @pytest.mark.parametrize("norm_1", [
+        0.9 * _TAYLOR_THETA, 0.5, 0.65, 2.1 * _TAYLOR_THETA],
         ids=["taylor", "squared-0.5", "squared-0.65", "eigh"])
-    def test_matches_scipy_and_is_unitary(self, monkeypatch, dim, norm_1,
-                                          eigh_calls):
+    def test_matches_scipy_and_is_unitary(self, monkeypatch, dim, norm_1):
         anti = _anti_hermitian(dim, norm_1, seed=dim)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigh", counting)
-            u = _expm_matrix(anti)
-        assert len(calls) == eigh_calls
-        assert np.abs(u - scipy.linalg.expm(anti)).max() <= 1e-13
-        assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-14
-
-    # a real antisymmetric generator always takes Taylor and squarings
-    @pytest.mark.parametrize("norm_1,distance,defect", [
-        (0.5, 1e-14, 1e-14), (20.0, 2e-13, 5e-13), (500.0, 2e-13, 1e-12)])
-    def test_real_route_matches_scipy_and_is_orthogonal(
-            self, monkeypatch, norm_1, distance, defect):
-        rng = np.random.default_rng(242)
-        m = rng.normal(size=(242, 242))
-        anti = (m - m.T) * (norm_1 / np.abs(m - m.T).sum(axis=0).max())
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", None)  # any call would fail
             u = _expm_matrix(anti)
-        assert u.dtype == np.float64
+        assert np.abs(u - scipy.linalg.expm(anti)).max() <= 1e-13
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-14
+
+    # expm's accuracy contract: every generator, real or complex, takes
+    # Taylor and squarings, and keeps its dtype
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("norm_1,distance,defect", [
+        (0.5, 1e-14, 1e-14), (20.0, 2e-13, 5e-13), (500.0, 2e-13, 1e-12),
+        (5000.0, 5e-13, 2e-12)])
+    def test_real_route_matches_scipy_and_is_orthogonal(
+            self, monkeypatch, dtype, norm_1, distance, defect):
+        rng = np.random.default_rng(242)
+        m = rng.normal(size=(242, 242)).astype(dtype)
+        if dtype is np.complex128:
+            m += 1j * rng.normal(size=(242, 242))
+        anti = m - m.conj().T
+        anti *= norm_1 / np.abs(anti).sum(axis=0).max()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", None)  # any call would fail
+            u = _expm_matrix(anti)
+        assert u.dtype == dtype
         assert np.abs(u - scipy.linalg.expm(anti)).max() <= distance
-        assert np.abs(u.T @ u - np.eye(242)).max() <= defect
+        assert np.abs(u.conj().T @ u - np.eye(242)).max() <= defect
 
     def test_checks_run_before_the_route_is_chosen(self):
         small = 0.5 * _TAYLOR_THETA
