@@ -48,8 +48,7 @@ def main():
     print(f"  {'nu t':>6}  {'difference':>12}")
     times = (0.5, 1.0, 2.0, 4.0)
     chain = frame_chain_fn(p, space)
-    stepped = time_ordered_sweep(h_lab, times, space,
-                                 steps_per_unit=200, order=4)
+    stepped = time_ordered_sweep(h_lab, times, space, steps_per_unit=200)
     for t, u in zip(times, stepped):
         print(f"  {t:6.1f}  {interior_distance(chain(t), u):12.3e}")
     print("\nno perturbation theory anywhere above; this is the exact "

@@ -11,6 +11,9 @@ plus metadata.json echoing the config, the engine version and every
 tolerance in play, written atomically.  Identical configs produce
 byte-identical files; nothing wall-clock-dependent is recorded.
 
+The experiment's points run in turn, in one thread, with numpy's
+overflow and invalid-operation checks raising.
+
 Exit codes: 0 success, 2 config error, 3 numerical diagnostic.
 """
 
@@ -23,7 +26,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,6 @@ from .experiments import (
 
 _FULL_KEYS = ("nu", "omega_ge", "omega_l", "omega_r", "eta")
 _REDUCED_KEYS = ("nu", "delta_breve", "eta_breve", "lambda")
-_RAISE = {"over": "raise", "invalid": "raise"}
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def write_metadata(cfg: RunConfig, tables, out_dir: str,
 
 # -- entry point --------------------------------------------------------------
 
-def _run(config_path: str, out_dir: str, threads: int) -> int:
+def _run(config_path: str, out_dir: str) -> int:
     try:
         cfg = parse_config(config_path)
     except ConfigError as exc:
@@ -190,19 +191,9 @@ def _run(config_path: str, out_dir: str, threads: int) -> int:
     diagnostic = None
     try:
         # numbers that leave the float range raise FloatingPointError, an
-        # ArithmeticError, instead of warning and running on with inf or
-        # nan; worker threads do not inherit the setting, so each sets it
-        with np.errstate(**_RAISE):
-            if threads > 1:
-                with ThreadPoolExecutor(
-                        max_workers=threads,
-                        initializer=lambda: np.seterr(**_RAISE)) as pool:
-                    # pool.map preserves argument order, so tables stay
-                    # deterministic regardless of scheduling
-                    tables = fn(cfg.params, cfg.space, Options(cfg.options),
-                                lambda f, xs: list(pool.map(f, xs)))
-            else:
-                tables = fn(cfg.params, cfg.space, Options(cfg.options), map)
+        # ArithmeticError, instead of warning and running on with inf or nan
+        with np.errstate(over="raise", invalid="raise"):
+            tables = fn(cfg.params, cfg.space, Options(cfg.options), map)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -233,12 +224,8 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to an INI run configuration")
     run_p.add_argument("--out", default=".",
                        help="output directory (default: current directory)")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep points (default 1)")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    return _run(args.config, args.out, args.threads)
+    return _run(args.config, args.out)
 
 
 if __name__ == "__main__":

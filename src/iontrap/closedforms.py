@@ -75,15 +75,14 @@ class Regime:
     kind names the bookkeeping intent (what formal order in lam the
     eta_breve-quadratic coupling is assigned, or that the detuning
     mismatch joins the perturbation); it is never inferred from
-    magnitudes.  resonant_flag states whether nu = delta_breve, decided
-    by ``engine._degenerate`` (absolute tolerance, ambiguous band) as the
-    engine clusters, and must agree with the parameters it is used with;
-    nu - delta_breve, or 2 nu - delta_breve in the eta kinds, in the band
-    raises ClusterAmbiguityError.
+    magnitudes.  Whether nu = delta_breve is read off the parameters by
+    ``validate``, decided by ``engine._degenerate`` (absolute tolerance,
+    ambiguous band) as the engine clusters; nu - delta_breve, or
+    2 nu - delta_breve in the eta kinds, in the band raises
+    ClusterAmbiguityError.
     """
 
     kind: str
-    resonant_flag: bool = False
 
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
@@ -92,21 +91,19 @@ class Regime:
 
     @classmethod
     def of(cls, kind: str, p: ModelParams) -> "Regime":
-        """Regime with resonant_flag read off the parameters."""
-        r = cls(kind, bool(_degenerate(p.nu - p.delta_breve, "nu - delta_breve")))
+        """The regime, validated against the parameters."""
+        r = cls(kind)
         r.validate(p)
         return r
 
-    def validate(self, p: ModelParams) -> None:
-        """Reject a regime/parameter mismatch."""
-        gap = p.nu - p.delta_breve
-        if _degenerate(gap, "nu - delta_breve") != self.resonant_flag:
-            raise ValueError(f"resonant_flag={self.resonant_flag} contradicts "
-                             f"|nu - delta_breve| = {abs(gap)!r}")
+    def validate(self, p: ModelParams) -> bool:
+        """Reject a regime/parameter mismatch; return whether nu = delta_breve."""
+        resonant = bool(_degenerate(p.nu - p.delta_breve, "nu - delta_breve"))
         if self.kind == "near_resonant":
             _require_near_resonance(p, "the near_resonant regime")
         else:
             _degenerate(2.0 * p.nu - p.delta_breve, "2 nu - delta_breve")
+        return resonant
 
 
 def regime_series(p: ModelParams, regime: Regime,
@@ -157,7 +154,7 @@ def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig
     declares eta_breve of order lam or larger).  The chi/gamma selectors
     are ``engine._degenerate``'s: one absolute tolerance, an ambiguous band.
     """
-    regime.validate(p)
+    resonant = regime.validate(p)
     nu, db, lam, eb = p.nu, p.delta_breve, p.lam, p.eta_breve
     a = annihilation(space)
     sp, sm, sz = pauli("+", space), pauli("-", space), pauli("z", space)
@@ -172,8 +169,8 @@ def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig
         c2 = 0.5 * lam ** 2 * nu * diag_minus
         return c1, z1, c2
 
-    gam = 0.0 if regime.resonant_flag else 1.0 / (nu - db)  # gamma(nu - db)
-    c1 = jc_like if regime.resonant_flag else 0.0 * one
+    gam = 0.0 if resonant else 1.0 / (nu - db)  # gamma(nu - db)
+    c1 = jc_like if resonant else 0.0 * one
     z1 = (-lam * nu * gam * (a @ sp + a.dag @ sm)
           - (lam * nu / (nu + db)) * (a @ sm + a.dag @ sp))
     c2 = (lam ** 2 * nu ** 2 / (nu + db)) * diag_minus \
@@ -196,6 +193,19 @@ def _exchange_blocks(phi: float, space: SpaceConfig) -> tuple:
             np.diag(np.sin(phi * root_up) / root_up) @ low,
             np.diag(_sin_over_sqrt(phi, ns)) @ low.conj().T,
             np.diag(np.cos(phi * np.sqrt(ns))))
+
+
+def _exp_i_z1(lam: float, space: SpaceConfig) -> Operator:
+    """exp(i Z1) of Z1 = -(lam/2)(a sigma_- + a^dag sigma_+), in closed form.
+
+    Z1 exchanges |n+1, e> with |n, g>, so the exponential is the pair
+    rotation of ``jc_evolutor`` with the spins swapped, by the half-angle
+    lam/2.  |n_max, g> has no partner in the truncated space, so its
+    entry is 1, the exponential of the truncated Z1 on the whole space.
+    """
+    ee, eg, ge, gg = _exchange_blocks(0.5 * lam, space)
+    ee[-1, -1] = 1.0
+    return from_fock_blocks(space, gg, -1j * ge, -1j * eg, ee)
 
 
 def jc_evolutor(t: float, p: JCParams, space: SpaceConfig) -> Operator:
@@ -252,15 +262,15 @@ def first_order_evolutor_fn(p: ModelParams,
     -(lam/2)(a sigma_- + a^dag sigma_+) and H0 + C1 is the reference plus
     the exchange coupling regardless of which side of resonance the
     detuning sits (the sigma_z mismatch recombines into the reference).
-    exp(i Z1) is built once and H0 + C1 = V E V^dag diagonalized once, so
-    the result is the decomposition with eigenbasis exp(-i Z1) V.
+    exp(i Z1) is the closed-form pair rotation of ``exp_z1`` at any lam,
+    and H0 + C1 = V E V^dag is diagonalized once, so the result is the
+    decomposition with eigenbasis exp(-i Z1) V.
     """
     _require_near_resonance(p, "first_order_evolutor")
     a = annihilation(space)
     sp, sm = pauli("+", space), pauli("-", space)
-    z1 = -0.5 * p.lam * (a @ sm + a.dag @ sp)
     gen = bh_reference(p, space) + 1j * p.lam * p.nu * (a @ sp - a.dag @ sm)
-    rot = expm(1j * z1).mat
+    rot = _exp_i_z1(p.lam, space).mat
     values, vectors = exact_eigs(gen)
     return SpectralDecomposition(space, values, rot.conj().T @ vectors)
 
@@ -272,15 +282,9 @@ def first_order_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operat
 
 
 def exp_z1(p: ModelParams, space: SpaceConfig) -> Operator:
-    """Closed form of exp(i Z1) at resonance.
-
-    Z1 = -(lam/2)(a sigma_- + a^dag sigma_+) exchanges |n+1, e> with
-    |n, g>, so the exponential is the pair rotation of ``jc_evolutor``
-    with the spins swapped, by the half-angle lam/2.
-    """
+    """Closed form of exp(i Z1) at resonance; see ``_exp_i_z1``."""
     _require_resonance(p, "exp_z1")
-    ee, eg, ge, gg = _exchange_blocks(0.5 * p.lam, space)
-    return from_fock_blocks(space, gg, -1j * ge, -1j * eg, ee)
+    return _exp_i_z1(p.lam, space)
 
 
 def sandwich(t: float, p: ModelParams, space: SpaceConfig) -> Operator:

@@ -32,23 +32,6 @@ from .operators import (
 from .oracle import SpectralDecomposition, exact_eigs
 
 
-def chi(x: float, eps: float = 1e-12) -> float:
-    """Indicator of numerical zero: 1 if |x| <= eps else 0."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return 1.0 if abs(x) <= eps else 0.0
-
-
-def gamma(x: float, eps: float = 1e-12) -> float:
-    """Regularized reciprocal: 0 if |x| <= eps else 1/x.
-
-    Satisfies gamma(x)*x = 1 - chi(x) for every x.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return 0.0 if abs(x) <= eps else 1.0 / x
-
-
 class ClusterAmbiguityError(RuntimeError):
     """An energy gap falls in the ambiguous band of the degeneracy test."""
 
@@ -68,6 +51,24 @@ def _degenerate(gap, what: str = "energy gap"):
             f"{what} {float(size[grey].flat[0]):.3e} is inside the "
             f"ambiguous band ({_EPS_DEG:.1e}, {3 * _EPS_DEG:.1e})")
     return size <= _EPS_DEG
+
+
+def chi(x: float) -> float:
+    """Indicator of a degenerate gap: 1 if ``_degenerate(x)`` else 0.
+
+    |x| <= 1e-8 reads 1 and |x| >= 3e-8 reads 0; between them the gap is
+    ambiguous and ClusterAmbiguityError is raised.
+    """
+    return 1.0 if _degenerate(x) else 0.0
+
+
+def gamma(x: float) -> float:
+    """Regularized reciprocal: 0 if ``_degenerate(x)`` else 1/x.
+
+    Satisfies gamma(x)*x = 1 - chi(x) for every x outside the ambiguous
+    band of ``chi``, which raises here too.
+    """
+    return 0.0 if _degenerate(x) else 1.0 / x
 
 
 def decompose(h0: Operator) -> SpectralDecomposition:
@@ -110,10 +111,6 @@ class InteractionSeries:
         spaces = {term.space for term in self.terms}
         if len(spaces) > 1:
             raise ValueError("series terms live on different spaces")
-
-    @property
-    def order(self) -> int:
-        return len(self.terms)
 
     def term(self, m: int) -> Operator:
         """H_m for m >= 1; zero beyond the stored terms is the caller's business."""

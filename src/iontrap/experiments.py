@@ -21,7 +21,9 @@ from .operators import (
     SpaceConfig, identity, basis_vector, number, pauli,
     op_norm, interior_distance, EXCITED, GROUND,
 )
-from .hamiltonians import ModelParams, bh, t_delta, t1, ith_fn
+from .hamiltonians import (
+    ModelParams, bh, t_delta, t1, ith_fn, _exactly_resonant,
+)
 from .engine import ClusterAmbiguityError, decompose, solve, residual_norm
 from .closedforms import (
     REGIME_KINDS, Regime, regime_series, spectrum_second_order,
@@ -231,18 +233,21 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Interior-norm error of the RWA and first-order evolutors.
 
-    All three propagators are built before the sweep, so parameters
-    outside the evolutors' resonance windows fail before any point runs,
-    as does a sweep past the phase budget of ``_check_phase_budget``.
+    The RWA evolutor is a closed form at resonance, so nu != delta_breve
+    is a config error before anything is built.  All three propagators
+    are built before the sweep, so a sweep past the phase budget of
+    ``_check_phase_budget`` fails before any point runs.
     """
     ts = _time_grid(opts, 3.0, 61)
     opts.finish()
+    if not _exactly_resonant(p.nu, p.delta_breve):
+        raise ConfigError(
+            "compare-rwa needs nu = delta_breve, so give the reduced set "
+            f"with delta_breve = nu; got nu={p.nu!r}, "
+            f"delta_breve={p.delta_breve!r}")
     exact = exact_propagator_fn(bh(p, space))
-    try:
-        rwa = rwa_evolutor_fn(p, space)
-        first = first_order_evolutor_fn(p, space)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    rwa = rwa_evolutor_fn(p, space)
+    first = first_order_evolutor_fn(p, space)
     _check_phase_budget(exact.eigenvalues, float(ts[-1]))
 
     def point(t):
@@ -340,10 +345,7 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         raise ConfigError("points must be at least 5")
 
     def one_scan(n):
-        try:
-            shift = anticrossing_shift(n, p)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        shift = anticrossing_shift(n, p)
         if offsets_raw:
             offsets = offsets_raw
         else:
@@ -402,22 +404,21 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Self-check: algebraic frame chain against stepwise integration.
 
-    One time-ordered sweep reaches every time, each continuing from the
-    one before; the points compare the chain with the sweep's propagators.
-    unitarity_defect, the largest entry of |U^dag U - 1| over the swept
-    propagators, records how far the integrator's steps, unitary only to
-    rounding, drifted from the unitary group.
+    One time-ordered sweep of order-4 Magnus steps reaches every time,
+    each continuing from the one before; the points compare the chain
+    with the sweep's propagators, and an interior error above criterion
+    1's _PHASE_TOL is a DiagnosticError.  unitarity_defect, the largest
+    entry of |U^dag U - 1| over the swept propagators, records how far
+    the integrator's steps, unitary only to rounding, drifted from the
+    unitary group.
     """
     ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
     steps_per_unit = opts.get_float("steps_per_unit", 200.0)
-    order = opts.get_int("order", 4)
-    tol = opts.get_float("tolerance", 1e-6)
     opts.finish()
-    if order not in (2, 4) or steps_per_unit <= 0:
-        raise ConfigError("need order 2 or 4 and steps_per_unit > 0")
+    if steps_per_unit <= 0:
+        raise ConfigError("need steps_per_unit > 0")
     chain = frame_chain_fn(p, space)
-    stepped = time_ordered_sweep(ith_fn(p, space), ts, space,
-                                 steps_per_unit, order)
+    stepped = time_ordered_sweep(ith_fn(p, space), ts, space, steps_per_unit)
 
     eye = np.eye(space.dim)
 
@@ -429,14 +430,15 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     rows = list(mapper(point, zip(ts, stepped)))
     errs = [r[0] for r in rows]
     cols = {"t": ts, "interior_err": errs}
-    meta = {"steps_per_unit": steps_per_unit, "order": order, "tolerance": tol,
+    meta = {"steps_per_unit": steps_per_unit, "order": 4,
+            "tolerance": _PHASE_TOL,
             "unitarity_defect": max(r[1] for r in rows)}
     tables = [ResultTable("frame_chain", cols, meta)]
     worst = max(errs)
-    if worst > tol:
+    if worst > _PHASE_TOL:
         raise DiagnosticError(
             f"frame-chain self-check violated: max interior error "
-            f"{worst:.3e} exceeds tolerance {tol:.3e}", tables)
+            f"{worst:.3e} exceeds tolerance {_PHASE_TOL:.3e}", tables)
     return tables
 
 

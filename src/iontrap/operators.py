@@ -379,14 +379,18 @@ def _taylor12(a: np.ndarray) -> np.ndarray:
     real or complex; the result has its dtype.
     """
     n = a.shape[0]
-    powers = np.empty((4, n, n), dtype=a.dtype)
+    # powers and blocks in one allocation: as two, a Magnus sweep at dim 82
+    # had glibc return and re-fault their pages at every step (145 minor
+    # page faults per step against 1)
+    work = np.empty((7, n, n), dtype=a.dtype)
+    powers, blocks = work[:4], work[4:]
     powers[0] = a
     a1, a2, a3, a4 = powers
     np.matmul(a1, a1, out=a2)
     np.matmul(a1, a2, out=a3)
     np.matmul(a2, a2, out=a4)
-    blocks = (_TAYLOR_BLOCKS @ powers.view(np.float64).reshape(4, -1))
-    blocks = blocks.view(a.dtype).reshape(3, n, n)
+    np.matmul(_TAYLOR_BLOCKS, powers.view(np.float64).reshape(4, -1),
+              out=blocks.view(np.float64).reshape(3, -1))
     for j in range(3):
         blocks[j].flat[::n + 1] += _TAYLOR_COEF[4 * j]
     horner = np.matmul(a4, blocks[2], out=a1)

@@ -98,8 +98,7 @@ class SpectralDecomposition:
     product; ``apply`` costs two matrix-vector products.  clusters
     groups the indices ``engine.decompose`` finds degenerate, at its one
     absolute tolerance; only it fills them, and the block methods need them.
-    The arrays are private read-only copies, so one instance is safely
-    shared between threads.
+    The arrays are private read-only copies, so an instance is immutable.
     """
 
     space: SpaceConfig
@@ -180,8 +179,7 @@ def exact_propagator(h: Operator, t: float) -> Operator:
 
 def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
                        times: Sequence[float], space: SpaceConfig,
-                       steps_per_unit: float = 200.0,
-                       order: int = 2) -> list[Operator]:
+                       steps_per_unit: float = 200.0) -> list[Operator]:
     """Propagators U(t_k, 0) of a time-dependent Hamiltonian, one per time.
 
     One uniform Magnus stepping run from 0 through the times in turn: the
@@ -191,18 +189,15 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
     steps, at least one.  The times must run monotonically away from 0
     (all >= 0 and non-decreasing, or all <= 0 and non-increasing).
 
-    h_fn maps a time to the hermitian Hamiltonian matrix.  order=2
-    exponentiates the midpoint Hamiltonian on each step (global error h^2);
-    order=4 uses the two-point Gauss-Legendre rule with its commutator
-    term (global error h^4, what the acceptance-grade comparisons use).
-    Because h_fn is hermitian, the commutator [h1, h2] is P - P^dag with
-    P = h1 h2: one matrix product, and exactly anti-hermitian.  Either way
-    the step's Magnus exponent goes through ``expm`` (its docstring states
-    the accuracy): at any step size a step costs a handful of matrix
-    products and no eigendecomposition.
+    h_fn maps a time to the hermitian Hamiltonian matrix.  Each step is
+    the fourth-order Magnus step on the two-point Gauss-Legendre rule,
+    with its commutator term (global error h^4).  Because h_fn is
+    hermitian, the commutator [h1, h2] is P - P^dag with P = h1 h2: one
+    matrix product, and exactly anti-hermitian.  The step's Magnus
+    exponent goes through ``expm`` (its docstring states the accuracy):
+    at any step size a step costs a handful of matrix products and no
+    eigendecomposition.
     """
-    if order not in (2, 4):
-        raise ValueError(f"order must be 2 or 4, got {order}")
     if steps_per_unit <= 0:
         raise ValueError("steps_per_unit must be positive")
     ts = np.asarray(times, dtype=float)
@@ -221,16 +216,12 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
         h_step = (stop - start) / steps
         for k in range(steps):
             t0 = start + k * h_step
-            if order == 2:
-                hm = np.asarray(h_fn(t0 + 0.5 * h_step))
-                omega = -1j * h_step * hm
-            else:
-                h1 = np.asarray(h_fn(t0 + _GAUSS_LO * h_step))
-                h2 = np.asarray(h_fn(t0 + _GAUSS_HI * h_step))
-                prod = h1 @ h2  # [h1, h2] = prod - prod^dag
-                omega = (-0.5j * h_step * (h1 + h2)
-                         + (math.sqrt(3.0) / 12.0) * h_step * h_step
-                         * (prod - prod.conj().T))
+            h1 = np.asarray(h_fn(t0 + _GAUSS_LO * h_step))
+            h2 = np.asarray(h_fn(t0 + _GAUSS_HI * h_step))
+            prod = h1 @ h2  # [h1, h2] = prod - prod^dag
+            omega = (-0.5j * h_step * (h1 + h2)
+                     + (math.sqrt(3.0) / 12.0) * h_step * h_step
+                     * (prod - prod.conj().T))
             u = _expm_matrix(omega) @ u
         out.append(Operator(u, space))
         start = stop
@@ -238,14 +229,14 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
 
 
 def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
-                            space: SpaceConfig, steps_per_unit: float = 200.0,
-                            order: int = 2) -> Operator:
+                            space: SpaceConfig,
+                            steps_per_unit: float = 200.0) -> Operator:
     """Propagator U(t, 0) by uniform Magnus stepping: a one-time sweep.
 
     The step count is ceil(steps_per_unit * |t|), at least one; see
-    ``time_ordered_sweep`` for the steps and the orders.
+    ``time_ordered_sweep`` for the step.
     """
-    return time_ordered_sweep(h_fn, [t], space, steps_per_unit, order)[0]
+    return time_ordered_sweep(h_fn, [t], space, steps_per_unit)[0]
 
 
 def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> SpectralDecomposition:
@@ -363,19 +354,31 @@ class GapScan:
 
 
 def _parabolic_argmin(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Vertex of the parabola through the three lowest points."""
+    """Vertex of the parabola through the three lowest points.
+
+    The parabola is fitted in u = (x - x_best) / spread, centred on the
+    best sample and scaled by the three points' spread, so its
+    conditioning does not depend on the offsets' size.  The arithmetic
+    is Python float arithmetic, which warns on nothing; three points
+    that fix no upward parabola give the best sample.
+    """
     grid_best = xs[int(np.argmin(ys))]
     if len(xs) < 3:
         return grid_best
+    x0 = float(grid_best)
     pick = np.argsort(ys)[:3]
-    x3 = np.asarray([xs[i] for i in pick], dtype=float)
-    y3 = np.asarray([ys[i] for i in pick], dtype=float)
-    if len(set(x3)) < 3:
+    spread = max(abs(float(xs[i]) - x0) for i in pick)
+    if not 0.0 < spread < math.inf:
         return grid_best
-    a, b, _ = np.polyfit(x3, y3, 2)
-    if not (math.isfinite(a) and a > 0):
+    (u0, y0), (u1, y1), (u2, y2) = sorted(
+        ((float(xs[i]) - x0) / spread, float(ys[i])) for i in pick)
+    if not u0 < u1 < u2:
         return grid_best
-    vertex = -b / (2.0 * a)
+    d01 = (y1 - y0) / (u1 - u0)
+    curv = ((y2 - y1) / (u2 - u1) - d01) / (u2 - u0)
+    if not (math.isfinite(curv) and curv > 0):
+        return grid_best
+    vertex = x0 + spread * 0.5 * (u0 + u1 - d01 / curv)
     lo, hi = min(xs), max(xs)
     return min(max(vertex, lo), hi)
 

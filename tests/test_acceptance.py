@@ -67,7 +67,7 @@ def crit1(space: SpaceConfig):
     for tag, p in points.items():
         chain = frame_chain_propagator(2.0, p, space)
         stepped = time_ordered_propagator(ith_fn(p, space), 2.0, space,
-                                          steps_per_unit=200, order=4)
+                                          steps_per_unit=200)
         scalars[f"err_{tag}"] = interior_distance(chain, stepped, WINDOW)
     ok = all(v <= 1e-6 for v in scalars.values())
     detail = ", ".join(f"{k}={v:.3e}" for k, v in scalars.items()) + " (<= 1e-6)"

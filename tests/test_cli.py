@@ -212,6 +212,14 @@ class TestCompareRwaExperiment:
             with pytest.raises(ConfigError):
                 compare_rwa(off, SPACE, Options({}), mapper)
 
+    @pytest.mark.parametrize("lam", [1e6, 1e12])
+    def test_first_order_evolutor_is_exact_at_t_zero(self, lam):
+        # U_1(0) = 1: e^{iZ1} is the closed-form pair rotation at any lam
+        small = SpaceConfig(n_max=6, interior_margin=2)
+        p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
+        (table,) = compare_rwa(p, small, Options({}), map)
+        assert table.columns["err_e1"][0] <= 1e-14
+
 
 class TestSweepsFactorOnce:
     # the time sweeps diagonalize per run, not per time point
@@ -282,7 +290,7 @@ class TestSweepsFactorOnce:
                  for t in np.linspace(0.0, 2.0, 9)]
         assert 0.33 < max(norms) <= 0.66
         assert self.count_eigh(monkeypatch, time_ordered_propagator,
-                               h_of_t, 2.0, big, 200.0, 4) == 0
+                               h_of_t, 2.0, big, 200.0) == 0
 
 
 class TestResidualOrderExperiment:
@@ -405,7 +413,8 @@ class TestFrameChainExperiment:
         assert 0.0 < table.metadata["unitarity_defect"] <= 1e-12
 
     def test_tolerance_violation_is_a_diagnostic(self):
-        opts = Options({"t_max": "1.0", "t_steps": "2", "tolerance": "1e-15"})
+        # 5 steps per unit leave an interior error of about 1.5e-5 > 1e-6
+        opts = Options({"t_max": "1.0", "t_steps": "2", "steps_per_unit": "5"})
         with pytest.raises(DiagnosticError) as err:
             frame_chain(self.P, SPACE, opts, map)
         assert err.value.tables  # partial results survive for the writer
@@ -422,11 +431,9 @@ class TestResultTable:
 
 
 class TestRunner:
-    def run(self, tmp_path, text, out="out", threads=None):
-        argv = ["run", write(tmp_path, text), "--out", str(tmp_path / out)]
-        if threads:
-            argv += ["--threads", str(threads)]
-        return main(argv)
+    def run(self, tmp_path, text, out="out"):
+        return main(["run", write(tmp_path, text), "--out",
+                     str(tmp_path / out)])
 
     def test_success_writes_csv_and_metadata(self, tmp_path):
         text = REDUCED + "[experiment]\nname = spectrum\nn_levels = 4\n"
@@ -463,17 +470,25 @@ class TestRunner:
 
     @pytest.mark.parametrize("text", [
         FULL.replace("nu = 1.0", "nu = -1") + "[experiment]\nname = limits\n",
-        FULL + "[experiment]\nname = frame-chain\ntolerance = nan\n",
+        FULL + "[experiment]\nname = frame-chain\nsteps_per_unit = nan\n",
         REDUCED + "[experiment]\nname = evolve\nt_max = nan\n",
-        FULL + "[experiment]\nname = frame-chain\norder = 3\n",
+        FULL + "[experiment]\nname = frame-chain\nsteps_per_unit = 0\n",
         REDUCED + "[experiment]\nname = residual-order\n"
                   "lambda_grid = -0.02,0.04,0.08,0.16\n",
         REDUCED + "[experiment]\nname = residual-order\n"
                   "lambda_grid = 0.02,0.04,0.08\n",
-    ], ids=["negative-nu", "nan-tolerance", "nan-t_max", "integrator-order",
-            "nonpositive-lambda", "three-lambdas"])
+    ], ids=["negative-nu", "nan-steps_per_unit", "nan-t_max",
+            "zero-steps_per_unit", "nonpositive-lambda", "three-lambdas"])
     def test_bad_value_exit_2(self, tmp_path, text):
         assert self.run(tmp_path, text) == 2
+
+    @pytest.mark.parametrize("option", ["order = 4", "tolerance = 1e-6"])
+    def test_fixed_frame_chain_settings_are_unknown_options(
+            self, tmp_path, capsys, option):
+        # the integrator is order 4 and the bound criterion 1's 1e-6, always
+        text = FULL + f"[experiment]\nname = frame-chain\n{option}\n"
+        assert self.run(tmp_path, text) == 2
+        assert "unknown experiment options" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,raised", [
         ("spectrum", "OverflowError"),
@@ -521,6 +536,13 @@ class TestRunner:
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert meta["diagnostic"].startswith(diagnostic)
 
+    def test_compare_rwa_off_resonance_exit_2(self, tmp_path, capsys):
+        # the README's full set is off resonance; the message speaks CLI
+        text = FULL + "[experiment]\nname = compare-rwa\n"
+        assert self.run(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "delta_breve" in err and "expm" not in err
+
     def test_diagnostic_exit_3_still_writes(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"
                 "eta_breve = 0.12\nlambda = 0.6\n"
@@ -538,8 +560,7 @@ class TestRunner:
         assert meta["diagnostic"].startswith("missed minimum at n=10")
         assert sorted(meta["tables"]) == ["anticrossing_n10"]
 
-    def test_determinism_across_runs_and_threads(self, tmp_path):
-        # one factored propagator is shared read-only by the worker threads
+    def test_determinism_across_runs(self, tmp_path):
         runs = (
             ("compare-rwa", REDUCED, "t_max = 1.0\nt_steps = 5\n"),
             ("evolve", REDUCED, "t_max = 2.0\nt_steps = 7\ninitial_n = 1\n"),
@@ -549,14 +570,12 @@ class TestRunner:
         )
         for name, params, options in runs:
             text = params + f"[experiment]\nname = {name}\n" + options
-            outs = [f"{name}-a", f"{name}-b", f"{name}-c"]
+            outs = [f"{name}-a", f"{name}-b"]
             assert self.run(tmp_path, text, out=outs[0]) == 0
             assert self.run(tmp_path, text, out=outs[1]) == 0
-            assert self.run(tmp_path, text, out=outs[2], threads=3) == 0
             for f in (name.replace("-", "_") + ".csv", "metadata.json"):
                 a = (tmp_path / outs[0] / f).read_bytes()
                 assert a == (tmp_path / outs[1] / f).read_bytes()
-                assert a == (tmp_path / outs[2] / f).read_bytes()
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy is a test-only dependency; the runtime must not pull it in

@@ -43,19 +43,19 @@ class TestChiGamma:
         assert gamma(2.0) == 0.5
 
     def test_threshold_semantics(self):
-        assert chi(3e-13, eps=1e-12) == 1.0
-        assert gamma(3e-13, eps=1e-12) == 0.0
-        assert chi(3e-12, eps=1e-12) == 0.0
+        # the engine's one degeneracy tolerance: 1e-8 absolute, with the
+        # ambiguous band (1e-8, 3e-8) refused
+        assert chi(5e-9) == 1.0 and chi(-5e-9) == 1.0
+        assert gamma(5e-9) == 0.0
+        assert chi(5e-8) == 0.0
+        assert gamma(5e-8) == 1.0 / 5e-8
+        for fn in (chi, gamma):
+            with pytest.raises(ClusterAmbiguityError):
+                fn(2e-8)
 
     def test_complementarity(self):
         for x in (1e-9, 0.3, -7.0, 256.0):
             assert gamma(x) * x == pytest.approx(1.0 - chi(x), abs=1e-15)
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            chi(1.0, eps=0.0)
-        with pytest.raises(ValueError):
-            gamma(1.0, eps=-1e-9)
 
 
 class TestDecompose:

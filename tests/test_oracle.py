@@ -16,6 +16,7 @@ from iontrap import (
     exact_eigs, exact_propagator, exact_propagator_fn, time_ordered_propagator,
     time_ordered_sweep, frame_chain_propagator, frame_chain_fn, fit_order, scan_gap,
 )
+from iontrap.oracle import _parabolic_argmin
 
 SPACE = SpaceConfig()
 
@@ -217,10 +218,9 @@ class TestTimeOrderedPropagator:
     def test_static_generator_needs_no_ordering(self):
         h = bh(P_WEAK, SPACE)
         ref = exact_propagator(h, 1.7)
-        for order in (2, 4):
-            u = time_ordered_propagator(lambda t: h.mat, 1.7, SPACE,
-                                        steps_per_unit=10, order=order)
-            assert op_norm(u - ref) < 1e-12
+        u = time_ordered_propagator(lambda t: h.mat, 1.7, SPACE,
+                                    steps_per_unit=10)
+        assert op_norm(u - ref) < 1e-12
 
     def test_commuting_time_dependence(self):
         # H(t) = cos(t) M integrates to exp(-i sin(t) M)
@@ -229,53 +229,47 @@ class TestTimeOrderedPropagator:
         h_fn = lambda t: math.cos(t) * m
         w, v = np.linalg.eigh(m)
         ref = (v * np.exp(-1j * math.sin(2.0) * w)) @ v.conj().T
-        u2 = time_ordered_propagator(h_fn, 2.0, small, 200, order=2)
-        u4 = time_ordered_propagator(h_fn, 2.0, small, 200, order=4)
-        assert np.linalg.norm(u2.mat - ref, 2) < 1e-4
-        assert np.linalg.norm(u4.mat - ref, 2) < 1e-8
+        u = time_ordered_propagator(h_fn, 2.0, small, 200)
+        assert np.linalg.norm(u.mat - ref, 2) < 1e-8
 
-    @pytest.mark.parametrize("order,lo,hi", [(2, 3.0, 5.5), (4, 10.0, 24.0)])
-    def test_convergence_rate(self, order, lo, hi):
+    def test_convergence_rate(self):
+        # halving an order-4 step divides the error by about 2^4
         f = ith_fn(P_WEAK, SPACE)
         ref = frame_chain_propagator(1.0, P_WEAK, SPACE)
         e_coarse = interior_distance(
-            time_ordered_propagator(f, 1.0, SPACE, 5, order=order), ref)
+            time_ordered_propagator(f, 1.0, SPACE, 5), ref)
         e_fine = interior_distance(
-            time_ordered_propagator(f, 1.0, SPACE, 10, order=order), ref)
-        assert lo < e_coarse / e_fine < hi
+            time_ordered_propagator(f, 1.0, SPACE, 10), ref)
+        assert 10.0 < e_coarse / e_fine < 24.0
 
     def test_argument_validation(self):
         f = ith_fn(P_WEAK, SPACE)
-        with pytest.raises(ValueError):
-            time_ordered_propagator(f, 1.0, SPACE, order=3)
         with pytest.raises(ValueError):
             time_ordered_propagator(f, 1.0, SPACE, steps_per_unit=0)
 
     def test_unitary(self):
         f = ith_fn(P_WEAK, SPACE)
-        u = time_ordered_propagator(f, 0.5, SPACE, 50, order=4)
+        u = time_ordered_propagator(f, 0.5, SPACE, 50)
         assert op_norm(u.dag @ u - identity(SPACE)) < 1e-11
 
 
 class TestTimeOrderedSweep:
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_grid_aligned_sweep_equals_separate_calls(self, order):
+    def test_grid_aligned_sweep_equals_separate_calls(self):
         # every time is on the step grid, so the sweep takes the same steps
         # as integrating each time from 0; only the node rounding differs
         f = ith_fn(P_STRONG, SPACE)
         times = (0.5, 1.0, 1.5, 2.0)
-        swept = time_ordered_sweep(f, times, SPACE, 50, order=order)
+        swept = time_ordered_sweep(f, times, SPACE, 50)
         assert len(swept) == len(times)
         for t, u in zip(times, swept):
-            ref = time_ordered_propagator(f, t, SPACE, 50, order=order)
+            ref = time_ordered_propagator(f, t, SPACE, 50)
             assert np.abs(u.mat - ref.mat).max() <= 1e-12
 
     @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
                              ids=["weak-drive", "strong-drive"])
     def test_off_grid_times_match_the_frame_chain(self, p):
         times = (0.3, 0.7, 1.25)
-        swept = time_ordered_sweep(ith_fn(p, SPACE), times, SPACE, 200,
-                                   order=4)
+        swept = time_ordered_sweep(ith_fn(p, SPACE), times, SPACE, 200)
         chain = frame_chain_fn(p, SPACE)
         for t, u in zip(times, swept):
             assert interior_distance(chain(t), u) <= 1e-6
@@ -286,7 +280,7 @@ class TestTimeOrderedSweep:
         # the textbook step: scipy's expm of the two-node Magnus exponent
         # with the two-product commutator
         f = ith_fn(p, SPACE)
-        swept = time_ordered_sweep(f, (0.5, 1.0), SPACE, 200, order=4)
+        swept = time_ordered_sweep(f, (0.5, 1.0), SPACE, 200)
         h = 1.0 / 200
         u = np.eye(SPACE.dim, dtype=complex)
         for k in range(200):
@@ -301,9 +295,9 @@ class TestTimeOrderedSweep:
 
     def test_negative_times_run_backwards(self):
         f = ith_fn(P_WEAK, SPACE)
-        swept = time_ordered_sweep(f, (0.0, -0.5, -1.0), SPACE, 20, order=4)
+        swept = time_ordered_sweep(f, (0.0, -0.5, -1.0), SPACE, 20)
         assert op_norm(swept[0] - identity(SPACE)) < 1e-12
-        ref = time_ordered_propagator(f, -1.0, SPACE, 20, order=4)
+        ref = time_ordered_propagator(f, -1.0, SPACE, 20)
         assert np.abs(swept[2].mat - ref.mat).max() <= 1e-12
 
     @pytest.mark.parametrize("times", [(1.0, 0.5), (-0.5, 0.5), (0.5, -1.0),
@@ -313,7 +307,7 @@ class TestTimeOrderedSweep:
     def test_times_must_run_away_from_zero(self, times):
         f = ith_fn(P_WEAK, SPACE)
         with pytest.raises(ValueError):
-            time_ordered_sweep(f, times, SPACE, 20, order=4)
+            time_ordered_sweep(f, times, SPACE, 20)
 
 
 class TestFrameChain:
@@ -334,7 +328,7 @@ class TestFrameChain:
         t = 2.0
         chain = frame_chain_propagator(t, p, SPACE)
         stepped = time_ordered_propagator(ith_fn(p, SPACE), t, SPACE,
-                                          steps_per_unit=200, order=4)
+                                          steps_per_unit=200)
         assert interior_distance(chain, stepped) <= 1e-6
 
     def test_integrator_error_is_integrator_sided(self):
@@ -343,9 +337,9 @@ class TestFrameChain:
         f = ith_fn(p, SPACE)
         chain = frame_chain_propagator(2.0, p, SPACE)
         d_coarse = interior_distance(
-            time_ordered_propagator(f, 2.0, SPACE, 25, order=2), chain)
+            time_ordered_propagator(f, 2.0, SPACE, 5), chain)
         d_fine = interior_distance(
-            time_ordered_propagator(f, 2.0, SPACE, 50, order=2), chain)
+            time_ordered_propagator(f, 2.0, SPACE, 10), chain)
         assert d_fine < 0.3 * d_coarse
 
 
@@ -435,6 +429,23 @@ class TestScanGap:
         strong = ModelParams.from_balanced(1.0, 1.0, 0.12, 0.6)
         with pytest.raises(OverlapAmbiguityError):
             scan_gap(1, strong, [0.0])
+
+    @pytest.mark.parametrize("center,step", [(0.0, 1e-178), (-5e-25, 1e-36),
+                                             (0.3, 0.01)],
+                             ids=["tiny", "narrow", "unit"])
+    def test_vertex_fit_at_any_scale(self, center, step):
+        # a parabola sampled at any size or spacing of the offsets gives
+        # its vertex; raw powers of the offsets would underflow or be
+        # collinear
+        xs = [center + k * step for k in range(-3, 4)]
+        ys = [2.0 * (k - 0.3) ** 2 for k in range(-3, 4)]
+        want = center + 0.3 * step
+        assert abs(_parabolic_argmin(xs, ys) - want) <= 1e-12 * step
+
+    def test_flat_or_coincident_points_give_the_best_sample(self):
+        assert _parabolic_argmin([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]) == 0.0
+        assert _parabolic_argmin([0.0, 0.0, 1.0, 2.0],
+                                 [0.5, 0.5, 0.5, 2.0]) == 0.0
 
     def test_container_validation(self):
         with pytest.raises(ValueError):
