@@ -81,12 +81,11 @@ def _parse_space(items: dict) -> SpaceConfig:
     if unknown:
         raise ConfigError(f"unknown [space] keys: {sorted(unknown)}")
     try:
-        n_max = int(items.get("n_max", 40))
-        margin = int(items.get("interior_margin", 10))
+        given = {k: int(v) for k, v in items.items()}
     except ValueError:
         raise ConfigError("[space] n_max and interior_margin must be integers")
     try:
-        return SpaceConfig(n_max=n_max, interior_margin=margin)
+        return SpaceConfig(**given)
     except ValueError as exc:
         raise ConfigError(str(exc))
 

@@ -32,7 +32,7 @@ from .closedforms import (
 from .oracle import (
     OverlapAmbiguityError, exact_eigs, exact_propagator_fn,
     frame_chain_fn, time_ordered_sweep, fit_order, scan_gap,
-    _rung_levels, _CONCLUSIVE_R2,
+    _rung_levels, _CONCLUSIVE_R2, _STEPS_PER_UNIT,
 )
 
 
@@ -236,7 +236,8 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     The RWA evolutor is a closed form at resonance, so nu != delta_breve
     is a config error before anything is built.  All three propagators
     are built before the sweep, so a sweep past the phase budget of
-    ``_check_phase_budget`` fails before any point runs.
+    ``_check_phase_budget`` fails before any point runs.  The budget
+    holds the energies of bh and of H0 + C1, which the RWA evolutor shares.
     """
     ts = _time_grid(opts, 3.0, 61)
     opts.finish()
@@ -248,7 +249,8 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     exact = exact_propagator_fn(bh(p, space))
     rwa = rwa_evolutor_fn(p, space)
     first = first_order_evolutor_fn(p, space)
-    _check_phase_budget(exact.eigenvalues, float(ts[-1]))
+    for spec in (exact, first):
+        _check_phase_budget(spec.eigenvalues, float(ts[-1]))
 
     def point(t):
         t = float(t)
@@ -331,7 +333,8 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     A scan whose smallest gap is its first or last sample has not
     bracketed the minimum, so its argmin would only be the window's edge:
     that is a DiagnosticError naming the rung, with the tables scanned so
-    far, that rung's included.
+    far, that rung's included.  So is a scan whose gaps are all equal,
+    its window below the rounding of delta_breve = nu + 2 offset.
     """
     levels = opts.get_ints("levels", (1, 2, 3))
     offsets_raw = opts.get_floats("offsets", ())
@@ -369,6 +372,12 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         except OverlapAmbiguityError as exc:
             raise DiagnosticError(f"cluster ambiguity at n={n}: {exc}", tables)
         gaps = tables[-1].columns["gap"]
+        if min(gaps) == max(gaps):
+            offsets = tables[-1].columns["offset"]
+            raise DiagnosticError(
+                f"unresolved window at n={n}: delta_breve does not resolve "
+                f"the scan window of width {max(offsets) - min(offsets):.3e}, "
+                "so every offset gives the same gap", tables)
         if int(np.argmin(gaps)) in (0, len(gaps) - 1):
             raise DiagnosticError(
                 f"missed minimum at n={n}: the smallest gap is at the edge "
@@ -413,7 +422,7 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     unitary group.
     """
     ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
-    steps_per_unit = opts.get_float("steps_per_unit", 200.0)
+    steps_per_unit = opts.get_float("steps_per_unit", _STEPS_PER_UNIT)
     opts.finish()
     if steps_per_unit <= 0:
         raise ConfigError("need steps_per_unit > 0")

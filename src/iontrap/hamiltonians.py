@@ -103,12 +103,12 @@ class ModelParams:
 
     @classmethod
     def from_balanced(cls, nu: float, delta_breve: float, eta_breve: float,
-                      lam: float, omega_L: float = 0.0) -> "ModelParams":
+                      lam: float) -> "ModelParams":
         """Invert the balanced-frame parametrization.
 
         Given (nu, delta_breve, eta_breve, lam) with delta_breve > 0, recover
-        the physical inputs.  eta_breve = 0 forces zero detuning; otherwise
-        lam must be nonzero so the ratio Delta = eta_breve/lam is defined.
+        the physical inputs, omega_L = 0.  eta_breve = 0 forces zero detuning;
+        otherwise lam must be nonzero so Delta = eta_breve/lam is defined.
         """
         delta_breve = float(delta_breve)
         eta_breve = float(eta_breve)
@@ -116,7 +116,7 @@ class ModelParams:
         if delta_breve <= 0:
             raise ValueError("delta_breve must be > 0")
         if eta_breve == 0.0:
-            p = cls(nu=nu, omega_ge=omega_L, omega_L=omega_L,
+            p = cls(nu=nu, omega_ge=0.0, omega_L=0.0,
                     Omega_R=delta_breve / 2.0, eta=2.0 * lam)
         else:
             if lam == 0.0:
@@ -127,7 +127,7 @@ class ModelParams:
             root = math.sqrt(4.0 + big_delta ** 2)
             omega_r = delta_breve / root
             delta = big_delta * omega_r
-            p = cls(nu=nu, omega_ge=omega_L + delta, omega_L=omega_L,
+            p = cls(nu=nu, omega_ge=delta, omega_L=0.0,
                     Omega_R=omega_r, eta=lam * root)
         return p
 
@@ -217,7 +217,7 @@ def rfh(p: ModelParams, space: SpaceConfig) -> Operator:
     nu n + delta/2 sigma_z + Omega_R (sigma_+ D(i eta) + D(i eta)^dag sigma_-),
     built real symmetric in the Fock phase gauge and taken out of it once.
     """
-    return _gauge_operator(_rfh_gauge(p, space), space)
+    return _out_of_gauge(_rfh_gauge(p, space), space)
 
 
 def _rfh_gauge(p: ModelParams, space: SpaceConfig) -> np.ndarray:
@@ -280,8 +280,8 @@ def t1(p: ModelParams, space: SpaceConfig) -> Operator:
     _require_rabi(p)
     d = _gauge_displacement(0.5 * p.eta, space.n_max)
     s = 1.0 / math.sqrt(2.0)
-    return _gauge_operator(_block_matrix(space, s * d.T, s * d, -s * d.T, s * d),
-                           space)
+    return _out_of_gauge(_block_matrix(space, s * d.T, s * d, -s * d.T, s * d),
+                         space)
 
 
 def t2(p: ModelParams, space: SpaceConfig) -> Operator:
@@ -297,12 +297,12 @@ def t3(p: ModelParams, space: SpaceConfig) -> Operator:
     _require_rabi(p)
     d = _gauge_displacement(0.5 * p.eta_breve, space.n_max)
     z = np.zeros_like(d)
-    return _gauge_operator(_block_matrix(space, d, z, z, d.T), space)
+    return _out_of_gauge(_block_matrix(space, d, z, z, d.T), space)
 
 
 def t_delta(p: ModelParams, space: SpaceConfig) -> Operator:
     """The balanced transform in closed form; equals t3 @ t2 @ t1."""
-    return _gauge_operator(_t_delta_gauge(p, space), space)
+    return _out_of_gauge(_t_delta_gauge(p, space), space)
 
 
 def _t_delta_gauge(p: ModelParams, space: SpaceConfig) -> np.ndarray:
@@ -314,11 +314,6 @@ def _t_delta_gauge(p: ModelParams, space: SpaceConfig) -> np.ndarray:
     d_plus = _gauge_displacement(0.5 * (p.eta_breve + p.eta), space.n_max)
     return _block_matrix(space, kp * d_minus, km * d_plus,
                          -km * d_plus.T, kp * d_minus.T)
-
-
-def _gauge_operator(g: np.ndarray, space: SpaceConfig) -> Operator:
-    """The Operator of a real gauge array, out of the gauge."""
-    return Operator(_out_of_gauge(g, space), space)
 
 
 def bh_reference(p: ModelParams, space: SpaceConfig) -> Operator:
@@ -405,7 +400,7 @@ def bh(p: ModelParams, space: SpaceConfig, route: str = "conjugation") -> Operat
     _require_rabi(p)
     if route == "conjugation":
         td = _t_delta_gauge(p, space)
-        return _gauge_operator(td @ _rfh_gauge(p, space) @ td.T, space)
+        return _out_of_gauge(td @ _rfh_gauge(p, space) @ td.T, space)
     if route == "closed_form":
         return _closed_form(p, space, bh_reference, bh_interaction_series)
     raise ValueError(f"unknown route {route!r}; valid: conjugation, closed_form")

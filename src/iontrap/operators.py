@@ -244,20 +244,21 @@ def _flat_gauge_phases(space: SpaceConfig) -> np.ndarray:
 
 
 def _into_gauge(m: np.ndarray, space: SpaceConfig) -> np.ndarray:
-    """U^dag M U, complex; its imaginary part is exactly zero when M is
-    real in the gauge."""
+    """U^dag M U: real float64 exactly when its imaginary part is all
+    zero, complex128 otherwise.  The package's one realness test, exact,
+    with no tolerance."""
     u = _flat_gauge_phases(space)
     out = u.conj()[:, None] * m
     out *= u
-    return out
+    return out if out.imag.any() else out.real.copy()
 
 
-def _out_of_gauge(g: np.ndarray, space: SpaceConfig) -> np.ndarray:
-    """U G U^dag: a gauge array back in the Fock x spin basis."""
+def _out_of_gauge(g: np.ndarray, space: SpaceConfig) -> Operator:
+    """The Operator U G U^dag: a gauge array back in the Fock x spin basis."""
     u = _flat_gauge_phases(space)
     out = u[:, None] * g
     out *= u.conj()
-    return out
+    return Operator(out, space)
 
 
 @functools.lru_cache(maxsize=8)
@@ -468,7 +469,7 @@ def _below_limit(value: float, limit: float) -> bool:
     return math.isfinite(limit) and value <= limit * (1.0 - _BOUND_MARGIN)
 
 
-def _hermiticity_defect(a: Operator, rel_tol: float) -> float | None:
+def _hermiticity_defect(a: np.ndarray, rel_tol: float) -> float | None:
     """||A - A^dag||_2 if it exceeds rel_tol * max(1, ||A||_2), else None.
 
     Certified bounds decide first: the Frobenius norm of A - A^dag is at
@@ -477,11 +478,11 @@ def _hermiticity_defect(a: Operator, rel_tol: float) -> float | None:
     by two SVDs, so the outcome is always that of the exact test.  A bound
     that overflows decides nothing.
     """
-    diff = a - a.dag
+    diff = a - a.conj().T
     try:
         with np.errstate(over="raise"):
-            defect_hi = float(np.linalg.norm(diff.mat))
-            scale_lo = max(1.0, float(np.linalg.norm(a.mat, axis=0).max()))
+            defect_hi = float(np.linalg.norm(diff))
+            scale_lo = max(1.0, float(np.linalg.norm(a, axis=0).max()))
     except FloatingPointError:
         defect_hi, scale_lo = math.inf, math.inf
     if _below_limit(defect_hi, rel_tol * scale_lo):

@@ -29,9 +29,11 @@ class OverlapAmbiguityError(RuntimeError):
 
 
 _HERM_TOL = 1e-10
+_RESIDUAL_TOL = 1e-10
 # minimal squared projection onto span{|n-1,e>, |n,g>} for a confident match
 _OVERLAP_THRESHOLD = 0.8
 
+_STEPS_PER_UNIT = 200.0  # the Magnus sweeps' default step density
 # Gauss-Legendre nodes of the order-4 Magnus step
 _GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
@@ -42,18 +44,16 @@ _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
 def exact_eigs(h: Operator):
     """Ascending eigenvalues and eigenvector matrix of a hermitian operator.
 
-    The matrix is symmetrized as (H + H^dag)/2 before factorization;
-    a hermiticity defect beyond _HERM_TOL = 1e-10 (relative to
-    max(1, ||H||)) is a caller bug and is rejected rather than silently
-    averaged away.  Each pair's residual must stay within 1e-10 max(1, ||H||).
+    The matrix is symmetrized as (H + H^dag)/2 before factorization.  A
+    hermiticity defect beyond _HERM_TOL or a pair's residual beyond
+    _RESIDUAL_TOL, both 1e-10 relative to max(1, ||H||), is rejected; the
+    first is a caller bug, never silently averaged away.
 
-    The symmetrized matrix is taken into the Fock phase gauge
-    U = diag(i^n) (x) 1.  When its imaginary part there is exactly zero,
-    as for ``rfh``, ``bh`` (both routes) and every H0 of the engine, the
-    one ``eigh`` call factors the real symmetric array, and the
-    eigenvectors come back to the Fock basis by the exact phases of U.
-    Any other hermitian input (``h_check``, say) is factored in complex
-    arithmetic.  The dispatch is an exact test, with no tolerance.
+    The symmetrized matrix is factored in the Fock phase gauge
+    U = diag(i^n) (x) 1, in the dtype ``_into_gauge`` gives it: real
+    symmetric for ``rfh``, ``bh`` (both routes) and every H0 of the
+    engine, complex for any other hermitian input (``h_check``, say).
+    The eigenvectors come back to the Fock basis by the exact phases of U.
 
     Both checks are decided from cheap certified bounds first and from
     the exact spectral norms only when the bounds cannot decide, so every
@@ -62,13 +62,10 @@ def exact_eigs(h: Operator):
     max|E| of the symmetrized matrix is at most ||H||_2.  For a
     hermitian operator the bounds decide, and no SVD runs.
     """
-    defect = _hermiticity_defect(h, _HERM_TOL)
+    defect = _hermiticity_defect(h.mat, _HERM_TOL)
     if defect is not None:
         raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
-    sym = 0.5 * (h.mat + h.mat.conj().T)
-    gauged = _into_gauge(sym, h.space)
-    real = not gauged.imag.any()
-    mat = gauged.real if real else sym
+    mat = _into_gauge(0.5 * (h.mat + h.mat.conj().T), h.space)
     values, vectors = np.linalg.eigh(mat)
     # factorization residual per pair; eigh leaves ~eps * ||H||, and the
     # gauge's phases leave the column norms as they are
@@ -78,13 +75,12 @@ def exact_eigs(h: Operator):
     except FloatingPointError:  # an overflowing residual is infinite
         worst = math.inf
     scale_lo = max(1.0, float(np.abs(values).max()))
-    if (not _below_limit(worst, 1e-10 * scale_lo)
-            and not worst <= 1e-10 * max(1.0, op_norm(h))):
+    if (not _below_limit(worst, _RESIDUAL_TOL * scale_lo)
+            and not worst <= _RESIDUAL_TOL * max(1.0, op_norm(h))):
         raise ArithmeticError(
-            f"eigendecomposition residual {worst:.3e} exceeds 1e-10 * scale")
-    if real:
-        vectors = _flat_gauge_phases(h.space)[:, None] * vectors
-    return values, vectors
+            f"eigendecomposition residual {worst:.3e} exceeds "
+            f"{_RESIDUAL_TOL:.0e} * scale")
+    return values, _flat_gauge_phases(h.space)[:, None] * vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +175,7 @@ def exact_propagator(h: Operator, t: float) -> Operator:
 
 def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
                        times: Sequence[float], space: SpaceConfig,
-                       steps_per_unit: float = 200.0) -> list[Operator]:
+                       steps_per_unit: float = _STEPS_PER_UNIT) -> list[Operator]:
     """Propagators U(t_k, 0) of a time-dependent Hamiltonian, one per time.
 
     One uniform Magnus stepping run from 0 through the times in turn: the
@@ -230,7 +226,7 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
 
 def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
                             space: SpaceConfig,
-                            steps_per_unit: float = 200.0) -> Operator:
+                            steps_per_unit: float = _STEPS_PER_UNIT) -> Operator:
     """Propagator U(t, 0) by uniform Magnus stepping: a one-time sweep.
 
     The step count is ceil(steps_per_unit * |t|), at least one; see

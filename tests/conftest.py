@@ -9,5 +9,23 @@ about twice as slow as one.
 
 import os
 
+import pytest
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture
+def operators_made(monkeypatch):
+    """A list that grows by one entry per Operator constructed."""
+    from iontrap import Operator  # after the BLAS variables are set
+
+    made = []
+    post_init = Operator.__post_init__
+
+    def counting(self):
+        made.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    return made

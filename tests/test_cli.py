@@ -12,6 +12,7 @@ import pytest
 from iontrap import (
     SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn, bh,
     exact_eigs, spectrum_second_order, time_ordered_propagator,
+    first_order_evolutor_fn, identity, interior_distance,
 )
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
@@ -214,11 +215,12 @@ class TestCompareRwaExperiment:
 
     @pytest.mark.parametrize("lam", [1e6, 1e12])
     def test_first_order_evolutor_is_exact_at_t_zero(self, lam):
-        # U_1(0) = 1: e^{iZ1} is the closed-form pair rotation at any lam
+        # U_1(0) = 1: e^{iZ1} is the closed-form pair rotation at any lam;
+        # compare-rwa itself stops at these lam on the phase budget
         small = SpaceConfig(n_max=6, interior_margin=2)
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
-        (table,) = compare_rwa(p, small, Options({}), map)
-        assert table.columns["err_e1"][0] <= 1e-14
+        u0 = first_order_evolutor_fn(p, small)(0.0)
+        assert interior_distance(u0, identity(small)) <= 1e-14
 
 
 class TestSweepsFactorOnce:
@@ -512,6 +514,9 @@ class TestRunner:
                     "lambda": "5.6e102"}, ""),
         ("compare-rwa", {"nu": "1e12", "delta_breve": "1e12",
                          "eta_breve": "0", "lambda": "0.01"}, "t_max = 1e4\n"),
+        # the exact energies stay O(1); H0 + C1 carries lam^2 nu = 1e12
+        ("compare-rwa", {"nu": "1", "delta_breve": "1", "eta_breve": "0",
+                         "lambda": "1e6"}, ""),
     ])
     def test_phases_past_the_budget_exit_3(self, tmp_path, name, params,
                                            options):
@@ -559,6 +564,20 @@ class TestRunner:
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert meta["diagnostic"].startswith("missed minimum at n=10")
         assert sorted(meta["tables"]) == ["anticrossing_n10"]
+
+    def test_unresolved_window_exit_3(self, tmp_path):
+        # the default window, 12 lam^3 nu = 1.2e-17 wide, is below the
+        # rounding of delta_breve = 1 + 2 offset: all 13 gaps are one gap
+        text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"
+                "eta_breve = 0.0\nlambda = 1e-6\n"
+                "[space]\nn_max = 6\ninterior_margin = 2\n"
+                "[experiment]\nname = anticrossing\n")
+        assert self.run(tmp_path, text) == 3
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["diagnostic"].startswith(
+            "unresolved window at n=1: delta_breve does not resolve the "
+            "scan window of width 1.200e-17")
+        assert sorted(meta["tables"]) == ["anticrossing_n1"]
 
     def test_determinism_across_runs(self, tmp_path):
         runs = (

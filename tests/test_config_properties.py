@@ -78,6 +78,8 @@ def reduced(nu, delta_breve, eta_breve, lam):
 @example(**reduced(3.402823465999998e38, 1.0, 5.129361400639429e112,
                    3.531004721411451e89))  # anticrossing window overflows
 @example(**reduced(1.0, 1.0, 0.0, 1e-12))  # anticrossing: flat gaps
+@example(**reduced(1.0, 1.0, 0.0, 1e-6))  # anticrossing: unresolved window
+@example(**reduced(1.0, 1.0, 0.0, 4e4))  # compare-rwa: H0 + C1's phases
 @example(**reduced(3.176731312019717e-177, 1.0, 0.0,
                    0.25))  # anticrossing: offsets near 1e-178
 @given(params=st.fixed_dictionaries({key: FINITE for key in _REDUCED_KEYS}))

@@ -361,24 +361,16 @@ class TestSolve:
         sol = solve(spec, series, 1)
         assert residual_norm(spec, series, sol, 0.0) < 1e-14
 
-    def test_residual_norm_wraps_few_operators(self, monkeypatch):
+    def test_residual_norm_wraps_few_operators(self, operators_made):
         # the dressing runs on arrays: one Operator per lam-sum, whatever
         # the order and the terms
         spec = decompose(balanced_reference(1.0))
         series = InteractionSeries(terms=(balanced_leading(),) * 3)
         sol = solve(spec, series, 6)
-        made = []
-        post_init = Operator.__post_init__
-
-        def counting(self):
-            made.append(1)
-            post_init(self)
-
-        monkeypatch.setattr(Operator, "__post_init__", counting)
         for upto in (1, 6):
-            made.clear()
+            operators_made.clear()
             residual_norm(spec, series, sol, 0.05, upto=upto)
-            assert 0 < len(made) <= 7
+            assert 0 < len(operators_made) <= 7
 
 
 class TestResidualNormReference:

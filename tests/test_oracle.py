@@ -131,6 +131,13 @@ class TestExactEigs:
         assert np.linalg.norm(res, axis=0).max() <= 1e-12 * op_norm(h)
         assert np.abs(vectors.conj().T @ vectors - np.eye(SPACE.dim)).max() <= 1e-13
 
+    def test_factoring_builds_no_operator(self, operators_made):
+        # the checks and the gauge read arrays: no copy into an Operator
+        h = bh(ModelParams.from_balanced(1.0, 1.03, 0.02, 0.05), SPACE)
+        operators_made.clear()
+        exact_eigs(h)
+        assert operators_made == []
+
     def test_check_frame_still_factors_complex(self, monkeypatch):
         p = ModelParams.from_balanced(1.0, 1.03, 0.02, 0.05)
         want, _ = exact_eigs(bh(p, SPACE))
