@@ -14,20 +14,21 @@ i[Z_n, H0] = -(off-diagonal part of G_n).  Z_n is fixed uniquely by zeroing
 its block-diagonal part (the minimal solution); any other gauge works but
 changes the higher orders.
 
-Everything here is basis-honest: the solver diagonalizes H0 once and works
-in that eigenbasis, where the block split is a mask and the Z equation is
-division by eigenvalue differences.
+The solver diagonalizes H0 once and works in that eigenbasis, where the
+block split is a mask and the Z equation is division by eigenvalue
+differences, taken in the Fock phase gauge U = diag(i^n) (x) 1: there
+``regime_series`` and its solutions are real.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import (
-    Operator, expm, _expm_matrix, _hermiticity_defect, _interior_size,
-    _into_gauge,
+    Operator, _expm_matrix, _flat_gauge_phases, _hermiticity_defect,
+    _interior_size, _into_gauge, _out_of_gauge, _real_if_exact,
 )
 from .oracle import SpectralDecomposition, exact_eigs
 
@@ -54,33 +55,25 @@ def _degenerate(gap, what: str = "energy gap"):
 
 
 def chi(x: float) -> float:
-    """Indicator of a degenerate gap: 1 if ``_degenerate(x)`` else 0.
-
-    |x| <= 1e-8 reads 1 and |x| >= 3e-8 reads 0; between them the gap is
-    ambiguous and ClusterAmbiguityError is raised.
-    """
+    """Indicator of a degenerate gap: 1 if ``_degenerate(x)`` else 0, so
+    |x| <= 1e-8 reads 1, |x| >= 3e-8 reads 0 and a gap between raises."""
     return 1.0 if _degenerate(x) else 0.0
 
 
 def gamma(x: float) -> float:
-    """Regularized reciprocal: 0 if ``_degenerate(x)`` else 1/x.
-
-    Satisfies gamma(x)*x = 1 - chi(x) for every x outside the ambiguous
-    band of ``chi``, which raises here too.
-    """
+    """Regularized reciprocal: 0 if ``_degenerate(x)`` else 1/x, so
+    gamma(x)*x = 1 - chi(x) wherever ``chi`` does not raise."""
     return 0.0 if _degenerate(x) else 1.0 / x
 
 
 def decompose(h0: Operator) -> SpectralDecomposition:
     """Diagonalize a hermitian operator and cluster degenerate eigenvalues.
 
-    The eigenpairs come from ``exact_eigs``, with its hermiticity and
-    residual checks; this is the one builder of a SpectralDecomposition
-    that fills its clusters.  Adjacent eigenvalues share a cluster when
-    ``_degenerate`` (absolute tolerance _EPS_DEG) calls their gap a
-    degeneracy; a gap in its ambiguous band, or chained merging into a
-    cluster wider than _EPS_DEG, raises ClusterAmbiguityError rather
-    than silently committing either way.
+    The eigenpairs come from ``exact_eigs``, with its checks; this is the
+    one builder of a SpectralDecomposition that fills its clusters.
+    Adjacent eigenvalues share a cluster when ``_degenerate`` calls their
+    gap a degeneracy; a gap in its ambiguous band, or chained merging into
+    a cluster wider than _EPS_DEG, raises ClusterAmbiguityError.
     """
     w, v = exact_eigs(h0)
     # a cluster starts at 0 and after every gap that is no degeneracy
@@ -97,9 +90,11 @@ def decompose(h0: Operator) -> SpectralDecomposition:
 
 @dataclass(frozen=True)
 class InteractionSeries:
-    """Ordered interaction terms H_1, H_2, ...; term m multiplies lam^m."""
+    """Ordered interaction terms H_1, H_2, ...; term m multiplies lam^m.
+    Each enters the gauge once, here; the engine reads only those arrays."""
 
     terms: tuple
+    _gauge: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -111,6 +106,8 @@ class InteractionSeries:
         spaces = {term.space for term in self.terms}
         if len(spaces) > 1:
             raise ValueError("series terms live on different spaces")
+        object.__setattr__(self, "_gauge", tuple(
+            _into_gauge(term.mat, term.space) for term in self.terms))
 
     def term(self, m: int) -> Operator:
         """H_m for m >= 1; zero beyond the stored terms is the caller's business."""
@@ -119,39 +116,60 @@ class InteractionSeries:
         return self.terms[m - 1]
 
     def evaluate(self, lam: float) -> Operator:
-        return _lam_polynomial(lam, self.terms)
+        return _out_of_gauge(_lam_sum(lam, self._gauge), self.terms[0].space)
 
 
-@dataclass(frozen=True)
 class PerturbativeSolution:
-    """Constants of motion C_1..C_N and minimal generators Z_1..Z_N."""
+    """Constants of motion C_1..C_N and minimal generators Z_1..Z_N.
 
-    order: int
-    C: tuple
-    Z: tuple
+    Each order is stored once, in the gauge: U^dag C_n U and Y_n =
+    U^dag (i Z_n) U, in the dtype ``_into_gauge`` gives them (real for
+    ``regime_series``, Y_n antisymmetric).  ``C``, ``Z``, ``generator``
+    and ``constant`` leave the gauge when read and keep nothing.  Built
+    from the Operators C_n and Z_n, it takes them into the gauge once.
+    """
+
+    __slots__ = ("order", "_space", "_c", "_y")
+
+    def __init__(self, order: int, C, Z):
+        self.order, self._space = order, C[0].space
+        self._c = tuple(_into_gauge(c.mat, self._space) for c in C)
+        self._y = tuple(_into_gauge(1j * z.mat, self._space) for z in Z)
+
+    @classmethod
+    def _in_gauge(cls, order: int, space, c: list, y: list):
+        sol = cls.__new__(cls)
+        sol.order, sol._space, sol._c, sol._y = order, space, tuple(c), tuple(y)
+        return sol
+
+    @property
+    def C(self) -> tuple:
+        return tuple(_out_of_gauge(c, self._space) for c in self._c)
+
+    @property
+    def Z(self) -> tuple:
+        return tuple(_out_of_gauge(-1j * y, self._space) for y in self._y)
 
     def generator(self, lam: float, upto: int | None = None) -> Operator:
         """W = sum_{k<=upto} lam^k Z_k."""
-        return _lam_polynomial(lam, self.Z, upto)
+        return _out_of_gauge(-1j * _lam_sum(lam, self._y, upto), self._space)
 
     def constant(self, lam: float, upto: int | None = None) -> Operator:
         """C(lam) truncated at order upto."""
-        return _lam_polynomial(lam, self.C, upto)
+        return _out_of_gauge(_lam_sum(lam, self._c, upto), self._space)
 
 
-def _lam_polynomial(lam: float, coeffs, upto: int | None = None) -> Operator:
-    """sum_{k<=upto} lam^k coeffs[k-1] (all terms by default), from k = 1 up.
-
-    The coefficient arrays are scaled and summed in that order, each
-    lam^k as a complex scalar, and the sum is wrapped in one Operator.
-    """
-    n = len(coeffs) if upto is None else upto
-    if not 1 <= n <= len(coeffs):
-        raise ValueError(f"upto must be in 1..{len(coeffs)}, got {n}")
-    total = coeffs[0].mat * complex(float(lam))
+def _lam_sum(lam: float, mats, upto: int | None = None) -> np.ndarray:
+    """sum_{k<=upto} lam^k mats[k-1] (all terms by default), from k = 1 up,
+    in the arrays' common dtype."""
+    n = len(mats) if upto is None else upto
+    if not 1 <= n <= len(mats):
+        raise ValueError(f"upto must be in 1..{len(mats)}, got {n}")
+    lam = float(lam)
+    total = np.multiply(mats[0], lam, dtype=np.result_type(*mats[:n]))
     for k in range(2, n + 1):
-        total += coeffs[k - 1].mat * complex(float(lam) ** k)
-    return Operator(total, coeffs[0].space)
+        total += mats[k - 1] * lam ** k
+    return total
 
 
 def diagonal_split(G: Operator, spec: SpectralDecomposition):
@@ -179,9 +197,7 @@ class _Banded:
 
     Entries (j, k) with k - j < -lower or k - j > upper are exact zeros.
     The bounds are read from the exact zeros once, when the matrix is
-    made, and are then carried through products, so no product rescans
-    its operands.  Storage stays dense: only the arithmetic follows the
-    band.
+    made, and carried through products; only the arithmetic follows them.
     """
 
     __slots__ = ("mat", "lower", "upper")
@@ -201,13 +217,10 @@ def _add_commutator(out: _Banded, z: _Banded, x: _Banded) -> None:
 
     Both products have the band of the sums of the operands' bands, and
     out's band grows to cover it.  Rows r0..r1 of Z reach the rows
-    r0 - lower_Z .. r1 + upper_Z of X (and the other way round), and
-    those reach the columns of the commutator's band, so each block of
-    _BAND_BLOCK rows is two small dense products, subtracted before they
-    are added in place, as in the dense z @ x - x @ z.  A band as wide as
-    the matrix (a generic H0, whose eigenbasis mixes every state) clamps
-    the slices to whole rows and columns, at the flops of the dense
-    products.
+    r0 - lower_Z .. r1 + upper_Z of X (and the other way round), so each
+    block of _BAND_BLOCK rows is two small dense products, subtracted
+    before they are added in place, as in the dense z @ x - x @ z.  A full
+    band clamps the slices to whole rows and columns.
     """
     n = out.mat.shape[0]
     lower = min(z.lower + x.lower, n - 1)
@@ -222,43 +235,36 @@ def _add_commutator(out: _Banded, z: _Banded, x: _Banded) -> None:
                                 - x.mat[rows, kx] @ z.mat[kx, cols])
 
 
-def _assemble_G(n: int, h0: _Banded, terms: list, z_mats: list) -> np.ndarray:
+def _assemble_G(n: int, h0: _Banded, terms: list, y_mats: list) -> np.ndarray:
     """G_n: the lam^n coefficient of e^{iZ} H e^{-iZ} without i[Z_n, H0].
 
     Lie-transform recurrence (Deprit): with row_0[k] = H_k (H_0 = h0,
-    H_m = terms[m-1], zero beyond the stored terms),
-    row_j[k] = (i/j) sum_{p=1}^{min(k, len(z_mats))} [Z_p, row_{j-1}[k-p]]
-    is the lam^k coefficient of (i ad_Z)^j H / j!, and G_n = sum_j row_j[n].
-    Each nested commutator is computed once, so order n costs O(n^3)
-    commutators.  Bounding p by the number of known generators leaves out
-    the unknown i[Z_n, H0] term.  The row is updated in place from the top,
-    since row_j[k] reads only lower entries of row_{j-1}, so it never holds
-    more than n + 1 matrices; None marks a zero entry.  Each row_j[n] is
-    added into one array as it is made, and H_n last; the sum carries no
-    band, since nothing multiplies G_n.
-
-    Every operand is a ``_Banded`` and each commutator is added into its
-    row entry by ``_add_commutator``, which multiplies only the row
-    blocks the bands reach.  In the eigenbasis of an H0 that is diagonal
-    in the Fock x spin basis the generators are banded (Z_n moves the
-    Fock number by at most n), so the products cost a fraction of dense
-    ones; the results differ from dense products only by summation
-    order.
+    H_m = terms[m-1], zero beyond the stored terms) and Y_p = i Z_p,
+    row_j[k] = (1/j) sum_{p=1}^{min(k, len(y_mats))} [Y_p, row_{j-1}[k-p]]
+    is the lam^k coefficient of (i ad_Z)^j H / j!, and G_n = sum_j row_j[n],
+    in the operands' common dtype: real for real operands.  Each nested
+    commutator is computed once, by ``_add_commutator`` on the bands, so
+    order n costs O(n^3) banded commutators.  Bounding p by the number of
+    known generators leaves out the unknown i[Z_n, H0] term.  The row is
+    updated in place from the top, since row_j[k] reads only lower entries
+    of row_{j-1}; None marks a zero entry.  Each row_j[n] is added into one
+    array as it is made, and H_n last; the sum carries no band.
     """
+    dtype = np.result_type(*(b.mat for b in (h0, *terms, *y_mats)))
     row = [h0] + [terms[m - 1] if m <= len(terms) else None
                   for m in range(1, n + 1)]
     h_n, total = row[n], None
     for j in range(1, n + 1):
         for k in range(n, j - 1, -1):
             acc = None
-            for p in range(1, min(k, len(z_mats)) + 1):
-                x, z = row[k - p], z_mats[p - 1]
+            for p in range(1, min(k, len(y_mats)) + 1):
+                x, y = row[k - p], y_mats[p - 1]
                 if x is not None:
                     if acc is None:
-                        acc = _Banded(np.zeros_like(h0.mat), 0, 0)
-                    _add_commutator(acc, z, x)
+                        acc = _Banded(np.zeros(h0.mat.shape, dtype), 0, 0)
+                    _add_commutator(acc, y, x)
             if acc is not None:
-                acc.mat *= 1j / j
+                acc.mat *= 1.0 / j
             row[k] = acc
         row[j - 1] = None
         # row_j[n] is a fresh array that nothing reads again
@@ -267,9 +273,9 @@ def _assemble_G(n: int, h0: _Banded, terms: list, z_mats: list) -> np.ndarray:
                      else np.add(total, row[n].mat, out=total))
     # H_n last, the order of the explicit sums for G_1 and G_2
     if h_n is not None:
-        total = (h_n.mat.copy() if total is None
+        total = (h_n.mat.astype(dtype) if total is None
                  else np.add(total, h_n.mat, out=total))
-    return np.zeros_like(h0.mat) if total is None else total
+    return np.zeros(h0.mat.shape, dtype) if total is None else total
 
 
 def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Operator:
@@ -285,7 +291,7 @@ def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Op
         raise ValueError(f"expected {n-1} previous generators, got {len(z_prev)}")
     total = _assemble_G(n, _Banded(h0.mat),
                         [_Banded(t.mat) for t in series.terms],
-                        [_Banded(z.mat) for z in z_prev])
+                        [_Banded(1j * z.mat) for z in z_prev])
     return Operator(total, h0.space)
 
 
@@ -293,10 +299,10 @@ def _rotations(v: np.ndarray):
     """The basis changes X -> v^dag X v and Y -> v Y v^dag.
 
     When v is a permutation up to phases (every column has one nonzero
-    entry, of modulus exactly 1, in distinct rows), as the eigenbasis of
-    an H0 that is diagonal in the Fock x spin basis is, each change is an
-    indexing with the phases applied in the order of the dense products,
-    so the result is the same; any other v takes the two dense products.
+    entry, of modulus exactly 1, in distinct rows), as the eigenbasis of a
+    diagonal H0 is, each change is an indexing with the phases applied in
+    the order of the dense products, so the result, and its dtype, is the
+    same; any other v takes the two dense products.
     """
     nonzero = v != 0
     rows = nonzero.argmax(axis=0)
@@ -316,13 +322,13 @@ def _rotations(v: np.ndarray):
     left_back, right_back = phases[back][:, None], phases.conj()[back]
 
     def to_eig(x):
-        out = x[np.ix_(rows, rows)]
+        out = x[np.ix_(rows, rows)].astype(np.result_type(x, v), copy=False)
         out *= left
         out *= right
         return out
 
     def from_eig(y):
-        out = y[np.ix_(back, back)]
+        out = y[np.ix_(back, back)].astype(np.result_type(y, v), copy=False)
         out *= left_back
         out *= right_back
         return out
@@ -330,64 +336,63 @@ def _rotations(v: np.ndarray):
     return to_eig, from_eig
 
 
+def _gauge_rotations(spec: SpectralDecomposition):
+    """``_rotations`` of U^dag V, the eigenbasis in the gauge: the
+    eigenvectors ``exact_eigs`` factored, real when H0 is real in the
+    gauge, and a real permutation when H0 is diagonal."""
+    u = _flat_gauge_phases(spec.space)
+    return _rotations(_real_if_exact(u.conj()[:, None] * spec.eigenbasis))
+
+
 def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
                mask: np.ndarray) -> PerturbativeSolution:
-    """The recursion in the eigenbasis of H0 with a given block mask.
+    """The recursion in the gauge's eigenbasis of H0 with a given block mask.
 
     mask[j, k] marks the entries of G_n that commute with H0: they form
-    C_n, and the rest is solved away by
-    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j).  The series terms enter the
-    eigenbasis and C_n, Z_n leave it through ``_rotations``: by indexing
-    when the eigenbasis is a permutation up to phases, by dense products
-    otherwise.  Each generator's band is read once, when it is made, for
-    the banded products of ``_assemble_G``.
+    C_n, and the rest is solved away by (Z_n)_{jk} = i (G_n)_{jk} /
+    (E_k - E_j), kept as Y_n = i Z_n.  The series' gauge arrays enter the
+    eigenbasis, and C_n, Y_n leave it, through ``_gauge_rotations``, in
+    the dtype the arrays come in: real for ``regime_series``, complex for
+    a complex series or an eigenbasis mixed within clusters.
+    Each Y_n's band is read once, for the products of ``_assemble_G``.
     """
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
     if series.terms and series.terms[0].dim != spec.dim:
         raise ValueError("series and decomposition dimensions differ")
     w = spec.eigenvalues
-    to_eig, from_eig = _rotations(spec.eigenbasis)
+    to_eig, from_eig = _gauge_rotations(spec)
     # eigenvalue-difference matrix E(k) - E(j) at entry (j, k)
     diff = w[None, :] - w[:, None]
     inv_diff = np.divide(1.0, diff, out=np.zeros_like(diff), where=~mask)
-    h0_eig = _Banded(np.diag(w.astype(complex)), 0, 0)
-    terms_eig = [_Banded(to_eig(term.mat)) for term in series.terms[:N]]
+    h0_eig = _Banded(np.diag(w), 0, 0)
+    terms_eig = [_Banded(to_eig(term)) for term in series._gauge[:N]]
 
-    c_ops, z_ops, z_mats = [], [], []
+    c_gauge, y_gauge, y_mats = [], [], []
     for n in range(1, N + 1):
-        g = _assemble_G(n, h0_eig, terms_eig, z_mats)
+        g = _assemble_G(n, h0_eig, terms_eig, y_mats)
         g = (g + g.conj().T) / 2
-        c_eig = np.where(mask, g, 0.0)
-        z_eig = 1j * inv_diff * np.where(mask, 0.0, g)
-        z_mats.append(_Banded(z_eig))
-        c_ops.append(Operator(from_eig(c_eig), spec.space))
-        z_ops.append(Operator(from_eig(z_eig), spec.space))
-    return PerturbativeSolution(order=N, C=tuple(c_ops), Z=tuple(z_ops))
+        y_eig = -inv_diff * np.where(mask, 0.0, g)
+        y_mats.append(_Banded(y_eig))
+        c_gauge.append(from_eig(np.where(mask, g, 0.0)))
+        y_gauge.append(from_eig(y_eig))
+    return PerturbativeSolution._in_gauge(N, spec.space, c_gauge, y_gauge)
 
 
 def solve(spec: SpectralDecomposition, series: InteractionSeries,
           N: int) -> PerturbativeSolution:
-    """Run the recursion to order N (projector route, minimal gauge).
-
-    Works in the eigenbasis of H0, where the block split is the cluster
-    mask of the decomposition and the generator equation divides by
-    eigenvalue differences:
-    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j) across clusters, 0 within.
-    """
+    """Run the recursion to order N (projector route, minimal gauge): the
+    block split is the cluster mask of the decomposition, and
+    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j) across clusters, 0 within."""
     return _recursion(spec, series, N, spec.intra_mask())
 
 
 def solve_ladder(spec: SpectralDecomposition, series: InteractionSeries,
                  N: int) -> PerturbativeSolution:
-    """The recursion with the chi/gamma weighting as its block mask.
-
-    C_n keeps the entries where chi(E(k) - E(j)) = 1 and Z_n weights the
-    rest by gamma(E(k) - E(j)), both decided by ``_degenerate`` (absolute
-    tolerance, ambiguous band): the shared recursion core with that mask
-    in place of the cluster mask.  A clean clustering makes the two masks
-    agree, so this must reproduce solve, as the consistency tests check.
-    """
+    """The recursion with the chi/gamma weighting as its block mask: C_n
+    keeps the entries where chi(E(k) - E(j)) = 1 and Z_n weights the rest
+    by gamma(E(k) - E(j)).  A clean clustering makes the two masks agree,
+    so this must reproduce solve, as the consistency tests check."""
     spec._require_clusters()
     w = spec.eigenvalues
     return _recursion(spec, series, N,
@@ -399,14 +404,14 @@ def assemble(h0: Operator, sol: PerturbativeSolution, lam: float, n: int):
 
     Returns (H0n, Cn_op) = (e^{-iW} H0 e^{iW}, e^{-iW} C(lam) e^{iW}) with
     W = sum_{k<=n} lam^k Z_k.  The pair commutes like (H0, C) does and their
-    sum approximates H(lam) to O(lam^{n+1}).  An n outside 1..sol.order is
-    a ValueError, raised by ``PerturbativeSolution.generator``.
+    sum approximates H(lam) to O(lam^{n+1}).  Both are dressed in the gauge,
+    where e^{-iW} = e^{-Y(lam)}, Y(lam) = sum lam^k Y_k, by the exponential
+    of ``residual_norm``.  An n outside 1..sol.order is a ValueError.
     """
-    w_op = sol.generator(lam, n)
-    u = expm(-1j * w_op)
-    h0n = u @ h0 @ u.dag
-    cn = u @ sol.constant(lam, n) @ u.dag
-    return h0n, cn
+    u = _expm_matrix(-_lam_sum(lam, sol._y, n))
+    c = _lam_sum(lam, sol._c, n)
+    h0g = _into_gauge(h0.mat, h0.space)
+    return tuple(_out_of_gauge(u @ x @ u.conj().T, h0.space) for x in (h0g, c))
 
 
 def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
@@ -420,27 +425,21 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     measurement window to a fixed Fock cutoff so residuals computed on
     different truncations stay comparable.
 
-    H0 comes from the eigenpairs by ``_rotations``, an indexing for a
-    permutation eigenbasis (bit-identical to ``spec.reconstruct()``).
-    H0, H, iW and C are taken into the Fock phase gauge, each in the
-    dtype ``_into_gauge`` gives it.  The engine's solutions of
-    ``regime_series`` are real there: e^{iW} = e^{-A} is then real
-    orthogonal (``expm``, within its accuracy contract) and the dressing
-    is two real products.  The residual is hermitian, so its interior
-    norm is the largest |eigenvalue| of the symmetrized interior block,
-    not an SVD.  On the lam grid 0.02-0.16 at dim 242, orders 1-6, the
-    result is within 1.1e-13 ||H||_2 of a complex reference (scipy's expm
-    and an SVD).
+    It sums the gauge arrays the series and the solution store, with no
+    gauge entry and no Operator: H0 from the eigenpairs, H = H0 + sum
+    lam^k H_k and e^{iW} = e^{Y(lam)}, real orthogonal for
+    ``regime_series``, whose interior rows alone dress H.  The residual is
+    hermitian, so its norm is the largest |eigenvalue| of the symmetrized
+    block: within 1.1e-13 ||H||_2 of scipy's expm and an SVD on the lam
+    grid 0.02-0.16 at dim 242, orders 1-6.
     """
     n = sol.order if upto is None else upto
     k = _interior_size(spec.space, n_keep)
-    _, from_eig = _rotations(spec.eigenbasis)
-    h0 = _into_gauge(from_eig(np.diag(spec.eigenvalues.astype(complex))),
-                     spec.space)
-    h = h0 + _into_gauge(series.evaluate(lam).mat, spec.space)
-    gen = _into_gauge(1j * sol.generator(lam, n).mat, spec.space)
-    c = _into_gauge(sol.constant(lam, n).mat, spec.space)
-    u = _expm_matrix(gen)
-    resid = (u @ h @ u.conj().T - h0 - c)[:k, :k]
+    u = _expm_matrix(_lam_sum(lam, sol._y, n))[:k]
+    c = _lam_sum(lam, [c[:k, :k] for c in sol._c], n)
+    _, from_eig = _gauge_rotations(spec)
+    h0 = from_eig(np.diag(spec.eigenvalues))
+    h = h0 + _lam_sum(lam, series._gauge)
+    resid = u @ h @ u.conj().T - h0[:k, :k] - c
     values = np.linalg.eigvalsh(0.5 * (resid + resid.conj().T))
     return float(max(-values[0], values[-1]))

@@ -275,7 +275,10 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     any other grid is a config error before anything is solved.  The
     metadata's R2_ge_R1 lists the grid points where second order does not
     improve on first (R2 >= R1): past them the fitted R2 slope describes a
-    series that has stopped converging, however clean the power law.  An
+    series that has stopped converging, however clean the power law.
+    clusters and min_cluster_gap are the cluster count of ``decompose(h0)``
+    and the smallest eigenvalue gap between adjacent clusters (None for a
+    single cluster).  An
     ambiguous degeneracy, an inconclusive fit or a slope below N + 0.7 is
     a DiagnosticError.
     """
@@ -303,7 +306,10 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     cols = {"lam": list(grid),
             "R1": [r[0] for r in rows],
             "R2": [r[1] for r in rows]}
-    meta = {"regime": kind,
+    w, clusters = spec.eigenvalues, spec.clusters
+    meta = {"regime": kind, "clusters": len(clusters),
+            "min_cluster_gap": min((float(w[hi[0]] - w[lo[-1]]) for lo, hi
+                                    in zip(clusters, clusters[1:])), default=None),
             "R2_ge_R1": [lam for lam, (r1, r2) in zip(grid, rows) if r2 >= r1]}
     for label, idx in (("R1", 0), ("R2", 1)):
         try:

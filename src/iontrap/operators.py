@@ -243,14 +243,20 @@ def _flat_gauge_phases(space: SpaceConfig) -> np.ndarray:
     return np.repeat(_gauge_phases(space.n_max + 1), 2)
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """A copy of a as float64 exactly when its imaginary part is all zero,
+    a itself otherwise.  The package's one realness test, exact, with no
+    tolerance."""
+    return a if a.imag.any() else a.real.copy()
+
+
 def _into_gauge(m: np.ndarray, space: SpaceConfig) -> np.ndarray:
-    """U^dag M U: real float64 exactly when its imaginary part is all
-    zero, complex128 otherwise.  The package's one realness test, exact,
-    with no tolerance."""
+    """U^dag M U, in the dtype ``_real_if_exact`` gives it: float64 when
+    its imaginary part is all zero, complex128 otherwise."""
     u = _flat_gauge_phases(space)
     out = u.conj()[:, None] * m
     out *= u
-    return out if out.imag.any() else out.real.copy()
+    return _real_if_exact(out)
 
 
 def _out_of_gauge(g: np.ndarray, space: SpaceConfig) -> Operator:

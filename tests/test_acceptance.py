@@ -34,7 +34,8 @@ from iontrap import (
     exact_eigs, exact_propagator, time_ordered_propagator,
     frame_chain_propagator, fit_order, scan_gap,
 )
-from iontrap.engine import decompose, solve, residual_norm, expm
+from iontrap.engine import decompose, solve, residual_norm
+from iontrap.operators import expm
 from iontrap.oracle import _rung_levels
 
 DESK = SpaceConfig(n_max=40, interior_margin=10)

@@ -12,7 +12,8 @@ import pytest
 from iontrap import (
     SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn, bh,
     exact_eigs, spectrum_second_order, time_ordered_propagator,
-    first_order_evolutor_fn, identity, interior_distance,
+    first_order_evolutor_fn, identity, interior_distance, decompose,
+    regime_series, Regime,
 )
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
@@ -302,6 +303,17 @@ class TestResidualOrderExperiment:
         assert meta["R1_slope"] >= 1.7
         assert meta["R2_slope"] >= 2.7
         assert meta["R1_conclusive"] and meta["R2_conclusive"]
+
+    def test_metadata_records_the_clusters(self):
+        small = SpaceConfig(6, 2)
+        (table,) = residual_order(P_RES, small, Options({}), map)
+        spec = decompose(regime_series(
+            P_RES, Regime.of("eta_much_less", P_RES), small)[0])
+        w, gaps = spec.eigenvalues, []
+        for lo, hi in zip(spec.clusters, spec.clusters[1:]):
+            gaps.append(w[hi[0]] - w[lo[-1]])
+        assert table.metadata["clusters"] == len(spec.clusters) > 1
+        assert table.metadata["min_cluster_gap"] == min(gaps) > 0.0
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ConfigError):

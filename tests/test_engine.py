@@ -14,7 +14,8 @@ from iontrap import (
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor,
     exact_eigs, exact_propagator, exact_propagator_fn, fit_order,
 )
-from iontrap.engine import expm, _Banded, _add_commutator, _rotations
+from iontrap.engine import _Banded, _add_commutator, _rotations
+from iontrap.operators import expm
 from iontrap.oracle import _rung_levels
 
 SPACE = SpaceConfig()
@@ -361,8 +362,8 @@ class TestSolve:
         sol = solve(spec, series, 1)
         assert residual_norm(spec, series, sol, 0.0) < 1e-14
 
-    def test_residual_norm_wraps_few_operators(self, operators_made):
-        # the dressing runs on arrays: one Operator per lam-sum, whatever
+    def test_residual_norm_wraps_no_operators(self, operators_made):
+        # the dressing sums the stored gauge arrays: no Operator, whatever
         # the order and the terms
         spec = decompose(balanced_reference(1.0))
         series = InteractionSeries(terms=(balanced_leading(),) * 3)
@@ -370,7 +371,68 @@ class TestSolve:
         for upto in (1, 6):
             operators_made.clear()
             residual_norm(spec, series, sol, 0.05, upto=upto)
-            assert 0 < len(operators_made) <= 7
+            assert len(operators_made) == 0
+
+
+    @pytest.mark.parametrize("gauge_dtype", [np.float64, np.complex128],
+                             ids=["real", "complex"])
+    def test_residual_norm_argument_checks(self, gauge_dtype):
+        # balanced_leading is real in the Fock phase gauge, a + a^dag there
+        # i (a - a^dag): the checks hold on the one path in both dtypes
+        a = annihilation(SPACE)
+        term = (balanced_leading() if gauge_dtype is np.float64 else
+                hermitize((a + a.dag) @ (pauli("+", SPACE) + pauli("-", SPACE))))
+        spec = decompose(balanced_reference(1.0))
+        series = InteractionSeries(terms=(term,))
+        sol = solve(spec, series, 2)
+        assert {y.dtype for y in sol._c + sol._y} == {np.dtype(gauge_dtype)}
+        for upto in (0, sol.order + 1):
+            with pytest.raises(ValueError, match="upto"):
+                residual_norm(spec, series, sol, 0.05, upto=upto)
+        for n_keep in (-1, SPACE.n_max + 1):
+            with pytest.raises(ValueError, match="n_keep"):
+                residual_norm(spec, series, sol, 0.05, n_keep=n_keep)
+        assert residual_norm(spec, series, sol, 0.05, upto=2,
+                             n_keep=SPACE.n_max) > 0.0
+
+
+class TestRealPath:
+    """regime_series input runs the engine in real arithmetic throughout,
+    and residual_norm takes nothing into the gauge."""
+
+    @pytest.mark.parametrize("kind,delta_breve,eta_breve", [
+        ("eta_much_less", 1.0, 0.0), ("near_resonant", 1.05, 0.025)])
+    def test_solution_and_residuals_stay_real(self, monkeypatch, kind,
+                                              delta_breve, eta_breve):
+        from iontrap import engine
+
+        p = ModelParams.from_balanced(1.0, delta_breve, eta_breve, 0.05)
+        h0, series = regime_series(p, Regime.of(kind, p), SPACE)
+        spec = decompose(h0)
+        seen = []
+
+        def spy(name, fn):
+            # every argument is an array or a banded array
+            def wrapped(*args):
+                seen.extend((name, getattr(x, "mat", x).dtype) for x in args)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(engine, "_add_commutator",
+                            spy("commutator", engine._add_commutator))
+        sol = solve(spec, series, 4)
+        assert {y.dtype for y in sol._c + sol._y} == {np.dtype(np.float64)}
+        monkeypatch.setattr(engine, "_into_gauge",
+                            spy("into_gauge", engine._into_gauge))
+        monkeypatch.setattr(engine, "_expm_matrix",
+                            spy("expm", engine._expm_matrix))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            spy("eigvalsh", np.linalg.eigvalsh))
+        for upto in range(1, 5):
+            residual_norm(spec, series, sol, 0.05, upto=upto)
+        assert {name for name, _ in seen} == {"commutator", "expm",
+                                              "eigvalsh"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
 
 class TestResidualNormReference:
@@ -567,6 +629,23 @@ class TestIndexRotation:
         for n in range(4):
             for a, b in ((sol.C[n], sol_mixed.C[n]), (sol.Z[n], sol_mixed.Z[n])):
                 assert op_norm(a - b) <= 1e-12 * max(1.0, op_norm(a))
+
+    def test_phased_basis_solves_like_the_permutation(self):
+        # eigenvectors times i: still a permutation up to phases, but a
+        # complex one in the gauge, which the real terms must enter
+        spec = decompose(balanced_reference(1.0))
+        from iontrap import SpectralDecomposition
+        phased = SpectralDecomposition(spec.space, spec.eigenvalues,
+                                       1j * spec.eigenbasis,
+                                       clusters=spec.clusters)
+        series = InteractionSeries(terms=(balanced_leading(),))
+        sol, sol_phased = solve(spec, series, 3), solve(phased, series, 3)
+        for n in range(3):
+            for a, b in ((sol.C[n], sol_phased.C[n]),
+                         (sol.Z[n], sol_phased.Z[n])):
+                assert op_norm(a - b) <= 1e-12 * max(1.0, op_norm(a))
+        assert residual_norm(phased, series, sol_phased, 0.05) == (
+            pytest.approx(residual_norm(spec, series, sol, 0.05), rel=1e-12))
 
     def test_rotated_basis_splits_like_the_permutation(self):
         spec = decompose(balanced_reference(1.0))
