@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    Operator, _expm_matrix, _flat_gauge_phases, _hermiticity_defect,
-    _interior_size, _into_gauge, _out_of_gauge, _real_if_exact,
+    Operator, _expm_matrix, _hermiticity_defect, _interior_size,
+    _into_gauge, _out_of_gauge,
 )
 from .oracle import SpectralDecomposition, exact_eigs
 
@@ -336,14 +336,6 @@ def _rotations(v: np.ndarray):
     return to_eig, from_eig
 
 
-def _gauge_rotations(spec: SpectralDecomposition):
-    """``_rotations`` of U^dag V, the eigenbasis in the gauge: the
-    eigenvectors ``exact_eigs`` factored, real when H0 is real in the
-    gauge, and a real permutation when H0 is diagonal."""
-    u = _flat_gauge_phases(spec.space)
-    return _rotations(_real_if_exact(u.conj()[:, None] * spec.eigenbasis))
-
-
 def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
                mask: np.ndarray) -> PerturbativeSolution:
     """The recursion in the gauge's eigenbasis of H0 with a given block mask.
@@ -351,9 +343,12 @@ def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
     mask[j, k] marks the entries of G_n that commute with H0: they form
     C_n, and the rest is solved away by (Z_n)_{jk} = i (G_n)_{jk} /
     (E_k - E_j), kept as Y_n = i Z_n.  The series' gauge arrays enter the
-    eigenbasis, and C_n, Y_n leave it, through ``_gauge_rotations``, in
-    the dtype the arrays come in: real for ``regime_series``, complex for
-    a complex series or an eigenbasis mixed within clusters.
+    eigenbasis, and C_n, Y_n leave it, through the ``_rotations`` of the
+    decomposition's gauge eigenbasis U^dag V (the eigenvectors
+    ``exact_eigs`` factored: real when H0 is real in the gauge, a real
+    permutation when H0 is diagonal), in the dtype the arrays come in:
+    real for ``regime_series``, complex for a complex series or an
+    eigenbasis mixed within clusters.
     Each Y_n's band is read once, for the products of ``_assemble_G``.
     """
     if N < 1:
@@ -361,7 +356,7 @@ def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
     if series.terms and series.terms[0].dim != spec.dim:
         raise ValueError("series and decomposition dimensions differ")
     w = spec.eigenvalues
-    to_eig, from_eig = _gauge_rotations(spec)
+    to_eig, from_eig = _rotations(spec._gauge_basis)
     # eigenvalue-difference matrix E(k) - E(j) at entry (j, k)
     diff = w[None, :] - w[:, None]
     inv_diff = np.divide(1.0, diff, out=np.zeros_like(diff), where=~mask)
@@ -437,7 +432,7 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     k = _interior_size(spec.space, n_keep)
     u = _expm_matrix(_lam_sum(lam, sol._y, n))[:k]
     c = _lam_sum(lam, [c[:k, :k] for c in sol._c], n)
-    _, from_eig = _gauge_rotations(spec)
+    _, from_eig = _rotations(spec._gauge_basis)
     h0 = from_eig(np.diag(spec.eigenvalues))
     h = h0 + _lam_sum(lam, series._gauge)
     resid = u @ h @ u.conj().T - h0[:k, :k] - c

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    SpaceConfig, identity, basis_vector, number, pauli,
+    SpaceConfig, basis_vector, number, pauli,
     op_norm, interior_distance, EXCITED, GROUND,
 )
 from .hamiltonians import (
-    ModelParams, bh, t_delta, t1, ith_fn, _exactly_resonant,
+    ModelParams, bh, ith_fn, _exactly_resonant, _t1_gauge, _t_delta_gauge,
 )
 from .engine import ClusterAmbiguityError, decompose, solve, residual_norm
 from .closedforms import (
@@ -395,6 +395,10 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Balanced-transform limits over the dimensionless detuning.
 
     delta_grid holds |Delta|; the drive is Omega_R = |delta| / |Delta|.
+    The distances of t_delta from 1 and from t1 are measured in the Fock
+    phase gauge, where all three are real: the gauge is a diagonal
+    unitary with exact phases, so it leaves the spectral norms as they
+    are.  t1 depends on eta alone and is built once.
     """
     grid = opts.get_floats("delta_grid", (1e-6, 1.0, 1e6))
     opts.finish()
@@ -402,12 +406,13 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         raise ConfigError("limits needs a nonzero detuning omega_ge - omega_L")
     if any(d <= 0 for d in grid):
         raise ConfigError("delta_grid entries must be positive")
-    eye = identity(space)
+    eye = np.eye(space.dim)
+    strong = _t1_gauge(p.eta, space)
 
     def point(big_delta):
         pd = dataclasses.replace(p, Omega_R=abs(p.delta) / big_delta)
-        td = t_delta(pd, space)
-        return op_norm(td - eye), op_norm(td - t1(pd, space))
+        td = _t_delta_gauge(pd, space)
+        return op_norm(td - eye), op_norm(td - strong)
 
     rows = list(mapper(point, grid))
     cols = {"Delta": list(grid),

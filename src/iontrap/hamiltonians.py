@@ -278,10 +278,14 @@ def _require_rabi(p: ModelParams) -> None:
 def t1(p: ModelParams, space: SpaceConfig) -> Operator:
     """Strong-field limit of the balanced transform (spin flip + half displacement)."""
     _require_rabi(p)
-    d = _gauge_displacement(0.5 * p.eta, space.n_max)
+    return _out_of_gauge(_t1_gauge(p.eta, space), space)
+
+
+def _t1_gauge(eta: float, space: SpaceConfig) -> np.ndarray:
+    """U^dag t1 U, real orthogonal; it depends on eta alone."""
+    d = _gauge_displacement(0.5 * eta, space.n_max)
     s = 1.0 / math.sqrt(2.0)
-    return _out_of_gauge(_block_matrix(space, s * d.T, s * d, -s * d.T, s * d),
-                         space)
+    return _block_matrix(space, s * d.T, s * d, -s * d.T, s * d)
 
 
 def t2(p: ModelParams, space: SpaceConfig) -> Operator:

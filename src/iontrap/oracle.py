@@ -19,7 +19,7 @@ import numpy as np
 from .operators import (
     SpaceConfig, Operator, basis_vector, op_norm, pauli, _expm_matrix,
     _below_limit, _hermiticity_defect, _flat_gauge_phases, _into_gauge,
-    GROUND, EXCITED,
+    _real_if_exact, GROUND, EXCITED,
 )
 from .hamiltonians import ModelParams, bh, t_delta
 
@@ -60,7 +60,8 @@ def exact_eigs(h: Operator):
     accept, reject and message is that of the exact test.  Hermiticity is
     bounded by ``operators._hermiticity_defect``; for the residual,
     max|E| of the symmetrized matrix is at most ||H||_2.  For a
-    hermitian operator the bounds decide, and no SVD runs.
+    hermitian operator the bounds decide, and no spectral norm
+    (``op_norm``) is taken.
     """
     defect = _hermiticity_defect(h.mat, _HERM_TOL)
     if defect is not None:
@@ -118,6 +119,13 @@ class SpectralDecomposition:
         adjoint = self.eigenbasis.conj().T  # L^dag, formed once
         adjoint.flags.writeable = False
         object.__setattr__(self, "_adjoint", adjoint)
+        # U^dag L, the eigenbasis in the Fock phase gauge, formed once: for
+        # a decomposition of ``exact_eigs`` these are, bit for bit, the
+        # eigenvectors it factored, since U's phases are exact
+        gauge = _real_if_exact(
+            _flat_gauge_phases(self.space).conj()[:, None] * self.eigenbasis)
+        gauge.flags.writeable = False
+        object.__setattr__(self, "_gauge_basis", gauge)
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 """Config parsing, experiment tables, output files and exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from iontrap import (
     SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn, bh,
     exact_eigs, spectrum_second_order, time_ordered_propagator,
     first_order_evolutor_fn, identity, interior_distance, decompose,
-    regime_series, Regime,
+    regime_series, Regime, t_delta, t1,
 )
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
@@ -407,6 +408,44 @@ class TestLimitsExperiment:
         p = ModelParams(nu=1.0, omega_ge=1.0, omega_L=1.0, Omega_R=0.25, eta=0.1)
         with pytest.raises(ConfigError):
             limits(p, SPACE, Options({}), map)
+
+    def test_columns_match_the_svd_norms_out_of_gauge(self):
+        # the gauge leaves the norms as they are: the columns agree with
+        # the SVD of t_delta - 1 and t_delta - t1 in the Fock basis
+        p = ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0, Omega_R=0.25, eta=0.1)
+        grid = "1e-6, 1e-3, 0.5, 1, 2, 1e3, 1e6"
+        (table,) = limits(p, SPACE, Options({"delta_grid": grid}), map)
+        eye = np.eye(SPACE.dim)
+        for big_delta, ident, strong in zip(table.columns["Delta"],
+                                            table.columns["dist_identity"],
+                                            table.columns["dist_strong_field"]):
+            pd = dataclasses.replace(p, Omega_R=abs(p.delta) / big_delta)
+            td = t_delta(pd, SPACE).mat
+            want_ident = np.linalg.norm(td - eye, 2)
+            want_strong = np.linalg.norm(td - t1(pd, SPACE).mat, 2)
+            assert abs(ident - want_ident) <= 1e-14 * want_ident
+            assert abs(strong - want_strong) <= 1e-14 * want_strong
+
+
+class TestNoSvd:
+    # every spectral norm of these experiments is op_norm's eigenvalue
+    # solve; an SVD anywhere, np.linalg.norm(m, 2) included, fails
+    @pytest.mark.parametrize("fn,p,opts", [
+        (limits, ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0,
+                             Omega_R=0.25, eta=0.1), {}),
+        (compare_rwa, P_RES, {"t_max": "1.0", "t_steps": "3"}),
+        (frame_chain, ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0,
+                                  Omega_R=0.25, eta=0.1),
+         {"t_max": "1.0", "t_steps": "2"})],
+        ids=["limits", "compare-rwa", "frame-chain"])
+    def test_experiment_runs_without_svd(self, monkeypatch, fn, p, opts):
+        def svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", svd)
+        (table,) = fn(p, SPACE, Options(opts), map)
+        assert table.n_rows > 0
 
 
 class TestFrameChainExperiment:

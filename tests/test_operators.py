@@ -1,5 +1,7 @@
 """Operator algebra: frozen matrix elements, truncation and unitarity contracts."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -228,6 +230,66 @@ class TestExpmRoutes:
 
 def test_op_norm_identity():
     assert op_norm(identity(SPACE)) == pytest.approx(1.0)
+
+
+def _op_norm_case(kind, dtype):
+    """A random matrix of the given kind, real or complex."""
+    rng = np.random.default_rng(17)
+    shape = {"square": (242, 242), "tall": (242, 60),
+             "wide": (60, 242)}.get(kind, (82, 82))
+    m = rng.normal(size=shape).astype(dtype)
+    if dtype is np.complex128:
+        m += 1j * rng.normal(size=shape)
+    if kind == "hermitian":
+        return m + m.conj().T
+    if kind == "anti-hermitian":
+        return m - m.conj().T
+    return m * {"tiny": 1e-200, "huge": 1e200}.get(kind, 1.0)
+
+
+class TestOpNormContract:
+    # within 1e-14 relative of the SVD's spectral norm for every dtype,
+    # shape and scale, in the error state the CLI runs in
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("kind", [
+        "square", "tall", "wide", "hermitian", "anti-hermitian", "tiny",
+        "huge"])
+    def test_matches_the_svd(self, monkeypatch, kind, dtype):
+        m = _op_norm_case(kind, dtype)
+        want = np.linalg.norm(m, 2)
+        grams = []
+
+        def eigvalsh(a):
+            grams.append(a)
+            return eigvalsh_orig(a)
+
+        eigvalsh_orig = np.linalg.eigvalsh
+        with monkeypatch.context() as patch, \
+                np.errstate(over="raise", invalid="raise"):
+            patch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            got = op_norm(m)
+        assert abs(got - want) <= 1e-14 * want
+        # one eigenvalue solve on the smaller side; real input stays real
+        (gram,) = grams
+        assert gram.shape == (min(m.shape),) * 2
+        assert gram.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_matrix(self, dtype):
+        assert op_norm(np.zeros((6, 4), dtype=dtype)) == 0.0
+        assert op_norm(zero(SMALL)) == 0.0
+
+    def test_norm_beyond_the_float_range_reads_inf(self):
+        m = np.full((2, 2), 1e308)
+        assert op_norm(m) == math.inf == np.linalg.norm(m, 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_rejects_nonfinite(self, bad, dtype):
+        m = np.eye(6, dtype=dtype)
+        m[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            op_norm(m)
 
 
 def test_adjoint_involution_exact():
