@@ -13,7 +13,7 @@ import numpy as np
 
 from iontrap import (
     SpaceConfig, ModelParams, identity,
-    ith_fn, rfh, bh, frame_rotation, t_delta,
+    ith_terms, rfh, bh, frame_rotation, t_delta,
     op_norm, interior_distance,
     frame_chain_fn, time_ordered_sweep,
 )
@@ -27,7 +27,7 @@ def main():
     print(f"balanced couplings: lambda={p.lam:.6f}, eta_breve={p.eta_breve:.6f}, "
           f"delta_breve={p.delta_breve:.6f}\n")
 
-    h_lab = ith_fn(p, space)
+    h_lab = ith_terms(p, space)
     h_rot = rfh(p, space)
 
     # conjugation identities; the closed-form series route makes the

@@ -54,6 +54,7 @@ from .hamiltonians import (
     jc_constants,
     ith,
     ith_fn,
+    ith_terms,
     frame_rotation,
     rfh,
     rwa_effective,

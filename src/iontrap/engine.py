@@ -336,6 +336,23 @@ def _rotations(v: np.ndarray):
     return to_eig, from_eig
 
 
+def _eigenframe(spec: SpectralDecomposition):
+    """``_rotations`` of the gauge eigenbasis, and H0 in the gauge.
+
+    Both are fixed for a decomposition, so they are formed on its first
+    ``solve`` or ``residual_norm`` and kept on it; a decomposition the
+    engine never reads (a propagator's, say) pays nothing.
+    """
+    frame = spec.__dict__.get("_eigenframe")
+    if frame is None:
+        to_eig, from_eig = _rotations(spec._gauge_basis)
+        h0 = from_eig(np.diag(spec.eigenvalues))
+        h0.flags.writeable = False
+        frame = (to_eig, from_eig, h0)
+        object.__setattr__(spec, "_eigenframe", frame)
+    return frame
+
+
 def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
                mask: np.ndarray) -> PerturbativeSolution:
     """The recursion in the gauge's eigenbasis of H0 with a given block mask.
@@ -356,7 +373,7 @@ def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
     if series.terms and series.terms[0].dim != spec.dim:
         raise ValueError("series and decomposition dimensions differ")
     w = spec.eigenvalues
-    to_eig, from_eig = _rotations(spec._gauge_basis)
+    to_eig, from_eig, _ = _eigenframe(spec)
     # eigenvalue-difference matrix E(k) - E(j) at entry (j, k)
     diff = w[None, :] - w[:, None]
     inv_diff = np.divide(1.0, diff, out=np.zeros_like(diff), where=~mask)
@@ -421,7 +438,8 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     different truncations stay comparable.
 
     It sums the gauge arrays the series and the solution store, with no
-    gauge entry and no Operator: H0 from the eigenpairs, H = H0 + sum
+    gauge entry and no Operator: H0 from the eigenpairs (formed once per
+    decomposition, by ``_eigenframe``), H = H0 + sum
     lam^k H_k and e^{iW} = e^{Y(lam)}, real orthogonal for
     ``regime_series``, whose interior rows alone dress H.  The residual is
     hermitian, so its norm is the largest |eigenvalue| of the symmetrized
@@ -432,8 +450,7 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     k = _interior_size(spec.space, n_keep)
     u = _expm_matrix(_lam_sum(lam, sol._y, n))[:k]
     c = _lam_sum(lam, [c[:k, :k] for c in sol._c], n)
-    _, from_eig = _rotations(spec._gauge_basis)
-    h0 = from_eig(np.diag(spec.eigenvalues))
+    _, _, h0 = _eigenframe(spec)
     h = h0 + _lam_sum(lam, series._gauge)
     resid = u @ h @ u.conj().T - h0[:k, :k] - c
     values = np.linalg.eigvalsh(0.5 * (resid + resid.conj().T))

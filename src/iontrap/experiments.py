@@ -22,7 +22,7 @@ from .operators import (
     op_norm, interior_distance, EXCITED, GROUND,
 )
 from .hamiltonians import (
-    ModelParams, bh, ith_fn, _exactly_resonant, _t1_gauge, _t_delta_gauge,
+    ModelParams, bh, ith_terms, _exactly_resonant, _t1_gauge, _t_delta_gauge,
 )
 from .engine import ClusterAmbiguityError, decompose, solve, residual_norm
 from .closedforms import (
@@ -438,7 +438,7 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     if steps_per_unit <= 0:
         raise ConfigError("need steps_per_unit > 0")
     chain = frame_chain_fn(p, space)
-    stepped = time_ordered_sweep(ith_fn(p, space), ts, space, steps_per_unit)
+    stepped = time_ordered_sweep(ith_terms(p, space), ts, space, steps_per_unit)
 
     eye = np.eye(space.dim)
 

@@ -20,6 +20,7 @@ Everything here is a pure function of (params, space).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -188,20 +189,30 @@ def ith(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
 
 
 def ith_fn(p: ModelParams, space: SpaceConfig):
-    """Closure t -> ith(t).mat with the constant pieces prebuilt.
+    """Closure t -> ith(t).mat: the sum of ``ith_terms`` at t."""
+    terms = ith_terms(p, space)
 
-    The time dependence is only the laser phase, so the integrator gets a
-    cheap callable instead of rebuilding displacement operators every step.
+    def h_of_t(t: float) -> np.ndarray:
+        return sum(c(t) * m for c, m in terms)
+
+    return h_of_t
+
+
+def ith_terms(p: ModelParams, space: SpaceConfig) -> tuple:
+    """The lab Hamiltonian as fixed terms, H(t) = sum_j c_j(t) M_j.
+
+    Three (coefficient, matrix) pairs: (1, h0), (Omega_R e^{-i omega_L t},
+    K) and their conjugate (Omega_R e^{i omega_L t}, K^dag), with
+    h0 = nu n + omega_ge/2 sigma_z and K = sigma_+ D(i eta).  The time
+    dependence is only the laser phase, so ``time_ordered_sweep`` forms
+    the pieces' commutators once and never rebuilds a displacement.
     """
     h0 = (p.nu * number(space) + 0.5 * p.omega_ge * pauli("z", space)).mat
     drive = (pauli("+", space) @ displacement(1j * p.eta, space)).mat
-    drive_dag = drive.conj().T
-
-    def h_of_t(t: float) -> np.ndarray:
-        phase = np.exp(-1j * p.omega_L * t)
-        return h0 + p.Omega_R * (phase * drive + np.conj(phase) * drive_dag)
-
-    return h_of_t
+    rabi, freq = p.Omega_R, p.omega_L
+    return ((lambda t: 1.0, h0),
+            (lambda t: rabi * cmath.exp(-1j * freq * t), drive),
+            (lambda t: rabi * cmath.exp(1j * freq * t), drive.conj().T))
 
 
 def frame_rotation(t: float, p: ModelParams, space: SpaceConfig) -> Operator:

@@ -10,6 +10,7 @@ any perturbation theory in the loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,6 +35,8 @@ _RESIDUAL_TOL = 1e-10
 _OVERLAP_THRESHOLD = 0.8
 
 _STEPS_PER_UNIT = 200.0  # the Magnus sweeps' default step density
+# a Hamiltonian as fixed terms, H(t) = sum_j c_j(t) M_j: (c_j, M_j) pairs
+_Terms = Sequence[tuple[Callable[[float], complex], np.ndarray]]
 # Gauss-Legendre nodes of the order-4 Magnus step
 _GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
@@ -181,7 +184,7 @@ def exact_propagator(h: Operator, t: float) -> Operator:
     return exact_propagator_fn(h)(t)
 
 
-def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
+def time_ordered_sweep(terms: _Terms,
                        times: Sequence[float], space: SpaceConfig,
                        steps_per_unit: float = _STEPS_PER_UNIT) -> list[Operator]:
     """Propagators U(t_k, 0) of a time-dependent Hamiltonian, one per time.
@@ -190,20 +193,28 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
     propagator at t_k continues from the one at t_{k-1} (t_0 = 0), so the
     last time is reached once and every earlier one on the way.  Segment
     [t_{k-1}, t_k] takes ceil(steps_per_unit * |t_k - t_{k-1}|) uniform
-    steps, at least one.  The times must run monotonically away from 0
-    (all >= 0 and non-decreasing, or all <= 0 and non-increasing).
+    steps, at least one; steps_per_unit must be positive and finite.  The
+    times must run monotonically away from 0 (all >= 0 and
+    non-decreasing, or all <= 0 and non-increasing).
 
-    h_fn maps a time to the hermitian Hamiltonian matrix.  Each step is
-    the fourth-order Magnus step on the two-point Gauss-Legendre rule,
-    with its commutator term (global error h^4).  Because h_fn is
-    hermitian, the commutator [h1, h2] is P - P^dag with P = h1 h2: one
-    matrix product, and exactly anti-hermitian.  The step's Magnus
-    exponent goes through ``expm`` (its docstring states the accuracy):
-    at any step size a step costs a handful of matrix products and no
-    eigendecomposition.
+    The Hamiltonian is given as fixed terms, H(t) = sum_j c_j(t) M_j: a
+    sequence of (coefficient, matrix) pairs, each coefficient a scalar
+    function of time, and H(t) hermitian at every t.  Each step is the
+    fourth-order Magnus step on the two-point Gauss-Legendre rule t_1,
+    t_2, with its commutator term (global error h^4):
+
+        Omega = -i (h/2) (H_1 + H_2) + (sqrt(3)/12) h^2 [H_1, H_2].
+
+    The pairwise commutators [M_j, M_l] are formed once per sweep, so a
+    step forms Omega from scalar weights alone: c_j(t_1) + c_j(t_2) on
+    M_j, and c_j(t_1) c_l(t_2) - c_l(t_1) c_j(t_2) on [M_j, M_l].  The
+    exponential goes through ``expm`` (its docstring states the
+    accuracy): five products when ||Omega||_1 <= 0.33, one squaring more
+    per doubling past it, and no eigendecomposition.  With one product to
+    apply the step, a step costs six matrix products.
     """
-    if steps_per_unit <= 0:
-        raise ValueError("steps_per_unit must be positive")
+    if not 0 < steps_per_unit < math.inf:
+        raise ValueError("steps_per_unit must be positive and finite")
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("need a non-empty sequence of times")
@@ -212,35 +223,47 @@ def time_ordered_sweep(h_fn: Callable[[float], np.ndarray],
     if not ((np.all(ts >= 0) or np.all(ts <= 0))
             and np.all(np.diff(np.abs(ts)) >= 0)):
         raise ValueError("times must run monotonically away from 0")
+    coeffs = [c for c, _ in terms]
+    mats = [np.asarray(m) for _, m in terms]
+    if not mats:
+        raise ValueError("need at least one term")
+    if any(m.shape != (space.dim, space.dim) for m in mats):
+        raise ValueError(f"every term's matrix must be {space.dim} x {space.dim}")
+    pairs = list(itertools.combinations(range(len(mats)), 2))
+    # Omega's fixed matrices, flattened: the terms, then their commutators
+    fixed = np.array([*mats, *(mats[j] @ mats[l] - mats[l] @ mats[j]
+                               for j, l in pairs)], dtype=np.complex128)
+    fixed = fixed.reshape(len(fixed), -1)
     u = np.eye(space.dim, dtype=np.complex128)
     out = []
     start = 0.0
     for stop in ts.tolist():
         steps = max(1, math.ceil(steps_per_unit * abs(stop - start)))
         h_step = (stop - start) / steps
+        mean = -0.5j * h_step
+        comm = (math.sqrt(3.0) / 12.0) * h_step * h_step
         for k in range(steps):
             t0 = start + k * h_step
-            h1 = np.asarray(h_fn(t0 + _GAUSS_LO * h_step))
-            h2 = np.asarray(h_fn(t0 + _GAUSS_HI * h_step))
-            prod = h1 @ h2  # [h1, h2] = prod - prod^dag
-            omega = (-0.5j * h_step * (h1 + h2)
-                     + (math.sqrt(3.0) / 12.0) * h_step * h_step
-                     * (prod - prod.conj().T))
+            c1 = [c(t0 + _GAUSS_LO * h_step) for c in coeffs]
+            c2 = [c(t0 + _GAUSS_HI * h_step) for c in coeffs]
+            weights = ([mean * (a + b) for a, b in zip(c1, c2)]
+                       + [comm * (c1[j] * c2[l] - c1[l] * c2[j])
+                          for j, l in pairs])
+            omega = (np.array(weights) @ fixed).reshape(space.dim, space.dim)
             u = _expm_matrix(omega) @ u
         out.append(Operator(u, space))
         start = stop
     return out
 
 
-def time_ordered_propagator(h_fn: Callable[[float], np.ndarray], t: float,
-                            space: SpaceConfig,
+def time_ordered_propagator(terms: _Terms, t: float, space: SpaceConfig,
                             steps_per_unit: float = _STEPS_PER_UNIT) -> Operator:
     """Propagator U(t, 0) by uniform Magnus stepping: a one-time sweep.
 
     The step count is ceil(steps_per_unit * |t|), at least one; see
-    ``time_ordered_sweep`` for the step.
+    ``time_ordered_sweep`` for the terms and the step.
     """
-    return time_ordered_sweep(h_fn, [t], space, steps_per_unit)[0]
+    return time_ordered_sweep(terms, [t], space, steps_per_unit)[0]
 
 
 def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> SpectralDecomposition:

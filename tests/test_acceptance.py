@@ -25,7 +25,7 @@ from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams,
     annihilation, pauli, identity, hermitize, commutator,
     op_norm, interior_norm, interior_distance,
-    ith_fn, bh, bh_reference, jc_constants,
+    ith_terms, bh, bh_reference, jc_constants,
     Regime, regime_series, bh_first_second_order,
     jc_evolutor, jc_evolutor_breve, rwa_evolutor, first_order_evolutor,
     sandwich, exp_z1, y1_relation,
@@ -67,7 +67,7 @@ def crit1(space: SpaceConfig):
     scalars = {}
     for tag, p in points.items():
         chain = frame_chain_propagator(2.0, p, space)
-        stepped = time_ordered_propagator(ith_fn(p, space), 2.0, space,
+        stepped = time_ordered_propagator(ith_terms(p, space), 2.0, space,
                                           steps_per_unit=200)
         scalars[f"err_{tag}"] = interior_distance(chain, stepped, WINDOW)
     ok = all(v <= 1e-6 for v in scalars.values())

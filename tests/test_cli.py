@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from iontrap import (
-    SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn, bh,
-    exact_eigs, spectrum_second_order, time_ordered_propagator,
+    SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn, ith_terms,
+    bh, exact_eigs, spectrum_second_order, time_ordered_propagator,
     first_order_evolutor_fn, identity, interior_distance, decompose,
     regime_series, Regime, t_delta, t1,
 )
@@ -259,9 +259,12 @@ class TestSweepsFactorOnce:
 
     def test_frame_chain_integrates_once_to_the_last_time(self, monkeypatch):
         # defaults t = 0.5, 1, 1.5, 2 at 200 steps per unit: one sweep of
-        # 400 order-4 steps, two Hamiltonian evaluations each; each time
-        # from 0 would take 100 + 200 + 300 + 400 steps
-        evaluations = []
+        # 400 order-4 steps, one exponential each; each time from 0 would
+        # take 100 + 200 + 300 + 400 steps.  The steps weigh the lab
+        # Hamiltonian's fixed terms, so nothing evaluates H(t)
+        from iontrap import hamiltonians, oracle
+
+        evaluations, exponentials = [], []
 
         def counting_ith_fn(*args):
             h_of_t = ith_fn(*args)
@@ -272,14 +275,22 @@ class TestSweepsFactorOnce:
 
             return counted
 
-        monkeypatch.setattr(experiments, "ith_fn", counting_ith_fn)
+        expm_matrix = oracle._expm_matrix
+
+        def counting_expm(m):
+            exponentials.append(1)
+            return expm_matrix(m)
+
+        monkeypatch.setattr(hamiltonians, "ith_fn", counting_ith_fn)
+        monkeypatch.setattr(oracle, "_expm_matrix", counting_expm)
         # the steps' generators are small, so no step needs an eigensolver:
-        # only building the chain and the lab Hamiltonian call eigh
+        # only building the chain and the lab terms call eigh
         n_setup = (self.count_eigh(monkeypatch, frame_chain_fn, P_RES, SPACE)
-                   + self.count_eigh(monkeypatch, ith_fn, P_RES, SPACE))
+                   + self.count_eigh(monkeypatch, ith_terms, P_RES, SPACE))
         n_run = self.count_eigh(monkeypatch, frame_chain,
                                 P_RES, SPACE, Options({}), map)
-        assert len(evaluations) == 2 * 400
+        assert len(exponentials) == 400
+        assert len(evaluations) == 0
         assert n_run == n_setup
 
     def test_replay_steps_need_no_eigensolver(self, monkeypatch):
@@ -294,7 +305,7 @@ class TestSweepsFactorOnce:
                  for t in np.linspace(0.0, 2.0, 9)]
         assert 0.33 < max(norms) <= 0.66
         assert self.count_eigh(monkeypatch, time_ordered_propagator,
-                               h_of_t, 2.0, big, 200.0) == 0
+                               ith_terms(strong, big), 2.0, big, 200.0) == 0
 
 
 class TestResidualOrderExperiment:

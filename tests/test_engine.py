@@ -469,6 +469,30 @@ class TestRealPath:
         sol = solve(spec, series, 2)
         residual_norm(spec, series, sol, 0.05)
 
+    def test_eigenframe_is_formed_once_per_decomposition(self, monkeypatch):
+        # H0 in the gauge and the rotations are fixed for a decomposition:
+        # the solve and every residual_norm after it share one, with
+        # residuals bit for bit those of a fresh decomposition each call
+        from iontrap import engine
+
+        p = ModelParams.from_balanced(1.0, 1.05, 0.025, 0.05)
+        h0, series = regime_series(p, Regime.of("near_resonant", p), SPACE)
+        spec = decompose(h0)
+        sol = solve(spec, series, 2)
+        fresh = [residual_norm(decompose(h0), series, sol, lam, upto=n)
+                 for lam in (0.02, 0.08) for n in (1, 2)]
+        made = []
+        monkeypatch.setattr(engine, "_rotations",
+                            lambda v: made.append(1) or _rotations(v))
+        spec = decompose(h0)
+        assert not made
+        sol = solve(spec, series, 2)
+        kept = [residual_norm(spec, series, sol, lam, upto=n)
+                for lam in (0.02, 0.08) for n in (1, 2)]
+        assert len(made) == 1
+        assert kept == fresh
+        assert "_eigenframe" not in exact_propagator_fn(h0).__dict__
+
 
 class TestResidualNormReference:
     # the benchmark's perturbative grid at dim 242, against a dense

@@ -10,7 +10,8 @@ from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams,
     number, pauli, identity, basis_vector, op_norm, interior_distance,
     GROUND, EXCITED,
-    jc_constants, ith_fn, bh, bh_reference, h_check, frame_rotation, t_delta,
+    jc_constants, ith_fn, ith_terms, bh, bh_reference, h_check,
+    frame_rotation, t_delta,
     spectrum_second_order, anticrossing_shift,
     OverlapAmbiguityError, ConvergenceFit, GapScan, SpectralDecomposition,
     exact_eigs, exact_propagator, exact_propagator_fn, time_ordered_propagator,
@@ -225,7 +226,7 @@ class TestTimeOrderedPropagator:
     def test_static_generator_needs_no_ordering(self):
         h = bh(P_WEAK, SPACE)
         ref = exact_propagator(h, 1.7)
-        u = time_ordered_propagator(lambda t: h.mat, 1.7, SPACE,
+        u = time_ordered_propagator([(lambda t: 1.0, h.mat)], 1.7, SPACE,
                                     steps_per_unit=10)
         assert op_norm(u - ref) < 1e-12
 
@@ -233,15 +234,14 @@ class TestTimeOrderedPropagator:
         # H(t) = cos(t) M integrates to exp(-i sin(t) M)
         small = SpaceConfig(n_max=4, interior_margin=1)
         m = (number(small) + 0.3 * pauli("x", small)).mat
-        h_fn = lambda t: math.cos(t) * m
         w, v = np.linalg.eigh(m)
         ref = (v * np.exp(-1j * math.sin(2.0) * w)) @ v.conj().T
-        u = time_ordered_propagator(h_fn, 2.0, small, 200)
+        u = time_ordered_propagator([(math.cos, m)], 2.0, small, 200)
         assert np.linalg.norm(u.mat - ref, 2) < 1e-8
 
     def test_convergence_rate(self):
         # halving an order-4 step divides the error by about 2^4
-        f = ith_fn(P_WEAK, SPACE)
+        f = ith_terms(P_WEAK, SPACE)
         ref = frame_chain_propagator(1.0, P_WEAK, SPACE)
         e_coarse = interior_distance(
             time_ordered_propagator(f, 1.0, SPACE, 5), ref)
@@ -250,12 +250,19 @@ class TestTimeOrderedPropagator:
         assert 10.0 < e_coarse / e_fine < 24.0
 
     def test_argument_validation(self):
-        f = ith_fn(P_WEAK, SPACE)
+        f = ith_terms(P_WEAK, SPACE)
         with pytest.raises(ValueError):
             time_ordered_propagator(f, 1.0, SPACE, steps_per_unit=0)
 
+    @pytest.mark.parametrize("steps_per_unit", [math.inf, math.nan],
+                             ids=["inf", "nan"])
+    def test_steps_per_unit_must_be_finite(self, steps_per_unit):
+        f = ith_terms(P_WEAK, SPACE)
+        with pytest.raises(ValueError, match="finite"):
+            time_ordered_sweep(f, (0.5, 1.0), SPACE, steps_per_unit)
+
     def test_unitary(self):
-        f = ith_fn(P_WEAK, SPACE)
+        f = ith_terms(P_WEAK, SPACE)
         u = time_ordered_propagator(f, 0.5, SPACE, 50)
         assert op_norm(u.dag @ u - identity(SPACE)) < 1e-11
 
@@ -264,7 +271,7 @@ class TestTimeOrderedSweep:
     def test_grid_aligned_sweep_equals_separate_calls(self):
         # every time is on the step grid, so the sweep takes the same steps
         # as integrating each time from 0; only the node rounding differs
-        f = ith_fn(P_STRONG, SPACE)
+        f = ith_terms(P_STRONG, SPACE)
         times = (0.5, 1.0, 1.5, 2.0)
         swept = time_ordered_sweep(f, times, SPACE, 50)
         assert len(swept) == len(times)
@@ -276,7 +283,7 @@ class TestTimeOrderedSweep:
                              ids=["weak-drive", "strong-drive"])
     def test_off_grid_times_match_the_frame_chain(self, p):
         times = (0.3, 0.7, 1.25)
-        swept = time_ordered_sweep(ith_fn(p, SPACE), times, SPACE, 200)
+        swept = time_ordered_sweep(ith_terms(p, SPACE), times, SPACE, 200)
         chain = frame_chain_fn(p, SPACE)
         for t, u in zip(times, swept):
             assert interior_distance(chain(t), u) <= 1e-6
@@ -285,9 +292,9 @@ class TestTimeOrderedSweep:
                              ids=["weak-drive", "strong-drive"])
     def test_order_4_sweep_equals_a_reference_loop(self, p):
         # the textbook step: scipy's expm of the two-node Magnus exponent
-        # with the two-product commutator
+        # with the two-product commutator of the whole lab Hamiltonian
         f = ith_fn(p, SPACE)
-        swept = time_ordered_sweep(f, (0.5, 1.0), SPACE, 200)
+        swept = time_ordered_sweep(ith_terms(p, SPACE), (0.5, 1.0), SPACE, 200)
         h = 1.0 / 200
         u = np.eye(SPACE.dim, dtype=complex)
         for k in range(200):
@@ -300,8 +307,32 @@ class TestTimeOrderedSweep:
                 assert np.abs(swept[0].mat - u).max() <= 1e-12
         assert np.abs(swept[1].mat - u).max() <= 1e-12
 
+    @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
+                             ids=["weak-drive", "strong-drive"])
+    def test_lab_commutator_is_three_fixed_commutators(self, p):
+        # [H(t1), H(t2)] with H = h0 + Omega_R (phi K + conj(phi) K^dag),
+        # phi = e^{-i omega_L t}: Omega_R (phi2 - phi1) [h0, K], its
+        # conjugate on [h0, K^dag], 2i Omega_R^2 sin(omega_L (t2 - t1))
+        # on [K, K^dag]
+        (_, h0), (_, k), (_, k_dag) = ith_terms(p, SPACE)
+        fixed = [x @ y - y @ x for x, y in ((h0, k), (h0, k_dag), (k, k_dag))]
+        f = ith_fn(p, SPACE)
+        # apart, since h1 @ h2 - h2 @ h1 itself cancels as t2 nears t1
+        for t1, t2 in ((0.0, 0.5), (0.2, 1.3), (1.7, 0.4), (2.5, -1.2),
+                       (0.9, 0.6)):
+            phi1 = np.exp(-1j * p.omega_L * t1)
+            phi2 = np.exp(-1j * p.omega_L * t2)
+            weight = p.Omega_R * (phi2 - phi1)
+            combined = (weight * fixed[0] + np.conj(weight) * fixed[1]
+                        + 2j * p.Omega_R ** 2
+                        * math.sin(p.omega_L * (t2 - t1)) * fixed[2])
+            h1, h2 = f(t1), f(t2)
+            direct = h1 @ h2 - h2 @ h1
+            assert (np.linalg.norm(combined - direct)
+                    <= 1e-12 * np.linalg.norm(direct))
+
     def test_negative_times_run_backwards(self):
-        f = ith_fn(P_WEAK, SPACE)
+        f = ith_terms(P_WEAK, SPACE)
         swept = time_ordered_sweep(f, (0.0, -0.5, -1.0), SPACE, 20)
         assert op_norm(swept[0] - identity(SPACE)) < 1e-12
         ref = time_ordered_propagator(f, -1.0, SPACE, 20)
@@ -312,7 +343,7 @@ class TestTimeOrderedSweep:
                              ids=["decreasing", "mixed-signs", "sign-flip",
                                   "back-to-zero", "empty", "nan"])
     def test_times_must_run_away_from_zero(self, times):
-        f = ith_fn(P_WEAK, SPACE)
+        f = ith_terms(P_WEAK, SPACE)
         with pytest.raises(ValueError):
             time_ordered_sweep(f, times, SPACE, 20)
 
@@ -334,14 +365,14 @@ class TestFrameChain:
         # frame; nothing perturbative anywhere
         t = 2.0
         chain = frame_chain_propagator(t, p, SPACE)
-        stepped = time_ordered_propagator(ith_fn(p, SPACE), t, SPACE,
+        stepped = time_ordered_propagator(ith_terms(p, SPACE), t, SPACE,
                                           steps_per_unit=200)
         assert interior_distance(chain, stepped) <= 1e-6
 
     def test_integrator_error_is_integrator_sided(self):
         # halving the step shrinks the disagreement: the chain is exact
         p = P_WEAK
-        f = ith_fn(p, SPACE)
+        f = ith_terms(p, SPACE)
         chain = frame_chain_propagator(2.0, p, SPACE)
         d_coarse = interior_distance(
             time_ordered_propagator(f, 2.0, SPACE, 5), chain)
