@@ -9,8 +9,6 @@ brute-force time-ordered integration of the lab Hamiltonian is the
 integrator's own step error.
 """
 
-import numpy as np
-
 from iontrap import (
     SpaceConfig, ModelParams, identity,
     ith_terms, rfh, bh, frame_rotation, t_delta,

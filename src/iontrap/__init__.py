@@ -53,7 +53,6 @@ from .hamiltonians import (
     jc_hamiltonian,
     jc_constants,
     ith,
-    ith_fn,
     ith_terms,
     frame_rotation,
     rfh,
@@ -116,11 +115,8 @@ from .oracle import (
     ConvergenceFit,
     GapScan,
     exact_eigs,
-    exact_propagator,
     exact_propagator_fn,
-    time_ordered_propagator,
     time_ordered_sweep,
-    frame_chain_propagator,
     frame_chain_fn,
     fit_order,
     scan_gap,

@@ -14,7 +14,8 @@ byte-identical files; nothing wall-clock-dependent is recorded.
 The experiment's points run in turn, in one thread, with numpy's
 overflow and invalid-operation checks raising.
 
-Exit codes: 0 success, 2 config error, 3 numerical diagnostic.
+Exit codes: 0 success, 2 config error (an --out that cannot be made a
+directory included), 3 numerical diagnostic.
 """
 
 from __future__ import annotations
@@ -185,7 +186,12 @@ def _run(config_path: str, out_dir: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     fn = EXPERIMENTS[cfg.experiment]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path beneath one
+        print(f"config error: cannot make --out {out_dir!r} a directory: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
 
     diagnostic = None
     try:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    Operator, _expm_matrix, _hermiticity_defect, _interior_size,
-    _into_gauge, _out_of_gauge,
+    Operator, _expm_matrix, _flat_gauge_phases, _hermiticity_defect,
+    _interior_size, _into_gauge, _out_of_gauge, _real_if_exact,
 )
 from .oracle import SpectralDecomposition, exact_eigs
 
@@ -339,13 +339,18 @@ def _rotations(v: np.ndarray):
 def _eigenframe(spec: SpectralDecomposition):
     """``_rotations`` of the gauge eigenbasis, and H0 in the gauge.
 
-    Both are fixed for a decomposition, so they are formed on its first
-    ``solve`` or ``residual_norm`` and kept on it; a decomposition the
-    engine never reads (a propagator's, say) pays nothing.
+    The gauge eigenbasis is U^dag L, in the dtype ``_real_if_exact`` gives
+    it: for a decomposition of ``exact_eigs``, bit for bit the eigenvectors
+    it factored, since U's phases are exact.  The rotations and H0 are
+    fixed for a decomposition, so they are formed on its first ``solve``
+    or ``residual_norm`` and kept on it; a decomposition the engine never
+    reads (a propagator's, say) pays nothing, the gauge eigenbasis
+    included.
     """
     frame = spec.__dict__.get("_eigenframe")
     if frame is None:
-        to_eig, from_eig = _rotations(spec._gauge_basis)
+        to_eig, from_eig = _rotations(_real_if_exact(
+            _flat_gauge_phases(spec.space).conj()[:, None] * spec.eigenbasis))
         h0 = from_eig(np.diag(spec.eigenvalues))
         h0.flags.writeable = False
         frame = (to_eig, from_eig, h0)

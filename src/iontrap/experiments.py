@@ -348,6 +348,8 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     opts.finish()
     if any(n < 1 for n in levels):
         raise ConfigError("levels must be positive integers")
+    if len(set(levels)) != len(levels):  # each rung names one table
+        raise ConfigError(f"levels must not repeat a rung; got {levels}")
     if max(levels) > space.n_max:  # rung n pairs |n-1,e> with |n,g>
         raise ConfigError(f"levels must be at most n_max = {space.n_max}")
     if points < 5:

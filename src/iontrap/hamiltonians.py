@@ -184,18 +184,9 @@ def jc_constants(p: JCParams, space: SpaceConfig) -> tuple[Operator, Operator]:
 # -- lab frame and rotating frame ----------------------------------------------
 
 def ith(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
-    """Lab-frame Hamiltonian at time t (trap + splitting + laser drive)."""
-    return Operator(ith_fn(p, space)(t), space)
-
-
-def ith_fn(p: ModelParams, space: SpaceConfig):
-    """Closure t -> ith(t).mat: the sum of ``ith_terms`` at t."""
-    terms = ith_terms(p, space)
-
-    def h_of_t(t: float) -> np.ndarray:
-        return sum(c(t) * m for c, m in terms)
-
-    return h_of_t
+    """Lab-frame Hamiltonian at time t (trap + splitting + laser drive):
+    the sum of ``ith_terms`` at t."""
+    return Operator(sum(c(t) * m for c, m in ith_terms(p, space)), space)
 
 
 def ith_terms(p: ModelParams, space: SpaceConfig) -> tuple:

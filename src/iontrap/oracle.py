@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (
-    SpaceConfig, Operator, basis_vector, op_norm, pauli, _expm_matrix,
+    SpaceConfig, BasisIndex, Operator, op_norm, pauli, _expm_matrix,
     _below_limit, _hermiticity_defect, _flat_gauge_phases, _into_gauge,
-    _real_if_exact, GROUND, EXCITED,
+    GROUND, EXCITED,
 )
 from .hamiltonians import ModelParams, bh, t_delta
 
@@ -122,13 +122,6 @@ class SpectralDecomposition:
         adjoint = self.eigenbasis.conj().T  # L^dag, formed once
         adjoint.flags.writeable = False
         object.__setattr__(self, "_adjoint", adjoint)
-        # U^dag L, the eigenbasis in the Fock phase gauge, formed once: for
-        # a decomposition of ``exact_eigs`` these are, bit for bit, the
-        # eigenvectors it factored, since U's phases are exact
-        gauge = _real_if_exact(
-            _flat_gauge_phases(self.space).conj()[:, None] * self.eigenbasis)
-        gauge.flags.writeable = False
-        object.__setattr__(self, "_gauge_basis", gauge)
 
     @property
     def dim(self) -> int:
@@ -177,11 +170,6 @@ def exact_propagator_fn(h: Operator) -> SpectralDecomposition:
     """
     values, vectors = exact_eigs(h)
     return SpectralDecomposition(h.space, values, vectors)
-
-
-def exact_propagator(h: Operator, t: float) -> Operator:
-    """expm(-i H t) = V e^{-i E t} V^dag; see ``exact_propagator_fn``."""
-    return exact_propagator_fn(h)(t)
 
 
 def time_ordered_sweep(terms: _Terms,
@@ -256,16 +244,6 @@ def time_ordered_sweep(terms: _Terms,
     return out
 
 
-def time_ordered_propagator(terms: _Terms, t: float, space: SpaceConfig,
-                            steps_per_unit: float = _STEPS_PER_UNIT) -> Operator:
-    """Propagator U(t, 0) by uniform Magnus stepping: a one-time sweep.
-
-    The step count is ceil(steps_per_unit * |t|), at least one; see
-    ``time_ordered_sweep`` for the terms and the step.
-    """
-    return time_ordered_sweep(terms, [t], space, steps_per_unit)[0]
-
-
 def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> SpectralDecomposition:
     """t -> lab-frame propagator assembled algebraically, with no time ordering.
 
@@ -283,12 +261,6 @@ def frame_chain_fn(p: ModelParams, space: SpaceConfig) -> SpectralDecomposition:
     rates = 0.5 * p.omega_L * pauli("z", space).mat.diagonal().real
     return SpectralDecomposition(space, values, td.conj().T @ vectors,
                                  rates=rates)
-
-
-def frame_chain_propagator(t: float, p: ModelParams,
-                           space: SpaceConfig) -> Operator:
-    """R_t^dag T^dag e^{-i H_bal t} T at one time; see ``frame_chain_fn``."""
-    return frame_chain_fn(p, space)(t)
 
 
 # -- convergence-order fitting --------------------------------------------------
@@ -417,12 +389,13 @@ def _rung_levels(n: int, values: np.ndarray, vectors: np.ndarray,
     The two eigenvectors with the largest squared projection onto
     span{|n-1,e>, |n,g>} are the rung's levels; a projection under 0.8 is
     refused with OverlapAmbiguityError instead of guessed.  where is
-    appended to the error message.
+    appended to the error message.  The projections are read off the
+    two basis rows of the eigenvector matrix.
     """
-    va = basis_vector(space, n - 1, EXCITED)
-    vb = basis_vector(space, n, GROUND)
-    overlap = (np.abs(vectors.conj().T @ va) ** 2
-               + np.abs(vectors.conj().T @ vb) ** 2)
+    if not 1 <= n <= space.n_max:
+        raise ValueError(f"rung n must be in 1..{space.n_max}, got {n}")
+    overlap = (np.abs(vectors[BasisIndex(n - 1, EXCITED).flat]) ** 2
+               + np.abs(vectors[BasisIndex(n, GROUND).flat]) ** 2)
     pick = np.argsort(overlap)[-2:]
     if overlap[pick].min() < _OVERLAP_THRESHOLD:
         raise OverlapAmbiguityError(

@@ -31,8 +31,8 @@ from iontrap import (
     sandwich, exp_z1, y1_relation,
     spectrum_second_order, levels_first_order, levels_rwa,
     anticrossing_shift,
-    exact_eigs, exact_propagator, time_ordered_propagator,
-    frame_chain_propagator, fit_order, scan_gap,
+    exact_eigs, exact_propagator_fn, time_ordered_sweep, frame_chain_fn,
+    fit_order, scan_gap,
 )
 from iontrap.engine import decompose, solve, residual_norm
 from iontrap.operators import expm
@@ -66,9 +66,9 @@ def crit1(space: SpaceConfig):
     }
     scalars = {}
     for tag, p in points.items():
-        chain = frame_chain_propagator(2.0, p, space)
-        stepped = time_ordered_propagator(ith_terms(p, space), 2.0, space,
-                                          steps_per_unit=200)
+        chain = frame_chain_fn(p, space)(2.0)
+        stepped = time_ordered_sweep(ith_terms(p, space), [2.0], space,
+                                     steps_per_unit=200)[0]
         scalars[f"err_{tag}"] = interior_distance(chain, stepped, WINDOW)
     ok = all(v <= 1e-6 for v in scalars.values())
     detail = ", ".join(f"{k}={v:.3e}" for k, v in scalars.items()) + " (<= 1e-6)"
@@ -158,7 +158,7 @@ def crit4(space: SpaceConfig):
     def err(evolutor, lam):
         p = resonant(lam)
         return interior_distance(evolutor(t, p, space),
-                                 exact_propagator(bh(p, space), t), WINDOW)
+                                 exact_propagator_fn(bh(p, space))(t), WINDOW)
 
     fit_rwa = fit_order(lambda lam: err(rwa_evolutor, lam), GRID_RWA)
     fit_e1 = fit_order(lambda lam: err(first_order_evolutor, lam), GRID_RWA)
@@ -279,17 +279,17 @@ def crit8(space: SpaceConfig):
         pj = JCParams(nu=1.0, omega=1.0, lam=lam)
         _, s_const = jc_constants(pj, space)
         worst = max(worst, interior_distance(
-            jc_evolutor(t, pj, space), exact_propagator(s_const, t), WINDOW))
+            jc_evolutor(t, pj, space), exact_propagator_fn(s_const)(t), WINDOW))
         p = resonant(lam)
         gen = hermitize(1j * lam * p.nu * (
             a @ pauli("+", space) - a.dag @ pauli("-", space)))
         worst = max(worst, interior_distance(
-            jc_evolutor_breve(t, p, space), exact_propagator(gen, t), WINDOW))
+            jc_evolutor_breve(t, p, space), exact_propagator_fn(gen)(t), WINDOW))
         z1 = -0.5 * lam * (a @ pauli("-", space) + a.dag @ pauli("+", space))
         worst = max(worst, interior_distance(
             exp_z1(p, space), expm(1j * z1), WINDOW))
         u = exp_z1(p, space)
-        want = u.dag @ exact_propagator(bh_reference(p, space), t) @ u
+        want = u.dag @ exact_propagator_fn(bh_reference(p, space))(t) @ u
         worst = max(worst, interior_distance(sandwich(t, p, space), want,
                                              WINDOW))
     scalars = {"worst_evolutor_err": worst}
@@ -304,7 +304,7 @@ def crit9(space: SpaceConfig):
     def err(lam):
         p = resonant(lam)
         return interior_distance(y1_relation(t, p, space),
-                                 exact_propagator(bh(p, space), t), WINDOW)
+                                 exact_propagator_fn(bh(p, space))(t), WINDOW)
 
     fit = fit_order(err, GRID)
     scalars = {"y1_slope": fit.slope}

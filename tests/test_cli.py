@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from iontrap import (
-    SpaceConfig, ModelParams, experiments, frame_chain_fn, ith_fn, ith_terms,
-    bh, exact_eigs, spectrum_second_order, time_ordered_propagator,
+    SpaceConfig, ModelParams, experiments, frame_chain_fn, ith, ith_terms,
+    bh, exact_eigs, spectrum_second_order, time_ordered_sweep,
     first_order_evolutor_fn, identity, interior_distance, decompose,
     regime_series, Regime, t_delta, t1,
 )
@@ -266,14 +266,9 @@ class TestSweepsFactorOnce:
 
         evaluations, exponentials = [], []
 
-        def counting_ith_fn(*args):
-            h_of_t = ith_fn(*args)
-
-            def counted(t):
-                evaluations.append(t)
-                return h_of_t(t)
-
-            return counted
+        def counting_ith(t, *args):
+            evaluations.append(t)
+            return ith(t, *args)
 
         expm_matrix = oracle._expm_matrix
 
@@ -281,7 +276,7 @@ class TestSweepsFactorOnce:
             exponentials.append(1)
             return expm_matrix(m)
 
-        monkeypatch.setattr(hamiltonians, "ith_fn", counting_ith_fn)
+        monkeypatch.setattr(hamiltonians, "ith", counting_ith)
         monkeypatch.setattr(oracle, "_expm_matrix", counting_expm)
         # the steps' generators are small, so no step needs an eigensolver:
         # only building the chain and the lab terms call eigh
@@ -300,12 +295,11 @@ class TestSweepsFactorOnce:
         big = SpaceConfig(n_max=60, interior_margin=15)
         strong = ModelParams(nu=1.0, omega_ge=1.3, omega_L=1.0,
                              Omega_R=5.0, eta=0.1)
-        h_of_t = ith_fn(strong, big)
-        norms = [np.abs(h_of_t(t)).sum(axis=0).max() / 200.0
+        norms = [np.abs(ith(t, strong, big).mat).sum(axis=0).max() / 200.0
                  for t in np.linspace(0.0, 2.0, 9)]
         assert 0.33 < max(norms) <= 0.66
-        assert self.count_eigh(monkeypatch, time_ordered_propagator,
-                               ith_terms(strong, big), 2.0, big, 200.0) == 0
+        assert self.count_eigh(monkeypatch, time_ordered_sweep,
+                               ith_terms(strong, big), [2.0], big, 200.0) == 0
 
 
 class TestResidualOrderExperiment:
@@ -396,6 +390,13 @@ class TestAnticrossingExperiment:
             anticrossing(P_RES, small, Options({"levels": "1,7"}), map)
         with pytest.raises(DiagnosticError, match="missed minimum at n=6"):
             anticrossing(P_RES, small, Options({"levels": "6"}), map)
+
+    def test_repeated_rung_is_a_config_error(self):
+        # each rung names one table, anticrossing_n<rung>.csv
+        with pytest.raises(ConfigError, match="repeat"):
+            anticrossing(P_RES, SPACE, Options({"levels": "1,1"}), map)
+        with pytest.raises(ConfigError, match="repeat"):
+            anticrossing(P_RES, SPACE, Options({"levels": "2,1,2"}), map)
 
     def test_ambiguity_is_a_diagnostic(self):
         strong = ModelParams.from_balanced(1.0, 1.0, 0.12, 0.6)
@@ -527,6 +528,18 @@ class TestRunner:
     def test_config_error_exit_2(self, tmp_path):
         assert self.run(tmp_path, "") == 2
         assert self.run(tmp_path, REDUCED + "[experiment]\nname = bogus\n") == 2
+
+    def test_out_that_cannot_be_a_directory_exit_2(self, tmp_path, capsys):
+        # an existing file, and a path beneath it: the run stops before
+        # the experiment, with one line and no traceback
+        (tmp_path / "taken").write_text("")
+        text = REDUCED + "[experiment]\nname = spectrum\nn_levels = 4\n"
+        for out in ("taken", "taken/sub/dir"):
+            assert self.run(tmp_path, text, out) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot make --out")
+            assert len(err.splitlines()) == 1
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_option_error_exit_2(self, tmp_path):
         text = REDUCED + "[experiment]\nname = spectrum\nwidgets = 7\n"

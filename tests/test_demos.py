@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, with every
+warning raised as an error."""
 
 import os
 import pathlib
@@ -22,6 +23,6 @@ def test_demo_runs_clean(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src])
     proc = subprocess.run(
-        [sys.executable, "-W", "error::UserWarning", str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

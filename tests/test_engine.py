@@ -12,7 +12,7 @@ from iontrap import (
     chi, gamma, ClusterAmbiguityError, decompose, InteractionSeries,
     diagonal_split, build_G, solve, solve_ladder, assemble, residual_norm,
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor,
-    exact_eigs, exact_propagator, exact_propagator_fn, fit_order,
+    exact_eigs, exact_propagator_fn, frame_chain_fn, fit_order,
 )
 from iontrap.engine import _Banded, _add_commutator, _rotations
 from iontrap.operators import expm
@@ -438,14 +438,14 @@ class TestRealPath:
         ("eta_much_less", 1.0, 0.0), ("near_resonant", 1.05, 0.025)])
     def test_gauge_basis_is_the_factored_eigenvectors(self, monkeypatch, kind,
                                                       delta_breve, eta_breve):
-        # the decomposition keeps U^dag V once: bit for bit the real
-        # eigenvectors exact_eigs factored, read-only, and nothing in
-        # solve or residual_norm re-derives it from the Fock basis
-        from iontrap import oracle
+        # the first solve hands _rotations U^dag V: bit for bit the real
+        # eigenvectors exact_eigs factored, and nothing in a later solve
+        # or residual_norm re-derives it from the Fock basis
+        from iontrap import engine
 
         p = ModelParams.from_balanced(1.0, delta_breve, eta_breve, 0.05)
         h0, series = regime_series(p, Regime.of(kind, p), SPACE)
-        factored = []
+        factored, rotated = [], []
 
         def eigh(a):
             out = eigh_orig(a)
@@ -456,18 +456,31 @@ class TestRealPath:
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", eigh)
             spec = decompose(h0)
-        (vectors,) = factored
-        assert spec._gauge_basis.dtype == np.float64
-        assert np.array_equal(spec._gauge_basis, vectors)
-        assert not spec._gauge_basis.flags.writeable
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_rotations",
+                          lambda v: rotated.append(v) or _rotations(v))
+            solve(spec, series, 2)
+        (vectors,), (basis,) = factored, rotated
+        assert basis.dtype == np.float64
+        assert np.array_equal(basis, vectors)
 
         def fail(*args):
             raise AssertionError("gauge eigenbasis re-derived")
 
-        monkeypatch.setattr(oracle, "_flat_gauge_phases", fail)
-        monkeypatch.setattr(oracle, "_real_if_exact", fail)
+        monkeypatch.setattr(engine, "_flat_gauge_phases", fail)
+        monkeypatch.setattr(engine, "_real_if_exact", fail)
         sol = solve(spec, series, 2)
         residual_norm(spec, series, sol, 0.05)
+
+    def test_propagator_builders_form_no_gauge_basis(self):
+        # only the engine reads the gauge eigenbasis, so a propagator's
+        # decomposition carries its eigenbasis and adjoint and nothing more
+        p = ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0, Omega_R=0.25,
+                        eta=0.1)
+        for spec in (exact_propagator_fn(bh(p, SPACE)),
+                     frame_chain_fn(p, SPACE)):
+            assert set(vars(spec)) == {"space", "eigenvalues", "eigenbasis",
+                                       "clusters", "rates", "_adjoint"}
 
     def test_eigenframe_is_formed_once_per_decomposition(self, monkeypatch):
         # H0 in the gauge and the rotations are fixed for a decomposition:
@@ -787,14 +800,14 @@ class TestHigherOrdersBehindTheGates:
         t, grid = 3.0, (0.02, 0.04, 0.08, 0.16)
 
         def exact(lam):
-            return exact_propagator(bh(_resonant_family(lam), SPACE), t)
+            return exact_propagator_fn(bh(_resonant_family(lam), SPACE))(t)
 
         def err_second(lam):
             p = _resonant_family(lam)
             h0, series = regime_series(p, Regime.of("eta_much_less", p), SPACE)
             sol = solve(decompose(h0), series, 2)
             w = sol.generator(lam, 2)
-            u = (expm(-1j * w) @ exact_propagator(h0 + sol.constant(lam, 2), t)
+            u = (expm(-1j * w) @ exact_propagator_fn(h0 + sol.constant(lam, 2))(t)
                  @ expm(1j * w))
             return interior_distance(u, exact(lam), SPACE.n_interior)
 
@@ -820,5 +833,5 @@ class TestHigherOrdersBehindTheGates:
         rot = expm(1j * sol.generator(lam, 1))
         dressed = h0 + sol.constant(lam, 1)
         for t in (0.0, 0.7, 3.0, -1.3):
-            u1 = rot.dag @ exact_propagator(dressed, t) @ rot
+            u1 = rot.dag @ exact_propagator_fn(dressed)(t) @ rot
             assert op_norm(u1 - first_order_evolutor(t, p, SPACE)) < 1e-12

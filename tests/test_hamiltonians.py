@@ -14,7 +14,7 @@ from iontrap import (
     annihilation, number, pauli, identity, basis_vector, op_norm,
     commutator, interior_norm, interior_distance, to_fock_blocks, hermitize,
     jc_hamiltonian, jc_constants,
-    ith, ith_fn, frame_rotation, rfh, rwa_effective,
+    ith, frame_rotation, rfh, rwa_effective,
     kappa_coefficients, epsilon_coefficients,
     t1, t2, t3, t_delta,
     bh_reference, bh_interaction_term, bh_interaction_series, bh_series_order, bh,
@@ -137,11 +137,6 @@ class TestLabAndRotatingFrames:
         h = ith(0.5, p, SPACE)
         expected = p.nu * number(SPACE) + 0.5 * p.omega_ge * pauli("z", SPACE)
         assert op_norm(h - expected) == 0.0
-
-    def test_ith_fn_matches_ith(self):
-        f = ith_fn(P_REF, SPACE)
-        for t in (0.0, 1.1, 4.2):
-            assert np.max(np.abs(f(t) - ith(t, P_REF, SPACE).mat)) < 1e-14
 
     def test_frame_rotation_unitary_diagonal(self):
         r = frame_rotation(1.3, P_REF, SPACE)

@@ -10,14 +10,14 @@ from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams,
     number, pauli, identity, basis_vector, op_norm, interior_distance,
     GROUND, EXCITED,
-    jc_constants, ith_fn, ith_terms, bh, bh_reference, h_check,
+    jc_constants, ith, ith_terms, bh, bh_reference, h_check,
     frame_rotation, t_delta,
     spectrum_second_order, anticrossing_shift,
     OverlapAmbiguityError, ConvergenceFit, GapScan, SpectralDecomposition,
-    exact_eigs, exact_propagator, exact_propagator_fn, time_ordered_propagator,
-    time_ordered_sweep, frame_chain_propagator, frame_chain_fn, fit_order, scan_gap,
+    exact_eigs, exact_propagator_fn, time_ordered_sweep, frame_chain_fn,
+    fit_order, scan_gap,
 )
-from iontrap.oracle import _parabolic_argmin
+from iontrap.oracle import _parabolic_argmin, _rung_levels
 
 SPACE = SpaceConfig()
 
@@ -160,27 +160,27 @@ class TestExactEigs:
 class TestExactPropagator:
     def test_identity_at_zero(self):
         h = bh_reference(P_WEAK, SPACE)
-        assert op_norm(exact_propagator(h, 0.0) - identity(SPACE)) < 1e-13
+        assert op_norm(exact_propagator_fn(h)(0.0) - identity(SPACE)) < 1e-13
 
     def test_unitary(self):
-        u = exact_propagator(bh(P_WEAK, SPACE), 2.0)
+        u = exact_propagator_fn(bh(P_WEAK, SPACE))(2.0)
         assert op_norm(u.dag @ u - identity(SPACE)) < 1e-10
 
     def test_group_law(self):
         h = bh(P_WEAK, SPACE)
-        lhs = exact_propagator(h, 1.1) @ exact_propagator(h, 0.6)
-        assert op_norm(lhs - exact_propagator(h, 1.7)) < 1e-9
+        u = exact_propagator_fn(h)
+        assert op_norm(u(1.1) @ u(0.6) - u(1.7)) < 1e-9
 
     def test_against_generic_expm(self):
         h = bh(P_WEAK, SPACE)
-        u = exact_propagator(h, 1.3)
+        u = exact_propagator_fn(h)(1.3)
         ref = scipy.linalg.expm(-1.3j * h.mat)
         assert np.linalg.norm(u.mat - ref, 2) < 1e-10
 
     def test_eigenvector_picks_up_its_phase(self):
         h = bh(P_WEAK, SPACE)
         values, vectors = exact_eigs(h)
-        u = exact_propagator(h, 2.4)
+        u = exact_propagator_fn(h)(2.4)
         v = vectors[:, 7]
         assert np.linalg.norm(u.mat @ v - np.exp(-2.4j * values[7]) * v) < 1e-12
 
@@ -197,7 +197,7 @@ class TestFactoredPropagator:
         h, td = bh(p, SPACE), t_delta(p, SPACE)
         for t in self.TIMES:
             want = (frame_rotation(t, p, SPACE).dag @ td.dag
-                    @ exact_propagator(h, t) @ td)
+                    @ exact_propagator_fn(h)(t) @ td)
             assert op_norm(chain(t) - want) < 1e-12
 
     def test_apply_equals_matrix_times_state(self):
@@ -225,9 +225,9 @@ class TestFactoredPropagator:
 class TestTimeOrderedPropagator:
     def test_static_generator_needs_no_ordering(self):
         h = bh(P_WEAK, SPACE)
-        ref = exact_propagator(h, 1.7)
-        u = time_ordered_propagator([(lambda t: 1.0, h.mat)], 1.7, SPACE,
-                                    steps_per_unit=10)
+        ref = exact_propagator_fn(h)(1.7)
+        u = time_ordered_sweep([(lambda t: 1.0, h.mat)], [1.7], SPACE,
+                               steps_per_unit=10)[0]
         assert op_norm(u - ref) < 1e-12
 
     def test_commuting_time_dependence(self):
@@ -236,23 +236,23 @@ class TestTimeOrderedPropagator:
         m = (number(small) + 0.3 * pauli("x", small)).mat
         w, v = np.linalg.eigh(m)
         ref = (v * np.exp(-1j * math.sin(2.0) * w)) @ v.conj().T
-        u = time_ordered_propagator([(math.cos, m)], 2.0, small, 200)
+        u = time_ordered_sweep([(math.cos, m)], [2.0], small, 200)[0]
         assert np.linalg.norm(u.mat - ref, 2) < 1e-8
 
     def test_convergence_rate(self):
         # halving an order-4 step divides the error by about 2^4
         f = ith_terms(P_WEAK, SPACE)
-        ref = frame_chain_propagator(1.0, P_WEAK, SPACE)
+        ref = frame_chain_fn(P_WEAK, SPACE)(1.0)
         e_coarse = interior_distance(
-            time_ordered_propagator(f, 1.0, SPACE, 5), ref)
+            time_ordered_sweep(f, [1.0], SPACE, 5)[0], ref)
         e_fine = interior_distance(
-            time_ordered_propagator(f, 1.0, SPACE, 10), ref)
+            time_ordered_sweep(f, [1.0], SPACE, 10)[0], ref)
         assert 10.0 < e_coarse / e_fine < 24.0
 
     def test_argument_validation(self):
         f = ith_terms(P_WEAK, SPACE)
         with pytest.raises(ValueError):
-            time_ordered_propagator(f, 1.0, SPACE, steps_per_unit=0)
+            time_ordered_sweep(f, [1.0], SPACE, steps_per_unit=0)
 
     @pytest.mark.parametrize("steps_per_unit", [math.inf, math.nan],
                              ids=["inf", "nan"])
@@ -263,7 +263,7 @@ class TestTimeOrderedPropagator:
 
     def test_unitary(self):
         f = ith_terms(P_WEAK, SPACE)
-        u = time_ordered_propagator(f, 0.5, SPACE, 50)
+        u = time_ordered_sweep(f, [0.5], SPACE, 50)[0]
         assert op_norm(u.dag @ u - identity(SPACE)) < 1e-11
 
 
@@ -276,7 +276,7 @@ class TestTimeOrderedSweep:
         swept = time_ordered_sweep(f, times, SPACE, 50)
         assert len(swept) == len(times)
         for t, u in zip(times, swept):
-            ref = time_ordered_propagator(f, t, SPACE, 50)
+            ref = time_ordered_sweep(f, [t], SPACE, 50)[0]
             assert np.abs(u.mat - ref.mat).max() <= 1e-12
 
     @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
@@ -293,13 +293,12 @@ class TestTimeOrderedSweep:
     def test_order_4_sweep_equals_a_reference_loop(self, p):
         # the textbook step: scipy's expm of the two-node Magnus exponent
         # with the two-product commutator of the whole lab Hamiltonian
-        f = ith_fn(p, SPACE)
         swept = time_ordered_sweep(ith_terms(p, SPACE), (0.5, 1.0), SPACE, 200)
         h = 1.0 / 200
         u = np.eye(SPACE.dim, dtype=complex)
         for k in range(200):
-            h1 = f(k * h + (0.5 - math.sqrt(3.0) / 6.0) * h)
-            h2 = f(k * h + (0.5 + math.sqrt(3.0) / 6.0) * h)
+            h1 = ith(k * h + (0.5 - math.sqrt(3.0) / 6.0) * h, p, SPACE).mat
+            h2 = ith(k * h + (0.5 + math.sqrt(3.0) / 6.0) * h, p, SPACE).mat
             omega = (-0.5j * h * (h1 + h2)
                      + math.sqrt(3.0) / 12.0 * h * h * (h1 @ h2 - h2 @ h1))
             u = scipy.linalg.expm(omega) @ u
@@ -316,7 +315,6 @@ class TestTimeOrderedSweep:
         # on [K, K^dag]
         (_, h0), (_, k), (_, k_dag) = ith_terms(p, SPACE)
         fixed = [x @ y - y @ x for x, y in ((h0, k), (h0, k_dag), (k, k_dag))]
-        f = ith_fn(p, SPACE)
         # apart, since h1 @ h2 - h2 @ h1 itself cancels as t2 nears t1
         for t1, t2 in ((0.0, 0.5), (0.2, 1.3), (1.7, 0.4), (2.5, -1.2),
                        (0.9, 0.6)):
@@ -326,7 +324,7 @@ class TestTimeOrderedSweep:
             combined = (weight * fixed[0] + np.conj(weight) * fixed[1]
                         + 2j * p.Omega_R ** 2
                         * math.sin(p.omega_L * (t2 - t1)) * fixed[2])
-            h1, h2 = f(t1), f(t2)
+            h1, h2 = ith(t1, p, SPACE).mat, ith(t2, p, SPACE).mat
             direct = h1 @ h2 - h2 @ h1
             assert (np.linalg.norm(combined - direct)
                     <= 1e-12 * np.linalg.norm(direct))
@@ -335,7 +333,7 @@ class TestTimeOrderedSweep:
         f = ith_terms(P_WEAK, SPACE)
         swept = time_ordered_sweep(f, (0.0, -0.5, -1.0), SPACE, 20)
         assert op_norm(swept[0] - identity(SPACE)) < 1e-12
-        ref = time_ordered_propagator(f, -1.0, SPACE, 20)
+        ref = time_ordered_sweep(f, [-1.0], SPACE, 20)[0]
         assert np.abs(swept[2].mat - ref.mat).max() <= 1e-12
 
     @pytest.mark.parametrize("times", [(1.0, 0.5), (-0.5, 0.5), (0.5, -1.0),
@@ -350,11 +348,11 @@ class TestTimeOrderedSweep:
 
 class TestFrameChain:
     def test_identity_at_zero(self):
-        u = frame_chain_propagator(0.0, P_WEAK, SPACE)
+        u = frame_chain_fn(P_WEAK, SPACE)(0.0)
         assert op_norm(u - identity(SPACE)) < 1e-10
 
     def test_interior_unitary(self):
-        u = frame_chain_propagator(2.0, P_WEAK, SPACE)
+        u = frame_chain_fn(P_WEAK, SPACE)(2.0)
         prod = u.dag @ u
         assert interior_distance(prod, identity(SPACE)) < 1e-10
 
@@ -364,20 +362,20 @@ class TestFrameChain:
         # the whole frame chain against a route that never leaves the lab
         # frame; nothing perturbative anywhere
         t = 2.0
-        chain = frame_chain_propagator(t, p, SPACE)
-        stepped = time_ordered_propagator(ith_terms(p, SPACE), t, SPACE,
-                                          steps_per_unit=200)
+        chain = frame_chain_fn(p, SPACE)(t)
+        stepped = time_ordered_sweep(ith_terms(p, SPACE), [t], SPACE,
+                                     steps_per_unit=200)[0]
         assert interior_distance(chain, stepped) <= 1e-6
 
     def test_integrator_error_is_integrator_sided(self):
         # halving the step shrinks the disagreement: the chain is exact
         p = P_WEAK
         f = ith_terms(p, SPACE)
-        chain = frame_chain_propagator(2.0, p, SPACE)
+        chain = frame_chain_fn(p, SPACE)(2.0)
         d_coarse = interior_distance(
-            time_ordered_propagator(f, 2.0, SPACE, 5), chain)
+            time_ordered_sweep(f, [2.0], SPACE, 5)[0], chain)
         d_fine = interior_distance(
-            time_ordered_propagator(f, 2.0, SPACE, 10), chain)
+            time_ordered_sweep(f, [2.0], SPACE, 10)[0], chain)
         assert d_fine < 0.3 * d_coarse
 
 
@@ -424,6 +422,38 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             ConvergenceFit(lambdas=(0.1, 0.2), residuals=(1.0, -1.0),
                            slope=1.0, intercept=0.0, r_squared=1.0)
+
+
+class TestRungLevels:
+    def test_overlaps_read_off_the_rows_bit_for_bit(self):
+        # dim 242: the rows 2(n-1)+1 and 2n of the eigenvector matrix give
+        # the projections onto |n-1,e> and |n,g> bit for bit as the
+        # matrix-vector products do, since a basis vector's 1 and 0
+        # multiply exactly; so every rung picks the same pair
+        big = SpaceConfig(n_max=120, interior_margin=30)
+        p = ModelParams.from_balanced(1.0, 1.05, 0.025, 0.05)
+        values, vectors = exact_eigs(bh(p, big))
+        for n in range(1, big.n_max + 1):
+            va = basis_vector(big, n - 1, EXCITED)
+            vb = basis_vector(big, n, GROUND)
+            want = (np.abs(vectors.conj().T @ va) ** 2
+                    + np.abs(vectors.conj().T @ vb) ** 2)
+            got = (np.abs(vectors[2 * (n - 1) + 1]) ** 2
+                   + np.abs(vectors[2 * n]) ** 2)
+            assert np.array_equal(got, want)
+            pick = np.argsort(want)[-2:]
+            if want[pick].min() >= 0.8:
+                assert _rung_levels(n, values, vectors, big) == tuple(
+                    float(e) for e in sorted(values[pick]))
+            else:
+                with pytest.raises(OverlapAmbiguityError):
+                    _rung_levels(n, values, vectors, big)
+
+    @pytest.mark.parametrize("n", [0, 41])
+    def test_rung_outside_the_space_is_refused(self, n):
+        values, vectors = exact_eigs(bh(TestScanGap.BASE, SPACE))
+        with pytest.raises(ValueError, match="rung"):
+            _rung_levels(n, values, vectors, SPACE)
 
 
 class TestScanGap:
