@@ -175,16 +175,17 @@ def _lam_sum(lam: float, mats, upto: int | None = None) -> np.ndarray:
 def diagonal_split(G: Operator, spec: SpectralDecomposition):
     """Split G into Sum_m P_m G P_m and the rest.
 
-    G enters the eigenbasis of H0, keeps its intra-cluster entries and
-    leaves it again, both through ``_rotations``, as in the recursion.
+    G enters the gauge and H0's eigenbasis through ``_eigenframe``, keeps
+    its intra-cluster entries and leaves both again, as in the recursion.
     Returns (block_diag, off_diag); the two add back to G exactly since the
     off part is defined as the difference.
     """
     if G.dim != spec.dim:
         raise ValueError(f"operator dim {G.dim} != decomposition dim {spec.dim}")
     mask = spec.intra_mask()
-    to_eig, from_eig = _rotations(spec.eigenbasis)
-    block_op = Operator(from_eig(to_eig(G.mat) * mask), G.space)
+    to_eig, from_eig, _ = _eigenframe(spec)
+    block_op = _out_of_gauge(
+        from_eig(to_eig(_into_gauge(G.mat, G.space)) * mask), G.space)
     return block_op, G - block_op
 
 
@@ -298,42 +299,19 @@ def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Op
 def _rotations(v: np.ndarray):
     """The basis changes X -> v^dag X v and Y -> v Y v^dag.
 
-    When v is a permutation up to phases (every column has one nonzero
-    entry, of modulus exactly 1, in distinct rows), as the eigenbasis of a
-    diagonal H0 is, each change is an indexing with the phases applied in
-    the order of the dense products, so the result, and its dtype, is the
-    same; any other v takes the two dense products.
+    When v is an exact 0/1 permutation (v[rows[a], a] = 1), as every
+    ``regime_series`` H0's gauge eigenbasis is, each change is an indexing,
+    since each entry of the dense products sums one exact product with
+    exact zeros: the same numbers, up to the sign of a zero.  Any other v
+    (phased, mixed within clusters, dense) takes the two dense products.
     """
-    nonzero = v != 0
-    rows = nonzero.argmax(axis=0)
-    phases = v[rows, np.arange(v.shape[1])]
-    # one nonzero in each row, n in all, and one of modulus 1 in each
-    # column: so exactly one in each column, in distinct rows
-    if not (np.all(nonzero.sum(axis=1) == 1)
-            and np.all(np.abs(phases) == 1.0)):
-        vd = v.conj().T
-        return (lambda x: vd @ x @ v), (lambda y: v @ y @ vd)
-    # v[rows[a], a] = phases[a]: (v^dag X v)[a, b] is
-    # conj(phases[a]) X[rows[a], rows[b]] phases[b], and v Y v^dag puts
-    # phases[a] Y[a, b] conj(phases[b]) at (rows[a], rows[b]); each is
-    # scaled in place in the indexed copy
+    rows = v.argmax(axis=0)
     back = np.argsort(rows)
-    left, right = phases.conj()[:, None], phases
-    left_back, right_back = phases[back][:, None], phases.conj()[back]
-
-    def to_eig(x):
-        out = x[np.ix_(rows, rows)].astype(np.result_type(x, v), copy=False)
-        out *= left
-        out *= right
-        return out
-
-    def from_eig(y):
-        out = y[np.ix_(back, back)].astype(np.result_type(y, v), copy=False)
-        out *= left_back
-        out *= right_back
-        return out
-
-    return to_eig, from_eig
+    if np.array_equal(v[:, back], np.eye(v.shape[1])):
+        return ((lambda x: x[np.ix_(rows, rows)]),
+                (lambda y: y[np.ix_(back, back)]))
+    vd = v.conj().T
+    return (lambda x: vd @ x @ v), (lambda y: v @ y @ vd)
 
 
 def _eigenframe(spec: SpectralDecomposition):
@@ -342,10 +320,10 @@ def _eigenframe(spec: SpectralDecomposition):
     The gauge eigenbasis is U^dag L, in the dtype ``_real_if_exact`` gives
     it: for a decomposition of ``exact_eigs``, bit for bit the eigenvectors
     it factored, since U's phases are exact.  The rotations and H0 are
-    fixed for a decomposition, so they are formed on its first ``solve``
-    or ``residual_norm`` and kept on it; a decomposition the engine never
-    reads (a propagator's, say) pays nothing, the gauge eigenbasis
-    included.
+    fixed for a decomposition, so this one caller of ``_rotations`` forms
+    them on its first ``solve``, ``residual_norm`` or ``diagonal_split``
+    and keeps them on it; a decomposition the engine never reads (a
+    propagator's, say) pays nothing, the gauge eigenbasis included.
     """
     frame = spec.__dict__.get("_eigenframe")
     if frame is None:
@@ -367,10 +345,10 @@ def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
     (E_k - E_j), kept as Y_n = i Z_n.  The series' gauge arrays enter the
     eigenbasis, and C_n, Y_n leave it, through the ``_rotations`` of the
     decomposition's gauge eigenbasis U^dag V (the eigenvectors
-    ``exact_eigs`` factored: real when H0 is real in the gauge, a real
-    permutation when H0 is diagonal), in the dtype the arrays come in:
-    real for ``regime_series``, complex for a complex series or an
-    eigenbasis mixed within clusters.
+    ``exact_eigs`` factored: real when H0 is real in the gauge, and for
+    every ``regime_series`` H0 a 0/1 permutation, so an indexing), in the
+    dtype the arrays come in: real for ``regime_series``, complex for a
+    complex series or an eigenbasis mixed within clusters.
     Each Y_n's band is read once, for the products of ``_assemble_G``.
     """
     if N < 1:

@@ -397,10 +397,12 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Balanced-transform limits over the dimensionless detuning.
 
     delta_grid holds |Delta|; the drive is Omega_R = |delta| / |Delta|.
-    The distances of t_delta from 1 and from t1 are measured in the Fock
-    phase gauge, where all three are real: the gauge is a diagonal
-    unitary with exact phases, so it leaves the spectral norms as they
-    are.  t1 depends on eta alone and is built once.
+    Every entry's drive is made before the sweep, so an entry whose drive
+    the model rejects (one so small that Omega_R overflows) is a config
+    error naming it.  The distances of t_delta from 1 and from t1 are
+    measured in the Fock phase gauge, where all three are real: the gauge
+    is a diagonal unitary with exact phases, so it leaves the spectral
+    norms as they are.  t1 depends on eta alone and is built once.
     """
     grid = opts.get_floats("delta_grid", (1e-6, 1.0, 1e6))
     opts.finish()
@@ -408,15 +410,23 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         raise ConfigError("limits needs a nonzero detuning omega_ge - omega_L")
     if any(d <= 0 for d in grid):
         raise ConfigError("delta_grid entries must be positive")
+    drives = []
+    for big_delta in grid:
+        try:
+            drives.append(
+                dataclasses.replace(p, Omega_R=abs(p.delta) / big_delta))
+        except ValueError as exc:
+            raise ConfigError(
+                f"delta_grid entry {big_delta!r} gives no valid drive "
+                f"Omega_R = |delta| / Delta: {exc}")
     eye = np.eye(space.dim)
     strong = _t1_gauge(p.eta, space)
 
-    def point(big_delta):
-        pd = dataclasses.replace(p, Omega_R=abs(p.delta) / big_delta)
+    def point(pd):
         td = _t_delta_gauge(pd, space)
         return op_norm(td - eye), op_norm(td - strong)
 
-    rows = list(mapper(point, grid))
+    rows = list(mapper(point, drives))
     cols = {"Delta": list(grid),
             "dist_identity": [r[0] for r in rows],
             "dist_strong_field": [r[1] for r in rows]}
@@ -429,10 +439,12 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     One time-ordered sweep of order-4 Magnus steps reaches every time,
     each continuing from the one before; the points compare the chain
     with the sweep's propagators, and an interior error above criterion
-    1's _PHASE_TOL is a DiagnosticError.  unitarity_defect, the largest
-    entry of |U^dag U - 1| over the swept propagators, records how far
-    the integrator's steps, unitary only to rounding, drifted from the
-    unitary group.
+    1's _PHASE_TOL is a DiagnosticError.  So is a sweep past the phase
+    budget of ``_check_phase_budget`` over the chain's energies and its
+    rates omega_L sigma_z / 2, checked before any step is taken.
+    unitarity_defect, the largest entry of |U^dag U - 1| over the swept
+    propagators, records how far the integrator's steps, unitary only to
+    rounding, drifted from the unitary group.
     """
     ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
     steps_per_unit = opts.get_float("steps_per_unit", _STEPS_PER_UNIT)
@@ -440,6 +452,8 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     if steps_per_unit <= 0:
         raise ConfigError("need steps_per_unit > 0")
     chain = frame_chain_fn(p, space)
+    _check_phase_budget(np.concatenate((chain.eigenvalues, chain.rates)),
+                        ts[-1])
     stepped = time_ordered_sweep(ith_terms(p, space), ts, space, steps_per_unit)
 
     eye = np.eye(space.dim)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -301,7 +302,9 @@ def fit_order(residual_fn: Callable[[float], float],
     The grid needs at least four strictly positive points.  A residual
     that is zero or negative is rejected: it signals exact cancellation,
     and the caller should shrink whatever tolerance produced it rather
-    than have a logarithm invent an order.
+    than have a logarithm invent an order.  So is a grid whose logarithms
+    the least-squares fit cannot tell apart (repeated points, say): the
+    fit would be rank deficient and its slope arbitrary.
     """
     lambdas = tuple(float(x) for x in grid)
     if len(lambdas) < 4:
@@ -316,7 +319,14 @@ def fit_order(residual_fn: Callable[[float], float],
                 "exact cancellation, shrink the tolerance")
     lx = np.log(lambdas)
     ly = np.log(residuals)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        try:
+            slope, intercept = np.polyfit(lx, ly, 1)
+        except np.exceptions.RankWarning:
+            raise ValueError(
+                f"grid {lambdas} is too narrow in log(lam) for a fit: "
+                "rank-deficient least squares") from None
     fitted = slope * lx + intercept
     ss_res = float(np.sum((ly - fitted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))

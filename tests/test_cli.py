@@ -421,6 +421,15 @@ class TestLimitsExperiment:
         with pytest.raises(ConfigError):
             limits(p, SPACE, Options({}), map)
 
+    @pytest.mark.parametrize("entry", ["1e-310", "5e-324"])
+    def test_overflowing_drive_is_a_config_error(self, entry):
+        # |delta| / Delta overflows to inf: the entry is named before any
+        # point of the sweep runs
+        p = ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0, Omega_R=0.25, eta=0.1)
+        opts = Options({"delta_grid": f"1.0, {entry}"})
+        with pytest.raises(ConfigError, match=f"delta_grid entry {entry}"):
+            limits(p, SPACE, opts, map)
+
     def test_columns_match_the_svd_norms_out_of_gauge(self):
         # the gauge leaves the norms as they are: the columns agree with
         # the SVD of t_delta - 1 and t_delta - t1 in the Fock basis
@@ -592,6 +601,9 @@ class TestRunner:
         # the exact energies stay O(1); H0 + C1 carries lam^2 nu = 1e12
         ("compare-rwa", {"nu": "1", "delta_breve": "1", "eta_breve": "0",
                          "lambda": "1e6"}, ""),
+        # the chain's energies reach 1e10, before the sweep's 400 steps
+        ("frame-chain", {"nu": "1", "omega_ge": "1.9", "omega_L": "1",
+                         "Omega_R": "1e10", "eta": "0.1"}, ""),
     ])
     def test_phases_past_the_budget_exit_3(self, tmp_path, name, params,
                                            options):

@@ -121,6 +121,48 @@ def test_fock_level_options_exit_with_a_documented_code(tmp_path_factory,
         assert _run(str(path), str(base / "fock-out")) in (0, 2, 3)
 
 
+def float_lists(min_size, max_size):
+    """Comma-joined finite floats of any size, subnormals and +-1.7e308
+    among them."""
+    return st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=min_size, max_size=max_size).map(
+        lambda values: ", ".join(map(repr, values)))
+
+
+# The float options whose run time does not grow with their value, each
+# with the parameters of its experiment.  Left out: frame-chain's t_max
+# and steps_per_unit, which set its number of Magnus steps, and counts
+# such as t_steps and points, whose cost grows with the value drawn.
+FULL_SET = {"nu": "1.0", "omega_ge": "1.9", "omega_L": "1.0",
+            "Omega_R": "0.25", "eta": "0.1"}
+RESONANT = reduced(1.0, 1.0, 0.0, 0.05)["params"]
+FLOAT_OPTIONS = {
+    ("limits", "delta_grid"): (FULL_SET, float_lists(1, 4)),
+    ("residual-order", "lambda_grid"): (RESONANT, float_lists(4, 5)),
+    ("anticrossing", "offsets"): (RESONANT, float_lists(1, 4)),
+    ("evolve", "t_max"): (RESONANT, float_lists(1, 1)),
+    ("compare-rwa", "t_max"): (RESONANT, float_lists(1, 1)),
+}
+
+
+@settings(DETERMINISTIC, max_examples=400)
+@example(case=(("limits", "delta_grid"), "1e-310, 1.0"))  # Omega_R = inf
+@example(case=(("residual-order", "lambda_grid"),
+               "0.5, 0.5, 0.5, 0.5"))  # no slope to fit
+@given(case=st.one_of(*(st.tuples(st.just(key), values)
+                        for key, (_, values) in FLOAT_OPTIONS.items())))
+def test_float_options_exit_with_a_documented_code(tmp_path_factory, case):
+    (name, option), raw = case
+    base = tmp_path_factory.getbasetemp()
+    params, _ = FLOAT_OPTIONS[name, option]
+    lines = ["[params]"] + [f"{key} = {value}" for key, value in params.items()]
+    lines += ["[space]", "n_max = 6", "interior_margin = 2",
+              "[experiment]", f"name = {name}", f"{option} = {raw}"]
+    path = base / "float-option.ini"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _run(str(path), str(base / "float-option-out")) in (0, 2, 3)
+
+
 def magnitudes(lo, hi):
     """Floats log-uniform in exponent between 10**lo and 10**hi."""
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)

@@ -15,7 +15,7 @@ from iontrap import (
     exact_eigs, exact_propagator_fn, frame_chain_fn, fit_order,
 )
 from iontrap.engine import _Banded, _add_commutator, _rotations
-from iontrap.operators import expm
+from iontrap.operators import _flat_gauge_phases, expm
 from iontrap.oracle import _rung_levels
 
 SPACE = SpaceConfig()
@@ -633,47 +633,68 @@ class TestBandedCommutator:
         assert (out.lower, out.upper) == (n - 1, n - 1)
 
 
-def _phased_permutation(rng, n):
-    rows = rng.permutation(n)
-    phases = rng.choice(np.array([1, -1, 1j, -1j]), n)
-    v = np.zeros((n, n), complex)
-    v[rows, np.arange(n)] = phases
-    return v
+def _permutation(rng, n):
+    """A random 0/1 permutation matrix."""
+    return np.eye(n)[:, rng.permutation(n)]
 
 
 class TestIndexRotation:
     @pytest.mark.parametrize("n", [82, 242])
     def test_equals_the_dense_products(self, n):
         rng = np.random.default_rng(n)
-        v = _phased_permutation(rng, n)
+        v = _permutation(rng, n)
         to_eig, from_eig = _rotations(v)
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        vd = v.conj().T
-        # without zero entries bit for bit, ...
-        for got, want in ((to_eig(x), vd @ x @ v), (from_eig(x), v @ x @ vd)):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # ... with exact zeros equal up to the sign of a zero
-        x[rng.random((n, n)) < 0.8] = 0.0
-        assert np.array_equal(to_eig(x), vd @ x @ v)
-        assert np.array_equal(from_eig(x), v @ x @ vd)
+        real = rng.standard_normal((n, n))
+        for x in (real, real + 1j * rng.standard_normal((n, n))):
+            # without zero entries bit for bit, dtype included, ...
+            for got, want in ((to_eig(x), v.T @ x @ v),
+                              (from_eig(x), v @ x @ v.T)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+            # ... with exact zeros equal up to the sign of a zero
+            x = x.copy()
+            x[rng.random((n, n)) < 0.8] = 0.0
+            assert np.array_equal(to_eig(x), v.T @ x @ v)
+            assert np.array_equal(from_eig(x), v @ x @ v.T)
 
     def test_other_bases_take_the_dense_products(self):
         rng = np.random.default_rng(5)
         n = 82
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mixed = _phased_permutation(rng, n)
+        phased = _permutation(rng, n) * rng.choice(
+            np.array([1, -1, 1j, -1j]), n)  # a permutation up to phases
+        mixed = _permutation(rng, n)
         c = math.sqrt(0.5)
         mixed[:, :2] = mixed[:, :2] @ np.array([[c, c], [-c, c]])
-        repeated = _phased_permutation(rng, n)
+        repeated = _permutation(rng, n)
         repeated[:, 1] = repeated[:, 0]  # two columns in one row
-        merged = _phased_permutation(rng, n)
+        merged = _permutation(rng, n)
         merged[:, 0] += merged[:, 1]  # two rows in one column
         merged[:, 1] = 0.0
-        for v in (mixed, repeated, merged):
+        for v in (phased, mixed, repeated, merged):
             to_eig, from_eig = _rotations(v)
             vd = v.conj().T
-            assert np.array_equal(to_eig(x), vd @ x @ v)
-            assert np.array_equal(from_eig(x), v @ x @ vd)
+            for y in (x, x.real):
+                assert np.array_equal(to_eig(y), vd @ y @ v)
+                assert np.array_equal(from_eig(y), v @ y @ vd)
+
+    def test_split_and_solve_form_the_rotations_once(self, monkeypatch):
+        # diagonal_split enters the eigenbasis through the decomposition's
+        # kept rotations, like solve, so one decomposition forms them once
+        from iontrap import engine
+
+        made = []
+        monkeypatch.setattr(engine, "_rotations",
+                            lambda v: made.append(1) or _rotations(v))
+        spec = decompose(balanced_reference(1.0))
+        g = balanced_leading()
+        split = diagonal_split(g, spec)
+        solve(spec, InteractionSeries(terms=(g,)), 2)
+        again = diagonal_split(g, spec)
+        assert len(made) == 1
+        for a, b in zip(split, again):
+            assert np.array_equal(a.mat, b.mat)
 
     @staticmethod
     def mixed_within_clusters(spec):
@@ -693,8 +714,9 @@ class TestIndexRotation:
 
     def test_rotated_basis_solves_like_the_permutation(self):
         spec = decompose(balanced_reference(1.0))
-        v = spec.eigenbasis
-        assert np.count_nonzero(v) == spec.dim  # a permutation: index route
+        # i^n times a 0/1 permutation: in the gauge, the index route
+        gauge = _flat_gauge_phases(spec.space).conj()[:, None] * spec.eigenbasis
+        assert np.array_equal(gauge, np.eye(spec.dim)[:, gauge.real.argmax(0)])
         series = InteractionSeries(terms=(balanced_leading(),))
         sol = solve(spec, series, 4)
         sol_mixed = solve(self.mixed_within_clusters(spec), series, 4)

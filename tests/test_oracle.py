@@ -415,6 +415,11 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             fit_order(lambda x: x, (0.0, 0.1, 0.2, 0.3))
 
+    def test_repeated_grid_rejected(self):
+        # one point four times has no slope: an error, not a RankWarning
+        with pytest.raises(ValueError, match="rank-deficient"):
+            fit_order(lambda x: x, (0.5, 0.5, 0.5, 0.5))
+
     def test_container_validation(self):
         with pytest.raises(ValueError):
             ConvergenceFit(lambdas=(0.1, 0.2), residuals=(1.0,),
