@@ -85,7 +85,6 @@ from .engine import (
     diagonal_split,
     build_G,
     solve,
-    solve_ladder,
     assemble,
     residual_norm,
 )

@@ -98,6 +98,8 @@ class InteractionSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
+            raise ValueError("an interaction series needs at least one term")
         for m, term in enumerate(self.terms, start=1):
             if not isinstance(term, Operator):
                 raise TypeError(f"series term {m} is not an Operator")
@@ -126,7 +128,9 @@ class PerturbativeSolution:
     U^dag (i Z_n) U, in the dtype ``_into_gauge`` gives them (real for
     ``regime_series``, Y_n antisymmetric).  ``C``, ``Z``, ``generator``
     and ``constant`` leave the gauge when read and keep nothing.  Built
-    from the Operators C_n and Z_n, it takes them into the gauge once.
+    from the Operators C_n and Z_n, it takes them into the gauge once
+    (the benchmark's self-test builds a spoiled solution so); ``solve``
+    hands over its gauge arrays through ``_in_gauge``.
     """
 
     __slots__ = ("order", "_space", "_c", "_y")
@@ -176,12 +180,13 @@ def diagonal_split(G: Operator, spec: SpectralDecomposition):
     """Split G into Sum_m P_m G P_m and the rest.
 
     G enters the gauge and H0's eigenbasis through ``_eigenframe``, keeps
-    its intra-cluster entries and leaves both again, as in the recursion.
-    Returns (block_diag, off_diag); the two add back to G exactly since the
-    off part is defined as the difference.
+    its intra-cluster entries and leaves both again, as in ``solve``.
+    Returns (block_diag, off_diag), on the decomposition's space; they
+    add back to G exactly since the off part is the difference.
     """
-    if G.dim != spec.dim:
-        raise ValueError(f"operator dim {G.dim} != decomposition dim {spec.dim}")
+    if G.space != spec.space:
+        raise ValueError(f"operator space {G.space} != decomposition space "
+                         f"{spec.space}")
     mask = spec.intra_mask()
     to_eig, from_eig, _ = _eigenframe(spec)
     block_op = _out_of_gauge(
@@ -336,25 +341,29 @@ def _eigenframe(spec: SpectralDecomposition):
     return frame
 
 
-def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
-               mask: np.ndarray) -> PerturbativeSolution:
-    """The recursion in the gauge's eigenbasis of H0 with a given block mask.
+def solve(spec: SpectralDecomposition, series: InteractionSeries,
+          N: int) -> PerturbativeSolution:
+    """Run the recursion to order N (projector route, minimal gauge).
 
-    mask[j, k] marks the entries of G_n that commute with H0: they form
-    C_n, and the rest is solved away by (Z_n)_{jk} = i (G_n)_{jk} /
-    (E_k - E_j), kept as Y_n = i Z_n.  The series' gauge arrays enter the
-    eigenbasis, and C_n, Y_n leave it, through the ``_rotations`` of the
-    decomposition's gauge eigenbasis U^dag V (the eigenvectors
-    ``exact_eigs`` factored: real when H0 is real in the gauge, and for
-    every ``regime_series`` H0 a 0/1 permutation, so an indexing), in the
+    The cluster mask ``spec.intra_mask()`` marks the entries of G_n that
+    commute with H0: they form C_n, and the rest is solved away by
+    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j), kept as Y_n = i Z_n; within
+    a cluster Z_n is 0.  ``decompose`` cuts clusters where ``_degenerate``
+    does, so this is the chi/gamma weighting of every E_k - E_j.  The
+    series' gauge arrays enter H0's eigenbasis, and C_n, Y_n leave it,
+    through the ``_rotations`` of the gauge eigenbasis U^dag V (for every
+    ``regime_series`` H0 a 0/1 permutation, so an indexing), in the
     dtype the arrays come in: real for ``regime_series``, complex for a
-    complex series or an eigenbasis mixed within clusters.
-    Each Y_n's band is read once, for the products of ``_assemble_G``.
+    complex series or an eigenbasis mixed within clusters.  Each Y_n's
+    band is read once, for ``_assemble_G``.  The series must live on the
+    decomposition's space.
     """
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
-    if series.terms and series.terms[0].dim != spec.dim:
-        raise ValueError("series and decomposition dimensions differ")
+    if series.terms[0].space != spec.space:
+        raise ValueError(f"series space {series.terms[0].space} != "
+                         f"decomposition space {spec.space}")
+    mask = spec.intra_mask()
     w = spec.eigenvalues
     to_eig, from_eig, _ = _eigenframe(spec)
     # eigenvalue-difference matrix E(k) - E(j) at entry (j, k)
@@ -372,26 +381,6 @@ def _recursion(spec: SpectralDecomposition, series: InteractionSeries, N: int,
         c_gauge.append(from_eig(np.where(mask, g, 0.0)))
         y_gauge.append(from_eig(y_eig))
     return PerturbativeSolution._in_gauge(N, spec.space, c_gauge, y_gauge)
-
-
-def solve(spec: SpectralDecomposition, series: InteractionSeries,
-          N: int) -> PerturbativeSolution:
-    """Run the recursion to order N (projector route, minimal gauge): the
-    block split is the cluster mask of the decomposition, and
-    (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j) across clusters, 0 within."""
-    return _recursion(spec, series, N, spec.intra_mask())
-
-
-def solve_ladder(spec: SpectralDecomposition, series: InteractionSeries,
-                 N: int) -> PerturbativeSolution:
-    """The recursion with the chi/gamma weighting as its block mask: C_n
-    keeps the entries where chi(E(k) - E(j)) = 1 and Z_n weights the rest
-    by gamma(E(k) - E(j)).  A clean clustering makes the two masks agree,
-    so this must reproduce solve, as the consistency tests check."""
-    spec._require_clusters()
-    w = spec.eigenvalues
-    return _recursion(spec, series, N,
-                      _degenerate(w[None, :] - w[:, None], "energy difference"))
 
 
 def assemble(h0: Operator, sol: PerturbativeSolution, lam: float, n: int):

@@ -336,8 +336,9 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Avoided-crossing scan around each requested pair level.
 
-    A scan whose smallest gap is its first or last sample has not
-    bracketed the minimum, so its argmin would only be the window's edge:
+    A scan whose smallest gap lies at its lowest or highest offset has
+    not bracketed the minimum, so its argmin would only be the window's
+    edge, in whatever order the offsets are given:
     that is a DiagnosticError naming the rung, with the tables scanned so
     far, that rung's included.  So is a scan whose gaps are all equal,
     its window below the rounding of delta_breve = nu + 2 offset.
@@ -379,14 +380,13 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
             tables.append(one_scan(n))
         except OverlapAmbiguityError as exc:
             raise DiagnosticError(f"cluster ambiguity at n={n}: {exc}", tables)
-        gaps = tables[-1].columns["gap"]
+        gaps, offsets = tables[-1].columns["gap"], tables[-1].columns["offset"]
         if min(gaps) == max(gaps):
-            offsets = tables[-1].columns["offset"]
             raise DiagnosticError(
                 f"unresolved window at n={n}: delta_breve does not resolve "
                 f"the scan window of width {max(offsets) - min(offsets):.3e}, "
                 "so every offset gives the same gap", tables)
-        if int(np.argmin(gaps)) in (0, len(gaps) - 1):
+        if offsets[int(np.argmin(gaps))] in (min(offsets), max(offsets)):
             raise DiagnosticError(
                 f"missed minimum at n={n}: the smallest gap is at the edge "
                 "of the scan window", tables)

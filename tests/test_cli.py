@@ -652,6 +652,22 @@ class TestRunner:
         assert meta["diagnostic"].startswith("missed minimum at n=10")
         assert sorted(meta["tables"]) == ["anticrossing_n10"]
 
+    @pytest.mark.parametrize("offsets,code", [
+        ("0.005,0.0,0.01", 3), ("0.0,0.005,0.01", 3),
+        ("0.005,-0.005,0.0", 0), ("-0.005,0.0,0.005", 0),
+    ])
+    def test_window_edge_is_judged_by_offset_value(self, tmp_path, offsets,
+                                                   code):
+        # the predicted minimum is -0.00125, so the smallest gap is at
+        # offset 0.0: the lowest offset of the first two windows, inside
+        # the last two, wherever the offsets list it; rows keep its order
+        text = (REDUCED + "[space]\nn_max = 12\n[experiment]\n"
+                f"name = anticrossing\nlevels = 1\noffsets = {offsets}\n")
+        assert self.run(tmp_path, text) == code
+        rows = (tmp_path / "out" / "anticrossing_n1.csv").read_text()
+        assert [float(r.split(",")[0]) for r in rows.splitlines()[1:]] == [
+            float(x) for x in offsets.split(",")]
+
     def test_unresolved_window_exit_3(self, tmp_path):
         # the default window, 12 lam^3 nu = 1.2e-17 wide, is below the
         # rounding of delta_breve = 1 + 2 offset: all 13 gaps are one gap

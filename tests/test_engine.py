@@ -10,11 +10,11 @@ from iontrap import (
     annihilation, number, pauli, identity, op_norm, commutator,
     interior_norm, interior_distance, hermitize,
     chi, gamma, ClusterAmbiguityError, decompose, InteractionSeries,
-    diagonal_split, build_G, solve, solve_ladder, assemble, residual_norm,
+    diagonal_split, build_G, solve, assemble, residual_norm, REGIME_KINDS,
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor,
     exact_eigs, exact_propagator_fn, frame_chain_fn, fit_order,
 )
-from iontrap.engine import _Banded, _add_commutator, _rotations
+from iontrap.engine import _Banded, _add_commutator, _degenerate, _rotations
 from iontrap.operators import _flat_gauge_phases, expm
 from iontrap.oracle import _rung_levels
 
@@ -28,6 +28,13 @@ def balanced_reference(delta_breve, space=SPACE, const=0.0):
     """nu n + delta_breve/2 sigma_z + const with nu = 1."""
     return (number(space) + 0.5 * delta_breve * pauli("z", space)
             + const * identity(space))
+
+
+def clean_merge():
+    """Levels 10 k on SMALL with the second moved to 5e-9: one 2-cluster."""
+    levels = 10.0 * np.arange(SMALL.dim, dtype=float)
+    levels[1] = 5e-9
+    return Operator(np.diag(levels), SMALL)
 
 
 def balanced_leading(space=SPACE):
@@ -93,11 +100,25 @@ class TestDecompose:
             decompose(Operator(mat, SMALL))
 
     def test_clean_merge_and_split(self):
-        mat = np.zeros((SMALL.dim, SMALL.dim))
-        np.fill_diagonal(mat, 10.0 * np.arange(SMALL.dim, dtype=float))
-        mat[1, 1] = 5e-9
-        spec = decompose(Operator(mat, SMALL))
+        spec = decompose(clean_merge())
         assert len(spec.clusters[0]) == 2
+
+    def test_cluster_mask_is_the_pairwise_degeneracy_test(self):
+        # solve's block mask: the pairs decompose clusters are exactly the
+        # pairs whose gap E_k - E_j _degenerate calls a degeneracy, so C_n
+        # keeps what chi weights 1 and Z_n is weighted by gamma
+        h0s = [balanced_reference(1.0), balanced_reference(GOLDEN),
+               clean_merge()]
+        for kind in REGIME_KINDS:
+            near = kind == "near_resonant"
+            for delta_breve in (0.97, 1.0, 1.05) + ((), (1.3, 2.0))[not near]:
+                p = ModelParams.from_balanced(1.0, delta_breve, 0.025, 0.05)
+                h0s.append(regime_series(p, Regime.of(kind, p), SPACE)[0])
+        for h0 in h0s:
+            spec = decompose(h0)
+            w = spec.eigenvalues
+            assert np.array_equal(spec.intra_mask(),
+                                  _degenerate(w[None, :] - w[:, None]))
 
     def test_clusters_match_a_loop_over_adjacent_gaps(self):
         levels = 10.0 * np.arange(SMALL.dim, dtype=float)
@@ -140,7 +161,6 @@ class TestDecompose:
         series = InteractionSeries(terms=(balanced_leading(),))
         for call in (prop.intra_mask, lambda: prop.projector(0),
                      lambda: solve(prop, series, 1),
-                     lambda: solve_ladder(prop, series, 1),
                      lambda: diagonal_split(h0, prop)):
             with pytest.raises(ValueError, match="decompose"):
                 call()
@@ -158,6 +178,10 @@ class TestInteractionSeries:
         lam = 0.1
         direct = lam * h1 + lam ** 2 * h2
         assert op_norm(series.evaluate(lam) - direct) < 1e-14
+
+    def test_rejects_empty_series(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            InteractionSeries(terms=())
 
     def test_term_indexing(self):
         series = InteractionSeries(terms=(balanced_leading(),))
@@ -204,6 +228,10 @@ class TestDiagonalSplit:
         spec = decompose(balanced_reference(1.0))
         with pytest.raises(ValueError):
             diagonal_split(annihilation(SMALL), spec)
+        # one dimension, 18, on two spaces that differ in their interior
+        spec = decompose(balanced_reference(1.0, SpaceConfig(8, 2)))
+        with pytest.raises(ValueError, match="space"):
+            diagonal_split(balanced_leading(SpaceConfig(8, 3)), spec)
 
 
 class TestBuildG:
@@ -328,15 +356,13 @@ class TestSolve:
             assert op_norm(sol.C[n] - sol_perm.C[n]) < 1e-10
             assert op_norm(sol.Z[n] - sol_perm.Z[n]) < 1e-10
 
-    def test_ladder_route_agrees(self):
-        for db in (1.0, GOLDEN):
-            spec = decompose(balanced_reference(db))
-            series = InteractionSeries(terms=(balanced_leading(),))
-            s_proj = solve(spec, series, 2)
-            s_lad = solve_ladder(spec, series, 2)
-            for n in range(2):
-                assert op_norm(s_proj.C[n] - s_lad.C[n]) < 1e-12
-                assert op_norm(s_proj.Z[n] - s_lad.Z[n]) < 1e-12
+    def test_series_on_another_space_is_refused(self):
+        # one dimension, 18, on two spaces that differ in their interior:
+        # the solution would take the decomposition's
+        spec = decompose(balanced_reference(1.0, SpaceConfig(8, 2)))
+        series = InteractionSeries(terms=(balanced_leading(SpaceConfig(8, 3)),))
+        with pytest.raises(ValueError, match="space"):
+            solve(spec, series, 1)
 
     def test_zero_series(self):
         zero = Operator(np.zeros((SPACE.dim, SPACE.dim)), SPACE)
@@ -844,8 +870,8 @@ class TestHigherOrdersBehindTheGates:
 
     @pytest.mark.parametrize("eta_breve", [0.0, 0.025])
     @pytest.mark.parametrize("detuning", [1.0, 1.03, 0.95])
-    def test_first_order_closed_form_is_the_recursion(self, detuning,
-                                                       eta_breve):
+    def test_first_order_closed_form_equals_solve(self, detuning,
+                                                    eta_breve):
         # U_1(t) = e^{-i lam Z_1} e^{-i(H0 + lam C_1)t} e^{i lam Z_1} from
         # solve equals first_order_evolutor, built from its printed Z1, C1
         lam = 0.05
