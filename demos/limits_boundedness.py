@@ -8,12 +8,12 @@ intensity axis.  T itself interpolates between the identity at weak
 drive and a fixed spin-flip-plus-displacement at strong drive.
 """
 
+import dataclasses
+
 import numpy as np
 
-from iontrap import (
-    SpaceConfig, ModelParams, identity, t_delta, t1, op_norm,
-)
-import dataclasses
+from iontrap import SpaceConfig, ModelParams
+from iontrap.experiments import EXPERIMENTS, Options
 
 
 def main():
@@ -38,12 +38,13 @@ def main():
     print("\nthe transform between the two frames, by dimensionless "
           "detuning\nDelta = delta / Omega_R:\n")
     print(f"  {'Delta':>10}  {'|T - 1|':>12}  {'|T - T_strong|':>14}")
-    eye = identity(space)
-    for big_delta in (1e-6, 1e-3, 1.0, 1e3, 1e6):
-        p = dataclasses.replace(base, Omega_R=base.delta / big_delta)
-        td = t_delta(p, space)
-        print(f"  {big_delta:10.0e}  {op_norm(td - eye):12.3e}  "
-              f"{op_norm(td - t1(p, space)):14.3e}")
+    # the experiment sets each drive Omega_R = |delta| / Delta itself
+    (table,) = EXPERIMENTS["limits"](
+        base, space, Options({"delta_grid": "1e-6, 1e-3, 1, 1e3, 1e6"}), map)
+    cols = table.columns
+    for big_delta, d_one, d_strong in zip(
+            cols["Delta"], cols["dist_identity"], cols["dist_strong_field"]):
+        print(f"  {big_delta:10.0e}  {d_one:12.3e}  {d_strong:14.3e}")
     print("\nweak drive (large Delta): T melts into the identity; strong "
           "drive\n(small Delta): T freezes into the spin-flip transform.")
 

@@ -17,7 +17,7 @@ acceptance criterion 4.
 
 from iontrap import (
     SpaceConfig, ModelParams, bh,
-    rwa_evolutor, first_order_evolutor,
+    rwa_evolutor_fn, first_order_evolutor_fn,
     exact_propagator_fn, interior_distance, fit_order,
 )
 
@@ -30,8 +30,8 @@ def main():
     def errors(lam):
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
         ref = exact_propagator_fn(bh(p, space))(t)
-        return (interior_distance(rwa_evolutor(t, p, space), ref),
-                interior_distance(first_order_evolutor(t, p, space), ref))
+        return (interior_distance(rwa_evolutor_fn(p, space)(t), ref),
+                interior_distance(first_order_evolutor_fn(p, space)(t), ref))
 
     print(f"errors against the exact balanced propagator at nu t = {t} "
           f"(interior norm):\n")

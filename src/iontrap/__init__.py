@@ -32,7 +32,6 @@ from .operators import (
     expm,
     op_norm,
     commutator,
-    adjoint,
     hermitize,
     interior_block,
     interior_project,
@@ -96,9 +95,7 @@ from .closedforms import (
     bh_first_second_order,
     jc_evolutor,
     jc_evolutor_breve,
-    rwa_evolutor,
     rwa_evolutor_fn,
-    first_order_evolutor,
     first_order_evolutor_fn,
     exp_z1,
     sandwich,

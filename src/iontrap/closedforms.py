@@ -234,12 +234,13 @@ def jc_evolutor_breve(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
 
 
 def rwa_evolutor_fn(p: ModelParams, space: SpaceConfig):
-    """Closure t -> rwa_evolutor(t) with the resonance checked once.
+    """t -> exp(-i H0 t) JC_breve(t): the exchange term kept alone.
 
-    The reference H0 is diagonal, so exp(-i H0 t) is the phase of its
-    diagonal; no eigendecomposition is involved.
+    The resonance is checked once.  The reference H0 is diagonal, so
+    exp(-i H0 t) is the phase of its diagonal; no eigendecomposition is
+    involved.
     """
-    _require_resonance(p, "rwa_evolutor")
+    _require_resonance(p, "rwa_evolutor_fn")
     h0 = bh_reference(p, space).mat.diagonal()
 
     def evolutor(t: float) -> Operator:
@@ -247,11 +248,6 @@ def rwa_evolutor_fn(p: ModelParams, space: SpaceConfig):
         return Operator(np.exp(-1j * t * h0)[:, None] * jc, space)
 
     return evolutor
-
-
-def rwa_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
-    """exp(-i H0 t) JC_breve(t): what keeping only the exchange term yields."""
-    return rwa_evolutor_fn(p, space)(t)
 
 
 def first_order_evolutor_fn(p: ModelParams,
@@ -266,19 +262,13 @@ def first_order_evolutor_fn(p: ModelParams,
     and H0 + C1 = V E V^dag is diagonalized once, so the result is the
     decomposition with eigenbasis exp(-i Z1) V.
     """
-    _require_near_resonance(p, "first_order_evolutor")
+    _require_near_resonance(p, "first_order_evolutor_fn")
     a = annihilation(space)
     sp, sm = pauli("+", space), pauli("-", space)
     gen = bh_reference(p, space) + 1j * p.lam * p.nu * (a @ sp - a.dag @ sm)
     rot = _exp_i_z1(p.lam, space).mat
     values, vectors = exact_eigs(gen)
     return SpectralDecomposition(space, values, rot.conj().T @ vectors)
-
-
-def first_order_evolutor(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
-    """exp(-i Z1) exp(-i (H0 + C1) t) exp(i Z1) at one time; see
-    ``first_order_evolutor_fn``."""
-    return first_order_evolutor_fn(p, space)(t)
 
 
 def exp_z1(p: ModelParams, space: SpaceConfig) -> Operator:
@@ -333,7 +323,7 @@ def y1_relation(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     osc = cmath.exp(2j * p.nu * t)
     integral = 0.5 * p.lam * ((osc - 1.0) * (a @ sm)
                               + (osc.conjugate() - 1.0) * (a.dag @ sp))
-    return expm(-1j * integral) @ rwa_evolutor(t, p, space)
+    return expm(-1j * integral) @ rwa_evolutor_fn(p, space)(t)
 
 
 # -- second-order spectrum ----------------------------------------------------

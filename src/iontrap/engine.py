@@ -41,6 +41,12 @@ class ClusterAmbiguityError(RuntimeError):
 _EPS_DEG = 1e-8
 
 
+def _require_space(what: str, space, ref: str, ref_space) -> None:
+    """ValueError naming both spaces unless they are one space."""
+    if space != ref_space:
+        raise ValueError(f"{what} space {space} != {ref} space {ref_space}")
+
+
 def _degenerate(gap, what: str = "energy gap"):
     """Elementwise: True where |gap| <= _EPS_DEG, False where |gap| >=
     3 _EPS_DEG; a gap in the ambiguous band between raises
@@ -184,9 +190,7 @@ def diagonal_split(G: Operator, spec: SpectralDecomposition):
     Returns (block_diag, off_diag), on the decomposition's space; they
     add back to G exactly since the off part is the difference.
     """
-    if G.space != spec.space:
-        raise ValueError(f"operator space {G.space} != decomposition space "
-                         f"{spec.space}")
+    _require_space("operator", G.space, "decomposition", spec.space)
     mask = spec.intra_mask()
     to_eig, from_eig, _ = _eigenframe(spec)
     block_op = _out_of_gauge(
@@ -289,12 +293,16 @@ def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Op
 
     G_n is the lam^n coefficient of e^{iZ} H(lam) e^{-iZ} with
     Z = sum_{k<n} lam^k Z_k, H_0 = h0 and H_m = 0 beyond the stored series
-    terms.  z_prev must hold Z_1..Z_{n-1}.
+    terms.  z_prev must hold Z_1..Z_{n-1}; they and the series must live
+    on H0's space.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if len(z_prev) != n - 1:
         raise ValueError(f"expected {n-1} previous generators, got {len(z_prev)}")
+    _require_space("series", series.terms[0].space, "H0", h0.space)
+    for k, z in enumerate(z_prev, 1):
+        _require_space(f"Z_{k}", z.space, "H0", h0.space)
     total = _assemble_G(n, _Banded(h0.mat),
                         [_Banded(t.mat) for t in series.terms],
                         [_Banded(1j * z.mat) for z in z_prev])
@@ -360,9 +368,8 @@ def solve(spec: SpectralDecomposition, series: InteractionSeries,
     """
     if N < 1:
         raise ValueError(f"order must be >= 1, got {N}")
-    if series.terms[0].space != spec.space:
-        raise ValueError(f"series space {series.terms[0].space} != "
-                         f"decomposition space {spec.space}")
+    _require_space("series", series.terms[0].space, "decomposition",
+                   spec.space)
     mask = spec.intra_mask()
     w = spec.eigenvalues
     to_eig, from_eig, _ = _eigenframe(spec)
@@ -390,8 +397,10 @@ def assemble(h0: Operator, sol: PerturbativeSolution, lam: float, n: int):
     W = sum_{k<=n} lam^k Z_k.  The pair commutes like (H0, C) does and their
     sum approximates H(lam) to O(lam^{n+1}).  Both are dressed in the gauge,
     where e^{-iW} = e^{-Y(lam)}, Y(lam) = sum lam^k Y_k, by the exponential
-    of ``residual_norm``.  An n outside 1..sol.order is a ValueError.
+    of ``residual_norm``.  An n outside 1..sol.order, or an H0 off the
+    solution's space, is a ValueError.
     """
+    _require_space("H0", h0.space, "solution", sol._space)
     u = _expm_matrix(-_lam_sum(lam, sol._y, n))
     c = _lam_sum(lam, sol._c, n)
     h0g = _into_gauge(h0.mat, h0.space)
@@ -416,8 +425,12 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     ``regime_series``, whose interior rows alone dress H.  The residual is
     hermitian, so its norm is the largest |eigenvalue| of the symmetrized
     block: within 1.1e-13 ||H||_2 of scipy's expm and an SVD on the lam
-    grid 0.02-0.16 at dim 242, orders 1-6.
+    grid 0.02-0.16 at dim 242, orders 1-6.  The series and the solution
+    must live on the decomposition's space.
     """
+    _require_space("series", series.terms[0].space, "decomposition",
+                   spec.space)
+    _require_space("solution", sol._space, "decomposition", spec.space)
     n = sol.order if upto is None else upto
     k = _interior_size(spec.space, n_keep)
     u = _expm_matrix(_lam_sum(lam, sol._y, n))[:k]

@@ -138,6 +138,14 @@ def _time_grid(opts: Options, t_max_default: float, steps_default: int):
     return np.linspace(0.0, t_max, steps)
 
 
+def _require_drive(p: ModelParams) -> None:
+    """ConfigError for an undriven ion: Delta = delta / Omega_R, and so
+    the balanced frame, is undefined at Omega_R = 0."""
+    if p.Omega_R == 0:
+        raise ConfigError(
+            "the balanced frame needs a drive, Omega_R > 0; got Omega_R = 0")
+
+
 # criterion 1's tolerance, the error a time sweep may carry
 _PHASE_TOL = 1e-6
 
@@ -162,6 +170,7 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Second-order level formula against exact diagonalization."""
     n_levels = opts.get_int("n_levels", 10)
     opts.finish()
+    _require_drive(p)
     if n_levels > space.n_max:  # rung n pairs |n-1,e> with |n,g>
         raise ConfigError(f"n_levels must be at most n_max = {space.n_max}")
     try:
@@ -204,6 +213,7 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     n0 = opts.get_int("initial_n", 0)
     spin_name = opts.get_str("initial_spin", "g", choices={"g", "e"})
     opts.finish()
+    _require_drive(p)
     if not 0 <= n0 <= space.n_max:
         raise ConfigError(f"initial_n must be in 0..{space.n_max}")
     spin = GROUND if spin_name == "g" else EXCITED
@@ -241,6 +251,7 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """
     ts = _time_grid(opts, 3.0, 61)
     opts.finish()
+    _require_drive(p)
     if not _exactly_resonant(p.nu, p.delta_breve):
         raise ConfigError(
             "compare-rwa needs nu = delta_breve, so give the reduced set "
@@ -286,6 +297,7 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
                         choices=set(REGIME_KINDS))
     grid = opts.get_floats("lambda_grid", (0.02, 0.04, 0.08, 0.16))
     opts.finish()
+    _require_drive(p)
     if len(grid) < 4 or any(lam <= 0 for lam in grid):
         raise ConfigError("lambda_grid needs at least 4 entries, all positive")
     try:
@@ -347,6 +359,7 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     offsets_raw = opts.get_floats("offsets", ())
     points = opts.get_int("points", 13)
     opts.finish()
+    _require_drive(p)
     if any(n < 1 for n in levels):
         raise ConfigError("levels must be positive integers")
     if len(set(levels)) != len(levels):  # each rung names one table
@@ -449,6 +462,7 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
     steps_per_unit = opts.get_float("steps_per_unit", _STEPS_PER_UNIT)
     opts.finish()
+    _require_drive(p)
     if steps_per_unit <= 0:
         raise ConfigError("need steps_per_unit > 0")
     chain = frame_chain_fn(p, space)

@@ -545,10 +545,6 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return Operator(a.mat @ b.mat - b.mat @ a.mat, a.space)
 
 
-def adjoint(a: Operator) -> Operator:
-    return a.dag
-
-
 def hermitize(a: Operator) -> Operator:
     return Operator(0.5 * (a.mat + a.mat.conj().T), a.space)
 

@@ -27,7 +27,7 @@ from iontrap import (
     op_norm, interior_norm, interior_distance,
     ith_terms, bh, bh_reference, jc_constants,
     Regime, regime_series, bh_first_second_order,
-    jc_evolutor, jc_evolutor_breve, rwa_evolutor, first_order_evolutor,
+    jc_evolutor, jc_evolutor_breve, rwa_evolutor_fn, first_order_evolutor_fn,
     sandwich, exp_z1, y1_relation,
     spectrum_second_order, levels_first_order, levels_rwa,
     anticrossing_shift,
@@ -155,13 +155,13 @@ def crit4(space: SpaceConfig):
     """
     t = 3.0
 
-    def err(evolutor, lam):
+    def err(builder, lam):
         p = resonant(lam)
-        return interior_distance(evolutor(t, p, space),
+        return interior_distance(builder(p, space)(t),
                                  exact_propagator_fn(bh(p, space))(t), WINDOW)
 
-    fit_rwa = fit_order(lambda lam: err(rwa_evolutor, lam), GRID_RWA)
-    fit_e1 = fit_order(lambda lam: err(first_order_evolutor, lam), GRID_RWA)
+    fit_rwa = fit_order(lambda lam: err(rwa_evolutor_fn, lam), GRID_RWA)
+    fit_e1 = fit_order(lambda lam: err(first_order_evolutor_fn, lam), GRID_RWA)
     ratio = fit_rwa.residuals[1] / fit_e1.residuals[1]
     scalars = {"slope_rwa": fit_rwa.slope, "slope_e1": fit_e1.slope,
                "ratio": ratio}

@@ -14,8 +14,7 @@ from iontrap import (
     decompose, solve, ClusterAmbiguityError,
     REGIME_KINDS, Regime, SecondOrderSpectrum,
     regime_series, bh_first_second_order,
-    jc_evolutor, jc_evolutor_breve, rwa_evolutor, first_order_evolutor,
-    first_order_evolutor_fn,
+    jc_evolutor, jc_evolutor_breve, rwa_evolutor_fn, first_order_evolutor_fn,
     exp_z1, sandwich, y1_relation,
     spectrum_second_order, levels_first_order, levels_rwa,
     transition_probability, anticrossing_shift, exact_eigs,
@@ -258,7 +257,7 @@ class TestClosedFormEvolutors:
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.1)
         one = identity(SPACE)
         assert op_norm(jc_evolutor_breve(0.0, p, SPACE) - one) < 1e-14
-        assert op_norm(rwa_evolutor(0.0, p, SPACE) - one) < 1e-14
+        assert op_norm(rwa_evolutor_fn(p, SPACE)(0.0) - one) < 1e-14
         assert op_norm(sandwich(0.0, p, SPACE) - one) < 1e-14
         pj = JCParams(nu=1.0, omega=1.0, lam=0.1)
         assert op_norm(jc_evolutor(0.0, pj, SPACE) - one) < 1e-14
@@ -272,23 +271,26 @@ class TestClosedFormEvolutors:
 
     def test_rwa_evolutor_equals_exponential_product(self):
         for p in (POINT_RES, ModelParams.from_balanced(1.0, 1.0, 0.0, 0.12)):
+            u = rwa_evolutor_fn(p, SPACE)
             for t in (0.0, 0.7, 2.0, -1.3):
                 want = (exact_evolutor(bh_reference(p, SPACE), t)
                         @ jc_evolutor_breve(t, p, SPACE))
-                assert op_norm(rwa_evolutor(t, p, SPACE) - want) < 1e-13
+                assert op_norm(u(t) - want) < 1e-13
 
     def test_lam_zero_reductions(self):
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.0)
         free = exact_evolutor(bh_reference(p, SPACE), 1.8)
-        assert op_norm(rwa_evolutor(1.8, p, SPACE) - free) < 1e-13
+        assert op_norm(rwa_evolutor_fn(p, SPACE)(1.8) - free) < 1e-13
         assert op_norm(sandwich(1.8, p, SPACE) - free) < 1e-13
         assert op_norm(y1_relation(1.8, p, SPACE) - free) < 1e-13
 
     def test_resonance_gates(self):
         off = ModelParams.from_balanced(1.0, 1.05, 0.0, 0.1)
-        for fn in (jc_evolutor_breve, rwa_evolutor, sandwich, y1_relation):
+        for fn in (jc_evolutor_breve, sandwich, y1_relation):
             with pytest.raises(ValueError):
                 fn(1.0, off, SPACE)
+        with pytest.raises(ValueError):
+            rwa_evolutor_fn(off, SPACE)
         with pytest.raises(ValueError):
             exp_z1(off, SPACE)
         with pytest.raises(ValueError):
@@ -327,7 +329,7 @@ class TestFirstOrderEvolutor:
     def test_near_resonance_gate(self):
         far = ModelParams.from_balanced(1.0, 1.2, 0.0, 0.05)
         with pytest.raises(ValueError):
-            first_order_evolutor(1.0, far, SPACE)
+            first_order_evolutor_fn(far, SPACE)
 
     @pytest.mark.parametrize("p", [POINT_RES, POINT_NEAR],
                              ids=["resonant", "near-resonant"])
@@ -340,10 +342,9 @@ class TestFirstOrderEvolutor:
         for t in (0.0, 0.7, 2.0, -1.3):
             want = rot.dag @ exact_evolutor(gen, t) @ rot
             assert op_norm(u(t) - want) < 1e-12
-            assert op_norm(first_order_evolutor(t, p, SPACE) - want) < 1e-12
 
     def test_unitary(self):
-        u = first_order_evolutor(2.0, POINT_NEAR, SPACE)
+        u = first_order_evolutor_fn(POINT_NEAR, SPACE)(2.0)
         assert op_norm(u.dag @ u - identity(SPACE)) < 1e-12
 
     def test_error_is_second_order(self):
@@ -355,7 +356,7 @@ class TestFirstOrderEvolutor:
             p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
             exact = exact_evolutor(bh(p, SPACE), t)
             errs.append(interior_distance(
-                first_order_evolutor(t, p, SPACE), exact))
+                first_order_evolutor_fn(p, SPACE)(t), exact))
         assert fit_slope(lams, errs) > 1.7
 
     def test_beats_exchange_only_by_one_order(self):
@@ -367,8 +368,8 @@ class TestFirstOrderEvolutor:
         lams = (0.02, 0.04, 0.08, 0.16)
         for lam in lams:
             p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
-            diffs.append(interior_distance(
-                first_order_evolutor(t, p, SPACE), rwa_evolutor(t, p, SPACE)))
+            diffs.append(interior_distance(first_order_evolutor_fn(p, SPACE)(t),
+                                           rwa_evolutor_fn(p, SPACE)(t)))
         slope = fit_slope(lams, diffs)
         assert 0.7 <= slope <= 1.3
 
@@ -391,7 +392,7 @@ class TestY1Relation:
         for lam in lams:
             p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
             exact = exact_evolutor(bh(p, SPACE), t)
-            errs.append(interior_distance(rwa_evolutor(t, p, SPACE), exact))
+            errs.append(interior_distance(rwa_evolutor_fn(p, SPACE)(t), exact))
         slope = fit_slope(lams, errs)
         assert 0.7 <= slope <= 1.3
 
@@ -400,7 +401,7 @@ class TestY1Relation:
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.1)
         t = math.pi
         assert op_norm(y1_relation(t, p, SPACE)
-                       - rwa_evolutor(t, p, SPACE)) < 1e-13
+                       - rwa_evolutor_fn(p, SPACE)(t)) < 1e-13
 
 
 class TestSecondOrderSpectrum:

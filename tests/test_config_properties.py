@@ -68,7 +68,12 @@ def reduced(nu, delta_breve, eta_breve, lam):
                                map(repr, (nu, delta_breve, eta_breve, lam))))}
 
 
-@settings(DETERMINISTIC, max_examples=200)
+def full(nu, omega_ge, omega_l, omega_r, eta):
+    values = (nu, omega_ge, omega_l, omega_r, eta)
+    return {"params": dict(zip(_FULL_KEYS, map(repr, values)))}
+
+
+@settings(DETERMINISTIC, max_examples=300)
 @example(**reduced(1.0, 1.0, 1.0, -1.0))  # limits: negative detuning
 @example(**reduced(1.0, 1.0, 0.0, 0.0))  # spectrum: rungs past n_max
 @example(**reduced(1.0, 1.0, 0.0, 2.0 ** 28))  # residual-order: R = 0
@@ -82,7 +87,9 @@ def reduced(nu, delta_breve, eta_breve, lam):
 @example(**reduced(1.0, 1.0, 0.0, 4e4))  # compare-rwa: H0 + C1's phases
 @example(**reduced(3.176731312019717e-177, 1.0, 0.0,
                    0.25))  # anticrossing: offsets near 1e-178
-@given(params=st.fixed_dictionaries({key: FINITE for key in _REDUCED_KEYS}))
+@example(**full(1.0, 2.0, 1.0, 0.0, 0.1))  # undriven: no balanced frame
+@given(params=st.one_of(*(st.fixed_dictionaries({key: FINITE for key in keys})
+                          for keys in (_REDUCED_KEYS, _FULL_KEYS))))
 def test_finite_parameters_exit_with_a_documented_code(tmp_path_factory,
                                                        params):
     # 0 success, 2 config error, 3 numerical diagnostic; never a traceback

@@ -1,0 +1,60 @@
+"""Property tests: numbers the library computes two ways agree over the
+parameter space, not only at the fixed points of the other modules."""
+
+from hypothesis import example, given, settings, strategies as st
+
+from iontrap import (
+    SpaceConfig, ModelParams, interior_distance, interior_norm,
+    REGIME_KINDS, Regime, regime_series, bh_first_second_order,
+    decompose, solve,
+)
+from test_config_properties import DETERMINISTIC
+
+SPACE = SpaceConfig(n_max=20, interior_margin=5)
+
+# delta_breve / nu on resonance, below it, between nu and 2 nu, on the
+# two-photon resonance and above it; every mismatch outside the ambiguous
+# band of the engine's absolute degeneracy test at nu >= 0.1
+RATIOS = st.one_of(st.just(1.0), st.floats(0.3, 0.999),
+                   st.floats(1.001, 1.999), st.just(2.0),
+                   st.floats(2.001, 4.0))
+# inside the nearly resonant window |nu - delta_breve| <= 0.1 nu
+NEAR_RATIOS = st.one_of(st.just(1.0), st.floats(0.901, 0.999),
+                        st.floats(1.001, 1.099))
+
+
+@st.composite
+def regime_points(draw):
+    """(kind, params): nu log-uniform in [0.1, 10], lam in [0.005, 0.08]
+    and eta_breve in [0, 2 lam], 0 where the regime drops it."""
+    kind = draw(st.sampled_from(REGIME_KINDS))
+    nu = 10.0 ** draw(st.floats(-1.0, 1.0))
+    lam = draw(st.floats(0.005, 0.08))
+    ratio = draw(NEAR_RATIOS if kind == "near_resonant" else RATIOS)
+    eta_breve = (0.0 if kind == "eta_much_less"
+                 else draw(st.floats(0.0, 2.0 * lam)))
+    return kind, ModelParams.from_balanced(nu, ratio * nu, eta_breve, lam)
+
+
+@settings(DETERMINISTIC, max_examples=120)
+@example(point=("eta_much_less",
+                ModelParams.from_balanced(10.0, 10.0, 0.0, 0.05)))
+@example(point=("eta_comparable",
+                ModelParams.from_balanced(0.1, 0.2, 0.05, 0.05)))
+@given(point=regime_points())
+def test_engine_constants_are_the_printed_ones(point):
+    # C1, Z1 and C2 of solve against bh_first_second_order, which carry
+    # their powers of lam; interior norms.  C1 in units of lam nu; Z1 and
+    # C2 relative, since both carry 1/(nu - delta_breve), 1000/nu at
+    # delta_breve = 1.001 nu, where C2 is off by 4e-8 lam^2 nu but by
+    # 2.6e-12 relative
+    kind, p = point
+    regime = Regime.of(kind, p)
+    h0, series = regime_series(p, regime, SPACE)
+    sol = solve(decompose(h0), series, 2)
+    c1, z1, c2 = bh_first_second_order(p, regime, SPACE)
+    assert interior_distance(p.lam * sol.C[0], c1) <= 1e-12 * p.lam * p.nu
+    assert (interior_distance(p.lam * sol.Z[0], z1)
+            <= 1e-9 * interior_norm(z1))
+    assert (interior_distance(p.lam ** 2 * sol.C[1], c2)
+            <= 1e-9 * interior_norm(c2))

@@ -11,7 +11,7 @@ from iontrap import (
     interior_norm, interior_distance, hermitize,
     chi, gamma, ClusterAmbiguityError, decompose, InteractionSeries,
     diagonal_split, build_G, solve, assemble, residual_norm, REGIME_KINDS,
-    Regime, regime_series, bh, spectrum_second_order, first_order_evolutor,
+    Regime, regime_series, bh, spectrum_second_order, first_order_evolutor_fn,
     exact_eigs, exact_propagator_fn, frame_chain_fn, fit_order,
 )
 from iontrap.engine import _Banded, _add_commutator, _degenerate, _rotations
@@ -296,6 +296,18 @@ class TestBuildG:
         with pytest.raises(ValueError):
             build_G(2, h0, series, [])
 
+    def test_operands_on_another_space_are_refused(self):
+        # one dimension, 18, on two spaces that differ in their interior:
+        # G would take H0's
+        near, far = SpaceConfig(8, 2), SpaceConfig(8, 3)
+        h0 = balanced_reference(1.0, near)
+        with pytest.raises(ValueError, match="space"):
+            build_G(1, h0, InteractionSeries(terms=(balanced_leading(far),)),
+                    [])
+        series = InteractionSeries(terms=(balanced_leading(near),))
+        with pytest.raises(ValueError, match="space"):
+            build_G(2, h0, series, [balanced_leading(far)])
+
 
 class TestSolve:
     def test_resonant_first_constant(self):
@@ -363,6 +375,19 @@ class TestSolve:
         series = InteractionSeries(terms=(balanced_leading(SpaceConfig(8, 3)),))
         with pytest.raises(ValueError, match="space"):
             solve(spec, series, 1)
+
+    def test_residual_on_another_space_is_refused(self):
+        # the residual would be measured on the decomposition's interior
+        near, far = SpaceConfig(8, 2), SpaceConfig(8, 3)
+        spec = decompose(balanced_reference(1.0, near))
+        series = InteractionSeries(terms=(balanced_leading(near),))
+        sol = solve(spec, series, 2)
+        other = InteractionSeries(terms=(balanced_leading(far),))
+        with pytest.raises(ValueError, match="space"):
+            residual_norm(spec, other, sol, 0.05)
+        sol_far = solve(decompose(balanced_reference(1.0, far)), other, 2)
+        with pytest.raises(ValueError, match="space"):
+            residual_norm(spec, series, sol_far, 0.05)
 
     def test_zero_series(self):
         zero = Operator(np.zeros((SPACE.dim, SPACE.dim)), SPACE)
@@ -598,6 +623,15 @@ class TestAssemble:
         sol = solve(spec, series, 1)
         with pytest.raises(ValueError):
             assemble(h0, sol, 0.05, 2)
+
+    def test_h0_on_another_space_is_refused(self):
+        # the dressed pair would land on the other H0's space
+        near, far = SpaceConfig(8, 2), SpaceConfig(8, 3)
+        spec = decompose(balanced_reference(1.0, near))
+        series = InteractionSeries(terms=(balanced_leading(near),))
+        sol = solve(spec, series, 2)
+        with pytest.raises(ValueError, match="space"):
+            assemble(balanced_reference(1.0, far), sol, 0.05, 2)
 
 
 def _banded(rng, n, lower, upper):
@@ -861,7 +895,7 @@ class TestHigherOrdersBehindTheGates:
 
         def err_first(lam):
             return interior_distance(
-                first_order_evolutor(t, _resonant_family(lam), SPACE),
+                first_order_evolutor_fn(_resonant_family(lam), SPACE)(t),
                 exact(lam), SPACE.n_interior)
 
         fit = fit_order(err_second, grid)
@@ -873,13 +907,14 @@ class TestHigherOrdersBehindTheGates:
     def test_first_order_closed_form_equals_solve(self, detuning,
                                                     eta_breve):
         # U_1(t) = e^{-i lam Z_1} e^{-i(H0 + lam C_1)t} e^{i lam Z_1} from
-        # solve equals first_order_evolutor, built from its printed Z1, C1
+        # solve equals first_order_evolutor_fn, built from its printed Z1, C1
         lam = 0.05
         p = ModelParams.from_balanced(1.0, detuning, eta_breve, lam)
         h0, series = regime_series(p, Regime.of("near_resonant", p), SPACE)
         sol = solve(decompose(h0), series, 1)
         rot = expm(1j * sol.generator(lam, 1))
-        dressed = h0 + sol.constant(lam, 1)
+        dressed = exact_propagator_fn(h0 + sol.constant(lam, 1))
+        printed = first_order_evolutor_fn(p, SPACE)
         for t in (0.0, 0.7, 3.0, -1.3):
-            u1 = rot.dag @ exact_propagator_fn(dressed)(t) @ rot
-            assert op_norm(u1 - first_order_evolutor(t, p, SPACE)) < 1e-12
+            u1 = rot.dag @ dressed(t) @ rot
+            assert op_norm(u1 - printed(t)) < 1e-12

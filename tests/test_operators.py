@@ -9,7 +9,7 @@ import scipy.linalg
 from iontrap.operators import (
     SpaceConfig, BasisIndex, Operator, GROUND, EXCITED,
     annihilation, creation, number, pauli, identity, zero, displacement,
-    expm, op_norm, commutator, adjoint, hermitize,
+    expm, op_norm, commutator, hermitize,
     interior_block, interior_project, interior_norm, interior_distance,
     from_fock_blocks, to_fock_blocks, fock_lowering, fock_number,
     fock_function, fock_displacement, basis_vector, _expm_matrix,
@@ -296,7 +296,7 @@ def test_adjoint_involution_exact():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(SMALL.dim, SMALL.dim)) + 1j * rng.normal(size=(SMALL.dim, SMALL.dim))
     a = Operator(m, SMALL)
-    assert np.array_equal(adjoint(adjoint(a)).mat, a.mat)
+    assert np.array_equal(a.dag.dag.mat, a.mat)
 
 
 def test_commutator_hermiticity():
