@@ -17,6 +17,7 @@ canonical choice); ``hbar = 1`` throughout.
 """
 
 from .operators import (
+    ConfigError,
     SpaceConfig,
     BasisIndex,
     Operator,
@@ -119,7 +120,6 @@ from .oracle import (
 )
 from .experiments import (
     EXPERIMENTS,
-    ConfigError,
     DiagnosticError,
     ResultTable,
 )

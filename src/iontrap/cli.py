@@ -69,8 +69,6 @@ def _parse_params(items: dict) -> ModelParams:
                                eta=vals["eta"])
         return ModelParams.from_balanced(
             vals["nu"], vals["delta_breve"], vals["eta_breve"], vals["lambda"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     except OverflowError:
         raise ConfigError(
             "[params] overflow inverting the balanced parametrization")
@@ -85,10 +83,7 @@ def _parse_space(items: dict) -> SpaceConfig:
         given = {k: int(v) for k, v in items.items()}
     except ValueError:
         raise ConfigError("[space] n_max and interior_margin must be integers")
-    try:
-        return SpaceConfig(**given)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return SpaceConfig(**given)
 
 
 def parse_config(path: str) -> RunConfig:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    SpaceConfig, Operator,
+    ConfigError, SpaceConfig, Operator,
     annihilation, number, pauli, identity,
     fock_lowering, from_fock_blocks, expm, hermitize,
 )
@@ -50,7 +50,7 @@ def _require_resonance(p: ModelParams, what: str) -> None:
 
 def _require_near_resonance(p: ModelParams, what: str) -> None:
     if abs(p.nu - p.delta_breve) > _NEAR_RHO * p.nu:
-        raise ValueError(
+        raise ConfigError(
             f"{what} assumes the nearly resonant window "
             f"|nu - delta_breve| <= {_NEAR_RHO} nu; got offset "
             f"{p.delta_breve - p.nu!r}")
@@ -122,7 +122,7 @@ def regime_series(p: ModelParams, regime: Regime,
     """
     regime.validate(p)
     if p.lam == 0:
-        raise ValueError("lam = 0 leaves no perturbative direction")
+        raise ConfigError("lam = 0 leaves no perturbative direction")
     a = annihilation(space)
     sp, sm, sz = pauli("+", space), pauli("-", space), pauli("z", space)
 
@@ -360,7 +360,7 @@ def spectrum_second_order(p: ModelParams, n_levels: int) -> SecondOrderSpectrum:
     The lone bottom level is E0 = -delta_breve/2 + lam^2 nu / 2.
     """
     if n_levels < 0:
-        raise ValueError("n_levels must be nonnegative")
+        raise ConfigError("n_levels must be nonnegative")
     _require_near_resonance(p, "spectrum_second_order")
     nu, db, lam = p.nu, p.delta_breve, p.lam
     e0 = -0.5 * db + 0.5 * lam ** 2 * nu

@@ -351,7 +351,7 @@ def _eigenframe(spec: SpectralDecomposition):
 
 def solve(spec: SpectralDecomposition, series: InteractionSeries,
           N: int) -> PerturbativeSolution:
-    """Run the recursion to order N (projector route, minimal gauge).
+    """Run the recursion to order N (cluster mask, minimal gauge).
 
     The cluster mask ``spec.intra_mask()`` marks the entries of G_n that
     commute with H0: they form C_n, and the rest is solved away by

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    SpaceConfig, basis_vector, number, pauli,
+    ConfigError, SpaceConfig, BasisIndex, basis_vector, number, pauli,
     op_norm, interior_distance, EXCITED, GROUND,
 )
 from .hamiltonians import (
-    ModelParams, bh, ith_terms, _exactly_resonant, _t1_gauge, _t_delta_gauge,
+    ModelParams, bh, ith_terms, _exactly_resonant, _require_rabi, _t1_gauge,
+    _t_delta_gauge,
 )
 from .engine import ClusterAmbiguityError, decompose, solve, residual_norm
 from .closedforms import (
@@ -32,12 +33,8 @@ from .closedforms import (
 from .oracle import (
     OverlapAmbiguityError, exact_eigs, exact_propagator_fn,
     frame_chain_fn, time_ordered_sweep, fit_order, scan_gap,
-    _rung_levels, _CONCLUSIVE_R2, _STEPS_PER_UNIT,
+    _levels_by_overlap, _rung_levels, _CONCLUSIVE_R2, _STEPS_PER_UNIT,
 )
-
-
-class ConfigError(ValueError):
-    """The run configuration asks for something outside the contracts."""
 
 
 class DiagnosticError(RuntimeError):
@@ -79,6 +76,15 @@ def _finite_float(raw, what: str) -> float:
     return value
 
 
+def _integer(raw, what: str) -> int:
+    """int(raw), or ConfigError naming ``what`` unless raw is written as
+    an integer (so ``1e1`` and ``2.0`` are refused)."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{what} must be a finite integer, got {raw!r}")
+
+
 class Options:
     """Typed access to the [experiment] options with leftover detection."""
 
@@ -95,10 +101,7 @@ class Options:
         raw = self._raw.pop(key, None)
         if raw is None:
             return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"option {key!r} must be an integer, got {raw!r}")
+        return _integer(raw, f"option {key!r}")
 
     def get_str(self, key: str, default: str, choices=None) -> str:
         val = str(self._raw.pop(key, default)).strip()
@@ -107,22 +110,21 @@ class Options:
                 f"option {key!r} must be one of {sorted(choices)}, got {val!r}")
         return val
 
-    def get_floats(self, key: str, default: tuple) -> tuple:
+    def _get_list(self, key: str, default: tuple, parse) -> tuple:
         raw = self._raw.pop(key, None)
         if raw is None:
             return tuple(default)
-        vals = tuple(_finite_float(tok, f"each entry of option {key!r}")
+        vals = tuple(parse(tok, f"each entry of option {key!r}")
                      for tok in str(raw).split(",") if tok.strip())
         if not vals:
             raise ConfigError(f"option {key!r} is empty")
         return vals
 
+    def get_floats(self, key: str, default: tuple) -> tuple:
+        return self._get_list(key, default, _finite_float)
+
     def get_ints(self, key: str, default: tuple) -> tuple:
-        vals = self.get_floats(key, default)
-        out = tuple(int(v) for v in vals)
-        if any(o != v for o, v in zip(out, vals)):
-            raise ConfigError(f"option {key!r} must be integers")
-        return out
+        return self._get_list(key, default, _integer)
 
     def finish(self):
         if self._raw:
@@ -136,14 +138,6 @@ def _time_grid(opts: Options, t_max_default: float, steps_default: int):
     if t_max <= 0 or steps < 2:
         raise ConfigError("need t_max > 0 and t_steps >= 2")
     return np.linspace(0.0, t_max, steps)
-
-
-def _require_drive(p: ModelParams) -> None:
-    """ConfigError for an undriven ion: Delta = delta / Omega_R, and so
-    the balanced frame, is undefined at Omega_R = 0."""
-    if p.Omega_R == 0:
-        raise ConfigError(
-            "the balanced frame needs a drive, Omega_R > 0; got Omega_R = 0")
 
 
 # criterion 1's tolerance, the error a time sweep may carry
@@ -167,35 +161,40 @@ def _check_phase_budget(energies: np.ndarray, t_max: float) -> None:
 # -- the experiments ----------------------------------------------------------
 
 def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
-    """Second-order level formula against exact diagonalization."""
+    """Second-order level formula against exact diagonalization.
+
+    Each exact level is paired by overlap: E0 with |0,g>, rung n with
+    span{|n-1,e>, |n,g>}.  A projection under the oracle's threshold is a
+    DiagnosticError, an ambiguous level pairing, with the rungs paired
+    so far.
+    """
     n_levels = opts.get_int("n_levels", 10)
     opts.finish()
-    _require_drive(p)
+    _require_rabi(p)
     if n_levels > space.n_max:  # rung n pairs |n-1,e> with |n,g>
         raise ConfigError(f"n_levels must be at most n_max = {space.n_max}")
-    try:
-        spec = spectrum_second_order(p, n_levels)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    spec = spectrum_second_order(p, n_levels)
     values, vectors = exact_eigs(bh(p, space))
     cols = {"n": [], "E_minus": [], "E_plus": [],
             "E_minus_exact": [], "E_plus_exact": [],
             "err_minus": [], "err_plus": []}
-    meta = {"n_levels": n_levels, "E0": spec.E0, "E0_exact": float(values[0]),
-            "err_E0": abs(spec.E0 - float(values[0]))}
-    for n, e_minus, e_plus in spec.levels:
-        try:
+    meta = {"n_levels": n_levels, "E0": spec.E0}
+    try:
+        (e0,) = _levels_by_overlap((BasisIndex(0, GROUND).flat,), values,
+                                   vectors, "level E0")
+        meta.update(E0_exact=e0, err_E0=abs(spec.E0 - e0))
+        for n, e_minus, e_plus in spec.levels:
             lo, hi = _rung_levels(n, values, vectors, space)
-        except OverlapAmbiguityError as exc:
-            raise DiagnosticError(f"ambiguous level pairing: {exc}",
-                                  [ResultTable("spectrum", cols, meta)])
-        cols["n"].append(n)
-        cols["E_minus"].append(e_minus)
-        cols["E_plus"].append(e_plus)
-        cols["E_minus_exact"].append(lo)
-        cols["E_plus_exact"].append(hi)
-        cols["err_minus"].append(abs(e_minus - lo))
-        cols["err_plus"].append(abs(e_plus - hi))
+            cols["n"].append(n)
+            cols["E_minus"].append(e_minus)
+            cols["E_plus"].append(e_plus)
+            cols["E_minus_exact"].append(lo)
+            cols["E_plus_exact"].append(hi)
+            cols["err_minus"].append(abs(e_minus - lo))
+            cols["err_plus"].append(abs(e_plus - hi))
+    except OverlapAmbiguityError as exc:
+        raise DiagnosticError(f"ambiguous level pairing: {exc}",
+                              [ResultTable("spectrum", cols, meta)])
     return [ResultTable("spectrum", cols, meta)]
 
 
@@ -213,7 +212,7 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     n0 = opts.get_int("initial_n", 0)
     spin_name = opts.get_str("initial_spin", "g", choices={"g", "e"})
     opts.finish()
-    _require_drive(p)
+    _require_rabi(p)
     if not 0 <= n0 <= space.n_max:
         raise ConfigError(f"initial_n must be in 0..{space.n_max}")
     spin = GROUND if spin_name == "g" else EXCITED
@@ -251,7 +250,7 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """
     ts = _time_grid(opts, 3.0, 61)
     opts.finish()
-    _require_drive(p)
+    _require_rabi(p)
     if not _exactly_resonant(p.nu, p.delta_breve):
         raise ConfigError(
             "compare-rwa needs nu = delta_breve, so give the reduced set "
@@ -297,15 +296,13 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
                         choices=set(REGIME_KINDS))
     grid = opts.get_floats("lambda_grid", (0.02, 0.04, 0.08, 0.16))
     opts.finish()
-    _require_drive(p)
+    _require_rabi(p)
     if len(grid) < 4 or any(lam <= 0 for lam in grid):
         raise ConfigError("lambda_grid needs at least 4 entries, all positive")
     try:
         regime = Regime.of(kind, p)
         h0, series = regime_series(p, regime, space)
         spec = decompose(h0)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     except ClusterAmbiguityError as exc:
         raise DiagnosticError(f"ambiguous degeneracy: {exc}")
     sol = solve(spec, series, 2)
@@ -359,7 +356,7 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     offsets_raw = opts.get_floats("offsets", ())
     points = opts.get_int("points", 13)
     opts.finish()
-    _require_drive(p)
+    _require_rabi(p)
     if any(n < 1 for n in levels):
         raise ConfigError("levels must be positive integers")
     if len(set(levels)) != len(levels):  # each rung names one table
@@ -376,10 +373,7 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         else:
             half = 6.0 * p.lam ** 3 * p.nu
             offsets = np.linspace(-shift - half, -shift + half, points)
-        try:
-            scan = scan_gap(n, p, offsets, space)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        scan = scan_gap(n, p, offsets, space)
         cols = {"offset": list(scan.detuning_offsets),
                 "gap": list(scan.gaps)}
         meta = {"n": n, "argmin": scan.argmin, "predicted_argmin": -shift,
@@ -462,7 +456,7 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
     steps_per_unit = opts.get_float("steps_per_unit", _STEPS_PER_UNIT)
     opts.finish()
-    _require_drive(p)
+    _require_rabi(p)
     if steps_per_unit <= 0:
         raise ConfigError("need steps_per_unit > 0")
     chain = frame_chain_fn(p, space)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    SpaceConfig, Operator,
+    ConfigError, SpaceConfig, Operator,
     annihilation, number, pauli, identity, displacement,
     expm, hermitize, from_fock_blocks, fock_parity,
     _block_matrix, _gauge_displacement, _out_of_gauge,
@@ -64,11 +64,11 @@ class ModelParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not all(math.isfinite(getattr(self, n))
                    for n in ("nu", "omega_ge", "omega_L", "Omega_R", "eta")):
-            raise ValueError("parameters must be finite")
+            raise ConfigError("parameters must be finite")
         if self.nu <= 0:
-            raise ValueError(f"trap frequency nu must be > 0, got {self.nu}")
+            raise ConfigError(f"trap frequency nu must be > 0, got {self.nu}")
         if self.Omega_R < 0:
-            raise ValueError(f"Omega_R must be >= 0, got {self.Omega_R}")
+            raise ConfigError(f"Omega_R must be >= 0, got {self.Omega_R}")
 
     @property
     def delta(self) -> float:
@@ -76,8 +76,7 @@ class ModelParams:
 
     @property
     def Delta(self) -> float:
-        if self.Omega_R == 0:
-            raise ValueError("Delta = delta/Omega_R undefined at Omega_R = 0")
+        _require_rabi(self)
         return self.delta / self.Omega_R
 
     @property
@@ -88,14 +87,14 @@ class ModelParams:
     def eta_breve(self) -> float:
         db = self.delta_breve
         if db == 0:
-            raise ValueError("eta_breve undefined at Omega_R = delta = 0")
+            raise ConfigError("eta_breve undefined at Omega_R = delta = 0")
         return self.eta * (self.delta / db)
 
     @property
     def lam(self) -> float:
         db = self.delta_breve
         if db == 0:
-            raise ValueError("lam undefined at Omega_R = delta = 0")
+            raise ConfigError("lam undefined at Omega_R = delta = 0")
         return self.eta * (self.Omega_R / db)
 
     @property
@@ -115,13 +114,13 @@ class ModelParams:
         eta_breve = float(eta_breve)
         lam = float(lam)
         if delta_breve <= 0:
-            raise ValueError("delta_breve must be > 0")
+            raise ConfigError("delta_breve must be > 0")
         if eta_breve == 0.0:
             p = cls(nu=nu, omega_ge=0.0, omega_L=0.0,
                     Omega_R=delta_breve / 2.0, eta=2.0 * lam)
         else:
             if lam == 0.0:
-                raise ValueError(
+                raise ConfigError(
                     "eta_breve != 0 with lam = 0 is outside the balanced "
                     "parametrization (it needs Omega_R = 0)")
             big_delta = eta_breve / lam
@@ -273,8 +272,11 @@ def epsilon_coefficients(big_delta: float) -> tuple[float, float]:
 
 
 def _require_rabi(p: ModelParams) -> None:
+    """ConfigError for an undriven ion: Delta = delta / Omega_R, and so
+    the balanced frame, is undefined at Omega_R = 0."""
     if p.Omega_R == 0:
-        raise ValueError("Omega_R = 0: Delta undefined, balanced frame unavailable")
+        raise ConfigError(
+            "the balanced frame needs a drive, Omega_R > 0; got Omega_R = 0")
 
 
 def t1(p: ModelParams, space: SpaceConfig) -> Operator:

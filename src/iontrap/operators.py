@@ -26,6 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """An input outside the contracts: a space, parameter set or option
+    the model does not define.  The batch runner reports it as exit 2."""
+
+
 @dataclass(frozen=True)
 class SpaceConfig:
     """Size of the truncated space and of the trusted interior block.
@@ -41,12 +46,12 @@ class SpaceConfig:
         object.__setattr__(self, "n_max", int(self.n_max))
         object.__setattr__(self, "interior_margin", int(self.interior_margin))
         if self.n_max < 4:
-            raise ValueError(f"n_max must be >= 4, got {self.n_max}")
+            raise ConfigError(f"n_max must be >= 4, got {self.n_max}")
         if self.interior_margin < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"interior_margin must be >= 1, got {self.interior_margin}")
         if self.n_max - self.interior_margin < 2:
-            raise ValueError(
+            raise ConfigError(
                 "need n_max - interior_margin >= 2, got "
                 f"{self.n_max} - {self.interior_margin}")
 

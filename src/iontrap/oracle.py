@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (
-    SpaceConfig, BasisIndex, Operator, op_norm, pauli, _expm_matrix,
-    _below_limit, _hermiticity_defect, _flat_gauge_phases, _into_gauge,
+    ConfigError, SpaceConfig, BasisIndex, Operator, op_norm, pauli,
+    _expm_matrix, _below_limit, _hermiticity_defect, _flat_gauge_phases, _into_gauge,
     GROUND, EXCITED,
 )
 from .hamiltonians import ModelParams, bh, t_delta
@@ -392,27 +392,36 @@ def _parabolic_argmin(xs: Sequence[float], ys: Sequence[float]) -> float:
     return min(max(vertex, lo), hi)
 
 
+def _levels_by_overlap(basis: tuple, values: np.ndarray, vectors: np.ndarray,
+                       what: str, where: str = "") -> list:
+    """The len(basis) exact levels that project most onto span(basis).
+
+    basis holds flat indices; the projections are read off those rows of
+    the eigenvector matrix.  The levels come back ascending.  A
+    projection under 0.8 is refused with OverlapAmbiguityError instead of
+    guessed; its message begins with what and ends with where.
+    """
+    overlap = sum(np.abs(vectors[flat]) ** 2 for flat in basis)
+    pick = np.argsort(overlap)[-len(basis):]
+    if overlap[pick].min() < _OVERLAP_THRESHOLD:
+        raise OverlapAmbiguityError(
+            f"{what}: projection {overlap[pick].min():.3f} < "
+            f"{_OVERLAP_THRESHOLD}{where}")
+    return [float(e) for e in sorted(values[pick])]
+
+
 def _rung_levels(n: int, values: np.ndarray, vectors: np.ndarray,
                 space: SpaceConfig, where: str = "") -> tuple[float, float]:
-    """The exact pair (E_minus, E_plus) of rung n, matched by overlap.
-
-    The two eigenvectors with the largest squared projection onto
-    span{|n-1,e>, |n,g>} are the rung's levels; a projection under 0.8 is
-    refused with OverlapAmbiguityError instead of guessed.  where is
-    appended to the error message.  The projections are read off the
-    two basis rows of the eigenvector matrix.
+    """The exact pair (E_minus, E_plus) of rung n, matched by overlap
+    with span{|n-1,e>, |n,g>} through ``_levels_by_overlap``.  where is
+    appended to the error message.
     """
     if not 1 <= n <= space.n_max:
         raise ValueError(f"rung n must be in 1..{space.n_max}, got {n}")
-    overlap = (np.abs(vectors[BasisIndex(n - 1, EXCITED).flat]) ** 2
-               + np.abs(vectors[BasisIndex(n, GROUND).flat]) ** 2)
-    pick = np.argsort(overlap)[-2:]
-    if overlap[pick].min() < _OVERLAP_THRESHOLD:
-        raise OverlapAmbiguityError(
-            f"pair n={n}: projection {overlap[pick].min():.3f} < "
-            f"{_OVERLAP_THRESHOLD}{where}")
-    lo, hi = sorted(values[pick])
-    return float(lo), float(hi)
+    lo, hi = _levels_by_overlap(
+        (BasisIndex(n - 1, EXCITED).flat, BasisIndex(n, GROUND).flat),
+        values, vectors, f"pair n={n}", where)
+    return lo, hi
 
 
 def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
@@ -436,7 +445,7 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
     for off in offsets:
         db = nu + 2.0 * float(off)
         if db <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"offset {float(off):g} drives delta_breve to {float(db):g} <= 0")
         p = ModelParams.from_balanced(nu, db, eta_b, lam)
         values, vectors = exact_eigs(bh(p, space))

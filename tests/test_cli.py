@@ -14,7 +14,7 @@ from iontrap import (
     SpaceConfig, ModelParams, experiments, frame_chain_fn, ith, ith_terms,
     bh, exact_eigs, spectrum_second_order, time_ordered_sweep,
     first_order_evolutor_fn, identity, interior_distance, decompose,
-    regime_series, Regime, t_delta, t1,
+    regime_series, Regime, t_delta, t1, scan_gap,
 )
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
@@ -102,6 +102,54 @@ class TestParseConfig:
             parse_config(str(tmp_path / "nope.ini"))
 
 
+UNDRIVEN = ModelParams(nu=1.0, omega_ge=2.0, omega_L=1.0, Omega_R=0.0, eta=0.1)
+FAR = ModelParams.from_balanced(1.0, 1.7, 0.0, 0.05)
+
+
+class TestConfigErrorWhereDecided:
+    def test_one_class(self):
+        import iontrap.operators
+        assert iontrap.ConfigError is iontrap.operators.ConfigError
+        assert iontrap.ConfigError is ConfigError
+
+    # each input rule the library decides, called as a library user would
+    @pytest.mark.parametrize("call", [
+        lambda: SpaceConfig(n_max=3),
+        lambda: SpaceConfig(n_max=6, interior_margin=0),
+        lambda: SpaceConfig(n_max=6, interior_margin=5),
+        lambda: ModelParams(nu=math.nan, omega_ge=1.0, omega_L=1.0,
+                            Omega_R=0.25, eta=0.1),
+        lambda: ModelParams(nu=0.0, omega_ge=1.0, omega_L=1.0,
+                            Omega_R=0.25, eta=0.1),
+        lambda: ModelParams(nu=1.0, omega_ge=1.0, omega_L=1.0,
+                            Omega_R=-0.25, eta=0.1),
+        lambda: dataclasses.replace(UNDRIVEN, omega_ge=1.0).lam,
+        lambda: dataclasses.replace(UNDRIVEN, omega_ge=1.0).eta_breve,
+        lambda: ModelParams.from_balanced(1.0, 0.0, 0.0, 0.05),
+        lambda: ModelParams.from_balanced(1.0, 1.0, 0.1, 0.0),
+        lambda: spectrum_second_order(FAR, 3),
+        lambda: regime_series(ModelParams.from_balanced(1.0, 1.0, 0.0, 0.0),
+                              Regime("eta_much_less"), SPACE),
+        lambda: spectrum_second_order(P_RES, -1),
+        lambda: scan_gap(1, P_RES, [-0.6], SpaceConfig(6, 2)),
+    ], ids=["n_max", "margin", "interior", "finite", "nu", "Omega_R",
+            "lam", "eta_breve", "delta_breve", "lam-zero", "near-resonance",
+            "regime-lam-zero", "n_levels", "offset"])
+    def test_input_rules_raise_config_error(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+    def test_drive_rule_has_one_message(self):
+        # Delta, the frame builders and the experiments share _require_rabi
+        for call in (lambda: UNDRIVEN.Delta, lambda: UNDRIVEN.theta,
+                     lambda: t1(UNDRIVEN, SPACE),
+                     lambda: spectrum(UNDRIVEN, SPACE, Options({}), map)):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert str(info.value) == ("the balanced frame needs a drive, "
+                                       "Omega_R > 0; got Omega_R = 0")
+
+
 class TestOptions:
     def test_leftovers_rejected(self):
         opts = Options({"bogus": "1"})
@@ -123,9 +171,18 @@ class TestOptions:
         with pytest.raises(ConfigError, match="finite"):
             getattr(Options({"k": raw}), getter)("k", ())
 
-    def test_non_integer_rejected(self):
-        with pytest.raises(ConfigError):
-            Options({"levels": "1.5"}).get_ints("levels", ())
+    @pytest.mark.parametrize("raw", ["1.5", "1e1", "2.0", "1, 2.0"])
+    def test_non_integer_rejected(self, raw):
+        # one rule for n_levels and for each entry of levels: no float
+        # spelling, even of a whole number
+        for getter in ("get_int", "get_ints"):
+            with pytest.raises(ConfigError, match="integer"):
+                getattr(Options({"levels": raw}), getter)("levels", ())
+
+    def test_integer_entries_keep_every_digit(self):
+        # 2**53 + 1 has no double; a float route reads ...992
+        assert Options({"k": "9007199254740993"}).get_ints("k", ()) == (
+            9007199254740993,)
 
     def test_defaults_pass_through(self):
         opts = Options({})
@@ -162,6 +219,16 @@ class TestSpectrumExperiment:
         strong = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.6)
         with pytest.raises(DiagnosticError, match="ambiguous level pairing"):
             spectrum(strong, SPACE, Options({"n_levels": "10"}), map)
+
+    def test_bottom_level_paired_by_overlap(self):
+        # at lam = 1.3 the lowest exact level is no longer E0: the level
+        # with the most |0,g> weight sits at 0.843 and holds only 0.41 of it
+        strong = ModelParams.from_balanced(1.0, 1.0, 0.0, 1.3)
+        with pytest.raises(DiagnosticError,
+                           match="ambiguous level pairing: level E0") as info:
+            spectrum(strong, SPACE, Options({"n_levels": "0"}), map)
+        (table,) = info.value.tables
+        assert "E0_exact" not in table.metadata
 
     def test_far_detuned_rejected(self):
         far = ModelParams.from_balanced(1.0, 1.7, 0.0, 0.05)
@@ -324,6 +391,17 @@ class TestResidualOrderExperiment:
     def test_unknown_regime_rejected(self):
         with pytest.raises(ConfigError):
             residual_order(P_RES, SPACE, Options({"regime": "bogus"}), map)
+
+    def test_internal_fault_is_no_config_error(self, monkeypatch):
+        # a decomposition that fails is the library's fault, not the
+        # config's, and surfaces as it was raised
+        def broken(h0):
+            raise ValueError("operator is not hermitian (defect 1.00e+00)")
+
+        monkeypatch.setattr(experiments, "decompose", broken)
+        with pytest.raises(ValueError, match="not hermitian") as info:
+            residual_order(P_RES, SPACE, Options({}), map)
+        assert not isinstance(info.value, ConfigError)
 
     def test_points_where_second_order_stops_helping_are_named(self):
         assert residual_order(P_RES, SPACE, Options({}), map)[0].metadata[
@@ -698,6 +776,35 @@ class TestRunner:
             for f in (name.replace("-", "_") + ".csv", "metadata.json"):
                 a = (tmp_path / outs[0] / f).read_bytes()
                 assert a == (tmp_path / outs[1] / f).read_bytes()
+
+    @pytest.mark.parametrize("omega_ge,omega_l,eta", [
+        (2.0, 1.0, 0.0), (2.0, 1.0, 0.1), (1.00000002, 0.0, 0.1),
+        (-1.0, 0.0, 0.0)])
+    def test_undriven_ion_exit_codes(self, tmp_path, capsys, omega_ge,
+                                     omega_l, eta):
+        # no balanced frame at Omega_R = 0: every experiment that needs
+        # one says so, exit 2; limits sets its own drives, exit 0
+        params = (f"[params]\nnu = 1\nomega_ge = {omega_ge!r}\n"
+                  f"omega_L = {omega_l!r}\nOmega_R = 0\neta = {eta!r}\n"
+                  "[space]\nn_max = 6\ninterior_margin = 2\n")
+        for name in sorted(EXPERIMENTS):
+            text = params + f"[experiment]\nname = {name}\n"
+            assert self.run(tmp_path, text) == (0 if name == "limits" else 2)
+            err = capsys.readouterr().err
+            assert err == ("" if name == "limits" else
+                           "config error: the balanced frame needs a drive, "
+                           "Omega_R > 0; got Omega_R = 0\n")
+
+    def test_import_loads_only_numpy_beyond_the_stdlib(self):
+        # every run pays this import in a fresh interpreter
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; before = set(sys.modules); import iontrap; "
+             "print(*{m.partition('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) <= {"numpy", "iontrap"}
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy is a test-only dependency; the runtime must not pull it in

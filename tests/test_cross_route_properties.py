@@ -1,16 +1,24 @@
 """Property tests: numbers the library computes two ways agree over the
 parameter space, not only at the fixed points of the other modules."""
 
-from hypothesis import example, given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
 from iontrap import (
     SpaceConfig, ModelParams, interior_distance, interior_norm,
     REGIME_KINDS, Regime, regime_series, bh_first_second_order,
-    decompose, solve,
+    decompose, solve, bh, h_check, exact_eigs,
 )
 from test_config_properties import DETERMINISTIC
 
 SPACE = SpaceConfig(n_max=20, interior_margin=5)
+# margin 10: at margin 5 the routes of bh part by 1.4e-8 at nu = 1,
+# delta_breve = 2, eta_breve = 0.16, lam = 0.08
+DEEP = SpaceConfig(n_max=20)
+
+# nu log-uniform in [0.1, 10], and a scale factor log-uniform in [0.1, 10]
+DECADES = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+LAMS = st.floats(0.005, 0.08)
 
 # delta_breve / nu on resonance, below it, between nu and 2 nu, on the
 # two-photon resonance and above it; every mismatch outside the ambiguous
@@ -28,8 +36,8 @@ def regime_points(draw):
     """(kind, params): nu log-uniform in [0.1, 10], lam in [0.005, 0.08]
     and eta_breve in [0, 2 lam], 0 where the regime drops it."""
     kind = draw(st.sampled_from(REGIME_KINDS))
-    nu = 10.0 ** draw(st.floats(-1.0, 1.0))
-    lam = draw(st.floats(0.005, 0.08))
+    nu = draw(DECADES)
+    lam = draw(LAMS)
     ratio = draw(NEAR_RATIOS if kind == "near_resonant" else RATIOS)
     eta_breve = (0.0 if kind == "eta_much_less"
                  else draw(st.floats(0.0, 2.0 * lam)))
@@ -58,3 +66,51 @@ def test_engine_constants_are_the_printed_ones(point):
             <= 1e-9 * interior_norm(z1))
     assert (interior_distance(p.lam ** 2 * sol.C[1], c2)
             <= 1e-9 * interior_norm(c2))
+
+
+@st.composite
+def balanced_points(draw):
+    """params: nu log-uniform in [0.1, 10], lam in [0.005, 0.08],
+    delta_breve / nu from RATIOS and eta_breve in [0, 2 lam]."""
+    nu = draw(DECADES)
+    lam = draw(LAMS)
+    ratio = draw(RATIOS)
+    eta_breve = draw(st.floats(0.0, 2.0 * lam))
+    return ModelParams.from_balanced(nu, ratio * nu, eta_breve, lam)
+
+
+@settings(DETERMINISTIC, max_examples=120)
+@given(p=balanced_points())
+def test_closed_form_routes_match_conjugation(p):
+    # the documented interior bound 1e-8, in units of nu
+    for build in (bh, h_check):
+        assert (interior_distance(build(p, DEEP), build(p, DEEP, "closed_form"))
+                <= 1e-8 * p.nu)
+
+
+def _clear_of_the_band(h0):
+    """Every eigenvalue gap of h0 far below or far above the engine's
+    absolute degeneracy tolerance 1e-8, so it clusters the same way at
+    every scale that keeps it there."""
+    gaps = np.diff(exact_eigs(h0)[0])
+    return bool(np.all((gaps < 1e-9) | (gaps > 1e-7)))
+
+
+@settings(DETERMINISTIC, max_examples=120)
+@given(point=regime_points(), s=DECADES)
+def test_constants_scale_with_the_frequencies(point, s):
+    # nu and delta_breve times s: C_n times s and Z_n unchanged, orders
+    # 1-3, relative to their norms
+    kind, p = point
+    scaled = ModelParams.from_balanced(s * p.nu, s * p.delta_breve,
+                                       p.eta_breve, p.lam)
+    sols = []
+    for q in (p, scaled):
+        h0, series = regime_series(q, Regime.of(kind, q), SPACE)
+        assume(_clear_of_the_band(h0))
+        sols.append(solve(decompose(h0), series, 3))
+    base, moved = sols
+    for c, c_s in zip(base.C, moved.C):
+        assert interior_distance(c_s, s * c) <= 1e-9 * interior_norm(s * c)
+    for z, z_s in zip(base.Z, moved.Z):
+        assert interior_distance(z_s, z) <= 1e-9 * interior_norm(z)
