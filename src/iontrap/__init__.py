@@ -24,25 +24,20 @@ from .operators import (
     GROUND,
     EXCITED,
     annihilation,
-    creation,
     number,
     pauli,
     identity,
-    zero,
     displacement,
     expm,
     op_norm,
     commutator,
     hermitize,
     interior_block,
-    interior_project,
     interior_norm,
     interior_distance,
     from_fock_blocks,
-    to_fock_blocks,
     fock_lowering,
     fock_number,
-    fock_function,
     fock_displacement,
     fock_parity,
     basis_vector,

@@ -36,6 +36,7 @@ from .operators import SpaceConfig
 from .hamiltonians import ModelParams
 from .experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, _finite_float,
+    _integer,
 )
 
 _FULL_KEYS = ("nu", "omega_ge", "omega_l", "omega_r", "eta")
@@ -79,11 +80,8 @@ def _parse_space(items: dict) -> SpaceConfig:
     unknown = set(items) - known
     if unknown:
         raise ConfigError(f"unknown [space] keys: {sorted(unknown)}")
-    try:
-        given = {k: int(v) for k, v in items.items()}
-    except ValueError:
-        raise ConfigError("[space] n_max and interior_margin must be integers")
-    return SpaceConfig(**given)
+    return SpaceConfig(**{k: _integer(v, f"[space] {k}")
+                          for k, v in items.items()})
 
 
 def parse_config(path: str) -> RunConfig:

@@ -236,7 +236,8 @@ def jc_evolutor_breve(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
 def rwa_evolutor_fn(p: ModelParams, space: SpaceConfig):
     """t -> exp(-i H0 t) JC_breve(t): the exchange term kept alone.
 
-    The resonance is checked once.  The reference H0 is diagonal, so
+    The resonance is checked here and again by ``jc_evolutor_breve`` at
+    every time.  The reference H0 is diagonal, so
     exp(-i H0 t) is the phase of its diagonal; no eigendecomposition is
     involved.
     """

@@ -117,12 +117,6 @@ class InteractionSeries:
         object.__setattr__(self, "_gauge", tuple(
             _into_gauge(term.mat, term.space) for term in self.terms))
 
-    def term(self, m: int) -> Operator:
-        """H_m for m >= 1; zero beyond the stored terms is the caller's business."""
-        if not 1 <= m <= len(self.terms):
-            raise IndexError(f"series has terms 1..{len(self.terms)}, asked for {m}")
-        return self.terms[m - 1]
-
     def evaluate(self, lam: float) -> Operator:
         return _out_of_gauge(_lam_sum(lam, self._gauge), self.terms[0].space)
 

@@ -90,13 +90,6 @@ class BasisIndex:
     def flat(self) -> int:
         return 2 * self.fock + self.spin
 
-    @classmethod
-    def from_flat(cls, flat: int) -> "BasisIndex":
-        return cls(flat // 2, flat % 2)
-
-    def label(self) -> str:
-        return f"|{self.fock},{'ge'[self.spin]}>"
-
 
 @dataclass(frozen=True, eq=False)
 class Operator:
@@ -188,15 +181,6 @@ def fock_lowering(space: SpaceConfig) -> np.ndarray:
 
 def fock_number(space: SpaceConfig) -> np.ndarray:
     return np.diag(np.arange(space.n_max + 1, dtype=np.complex128))
-
-
-def fock_function(space: SpaceConfig, f) -> np.ndarray:
-    """diag(f(0), f(1), ..., f(n_max)): a function of the number operator.
-
-    f is applied to the integer Fock levels as a numpy vectorized call.
-    """
-    vals = np.asarray(f(np.arange(space.n_max + 1)), dtype=np.complex128)
-    return np.diag(vals)
 
 
 def fock_displacement(alpha: complex, space: SpaceConfig) -> np.ndarray:
@@ -323,10 +307,6 @@ def annihilation(space: SpaceConfig) -> Operator:
     return Operator(np.kron(fock_lowering(space), np.eye(2)), space)
 
 
-def creation(space: SpaceConfig) -> Operator:
-    return annihilation(space).dag
-
-
 def number(space: SpaceConfig) -> Operator:
     return Operator(np.kron(fock_number(space), np.eye(2)), space)
 
@@ -346,10 +326,6 @@ def pauli(which: str, space: SpaceConfig) -> Operator:
 
 def identity(space: SpaceConfig) -> Operator:
     return Operator(np.eye(space.dim), space)
-
-
-def zero(space: SpaceConfig) -> Operator:
-    return Operator(np.zeros((space.dim, space.dim)), space)
 
 
 def displacement(alpha: complex, space: SpaceConfig) -> Operator:
@@ -572,16 +548,6 @@ def interior_block(a: Operator, n_keep: int | None = None) -> np.ndarray:
     return a.mat[:k, :k].copy()
 
 
-def interior_project(a: Operator, space: SpaceConfig | None = None) -> Operator:
-    """P A P with P the projector onto Fock levels <= n_max - interior_margin."""
-    if space is not None and space != a.space:
-        raise ValueError("operator does not live on the given space")
-    k = a.space.interior_dim
-    m = np.zeros_like(a.mat)
-    m[:k, :k] = a.mat[:k, :k]
-    return Operator(m, a.space)
-
-
 def interior_norm(a: Operator, n_keep: int | None = None) -> float:
     return op_norm(interior_block(a, n_keep))
 
@@ -614,10 +580,3 @@ def _block_matrix(space: SpaceConfig, ee, eg, ge, gg) -> np.ndarray:
                 f"fock block must have shape {(nf, nf)}, got {b.shape}")
         full[rows::2, cols::2] = b
     return full
-
-
-def to_fock_blocks(a: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of from_fock_blocks: returns (ee, eg, ge, gg) copies."""
-    m = a.mat
-    return (m[1::2, 1::2].copy(), m[1::2, 0::2].copy(),
-            m[0::2, 1::2].copy(), m[0::2, 0::2].copy())

@@ -425,7 +425,7 @@ def _rung_levels(n: int, values: np.ndarray, vectors: np.ndarray,
 
 
 def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
-             space: SpaceConfig | None = None) -> GapScan:
+             space: SpaceConfig) -> GapScan:
     """Exact gap of the n-th avoided pair as the detuning mismatch is swept.
 
     Each offset sets delta_breve = nu + 2*offset while the couplings lam
@@ -434,12 +434,12 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
     splitting.  Sweeping at fixed Rabi frequency instead would drag
     eta_breve along delta_breve and displace the gap minimum by
     ~lam^2 eta_breve n^2, swamping the effect being located.  Levels are
-    matched to the pair by ``_rung_levels``.
+    matched to the pair by ``_rung_levels``.  An offset that drives
+    delta_breve to 0 or below, or whose rebuilt drive Omega_R underflows
+    to 0, is a ConfigError naming it.
     """
     if n < 1:
         raise ValueError("the bottom level is unpaired; need n >= 1")
-    if space is None:
-        space = SpaceConfig()
     nu, lam, eta_b = p_base.nu, p_base.lam, p_base.eta_breve
     gaps = []
     for off in offsets:
@@ -448,6 +448,10 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
             raise ConfigError(
                 f"offset {float(off):g} drives delta_breve to {float(db):g} <= 0")
         p = ModelParams.from_balanced(nu, db, eta_b, lam)
+        if p.Omega_R == 0:
+            raise ConfigError(
+                f"offset {float(off):g} rebuilds the drive at delta_breve "
+                f"{db:g}, where Omega_R underflows to 0")
         values, vectors = exact_eigs(bh(p, space))
         lo, hi = _rung_levels(n, values, vectors, space, f" at offset {off!r}")
         gaps.append(float(hi - lo))

@@ -9,6 +9,7 @@ by path and nothing is written under ``bench/``.
 """
 
 import importlib.util
+import os
 import pathlib
 import sys
 
@@ -50,3 +51,26 @@ def test_one_pass_checks_clean(workloads, part, tmp_path):
     assert errors == {}
     attempted, failed = work.check(cfgs, result)
     assert attempted > 0 and failed == 0
+
+
+def test_selftest_rebuilds_a_solution_from_operators(tmp_path, monkeypatch):
+    # bench/selftest.py is the one caller of PerturbativeSolution(order, C,
+    # Z): its perturbative cases rebuild a spoiled solution from Operators
+    path = ROOT / "bench" / "selftest.py"
+    spec = importlib.util.spec_from_file_location("bench_selftest", path)
+    selftest = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # it pins BLAS
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        spec.loader.exec_module(selftest)
+    finally:
+        sys.path[:] = saved_path
+    try:
+        problems, _, _ = selftest.check_part("perturbative", 1, str(tmp_path))
+    finally:
+        for name in ("workloads", "tracing"):
+            if name not in saved_modules:
+                sys.modules.pop(name, None)
+    assert problems == []

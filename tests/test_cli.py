@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from iontrap import (
-    SpaceConfig, ModelParams, experiments, frame_chain_fn, ith, ith_terms,
-    bh, exact_eigs, spectrum_second_order, time_ordered_sweep,
+    SpaceConfig, ModelParams, JCParams, experiments, frame_chain_fn, ith,
+    ith_terms, bh, exact_eigs, spectrum_second_order, time_ordered_sweep,
     first_order_evolutor_fn, identity, interior_distance, decompose,
     regime_series, Regime, t_delta, t1, scan_gap,
 )
@@ -132,9 +132,11 @@ class TestConfigErrorWhereDecided:
                               Regime("eta_much_less"), SPACE),
         lambda: spectrum_second_order(P_RES, -1),
         lambda: scan_gap(1, P_RES, [-0.6], SpaceConfig(6, 2)),
+        lambda: JCParams(1.0, math.inf, 0.1),
+        lambda: JCParams(0.0, 1.0, 0.1),
     ], ids=["n_max", "margin", "interior", "finite", "nu", "Omega_R",
             "lam", "eta_breve", "delta_breve", "lam-zero", "near-resonance",
-            "regime-lam-zero", "n_levels", "offset"])
+            "regime-lam-zero", "n_levels", "offset", "jc-finite", "jc-nu"])
     def test_input_rules_raise_config_error(self, call):
         with pytest.raises(ConfigError):
             call()
@@ -706,12 +708,39 @@ class TestRunner:
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert meta["diagnostic"].startswith(diagnostic)
 
-    def test_compare_rwa_off_resonance_exit_2(self, tmp_path, capsys):
-        # the README's full set is off resonance; the message speaks CLI
-        text = FULL + "[experiment]\nname = compare-rwa\n"
+    @pytest.mark.parametrize("params", [
+        FULL,
+        # delta_breve overflows to inf, which resonates with no nu
+        FULL.replace("omega_ge = 1.9", "omega_ge = 0")
+            .replace("omega_L = 1.0", "omega_L = 0")
+            .replace("Omega_R = 0.25", "Omega_R = 1e308"),
+    ], ids=["readme-full-set", "infinite-delta_breve"])
+    def test_compare_rwa_off_resonance_exit_2(self, tmp_path, capsys, params):
+        # the message speaks CLI
+        text = params + "[experiment]\nname = compare-rwa\n"
         assert self.run(tmp_path, text) == 2
         err = capsys.readouterr().err
         assert "delta_breve" in err and "expm" not in err
+
+    def test_space_entries_follow_the_integer_rule(self, tmp_path, capsys):
+        text = (REDUCED + "[space]\nn_max = 20\ninterior_margin = 2.0\n"
+                "[experiment]\nname = spectrum\n")
+        assert self.run(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "[space] interior_margin" in err and "'2.0'" in err
+
+    def test_underflowing_scan_drive_exit_2(self, tmp_path, capsys):
+        # a driven base point whose drive, rebuilt at delta_breve = nu +
+        # 2 offset, underflows to 0: the scan names the offset, not the
+        # config's Omega_R
+        text = ("[params]\nnu = 5.6e-268\nomega_ge = -1\nomega_L = 0\n"
+                "Omega_R = 7.5e-112\neta = 1.6e-118\n"
+                "[space]\nn_max = 6\ninterior_margin = 2\n"
+                "[experiment]\nname = anticrossing\n")
+        assert self.run(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: offset ")
+        assert "Omega_R underflows to 0" in err
 
     def test_diagnostic_exit_3_still_writes(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"

@@ -98,7 +98,7 @@ class TestRegimeSeries:
         # <0,e| term2 |2,g> = -(eta_breve/lam) nu sqrt(2)
         v_out = basis_vector(SPACE, 0, EXCITED)
         v_in = basis_vector(SPACE, 2, GROUND)
-        got = v_out.conj() @ series.term(2).mat @ v_in
+        got = v_out.conj() @ series.terms[1].mat @ v_in
         want = -(p.eta_breve / p.lam) * p.nu * math.sqrt(2)
         assert abs(got - want) < 1e-13
 

@@ -88,6 +88,16 @@ def test_closed_form_routes_match_conjugation(p):
                 <= 1e-8 * p.nu)
 
 
+def test_closed_form_routes_at_the_documented_margin():
+    # the docstrings' edge: margin 8, at the point where margin 5 parts
+    # the routes of bh by 1.4e-8
+    p = ModelParams.from_balanced(1.0, 2.0, 0.16, 0.08)
+    edge = SpaceConfig(n_max=20, interior_margin=8)
+    for build in (bh, h_check):
+        assert (interior_distance(build(p, edge), build(p, edge, "closed_form"))
+                <= 1e-8)
+
+
 def _clear_of_the_band(h0):
     """Every eigenvalue gap of h0 far below or far above the engine's
     absolute degeneracy tolerance 1e-8, so it clusters the same way at

@@ -183,13 +183,6 @@ class TestInteractionSeries:
         with pytest.raises(ValueError, match="at least one term"):
             InteractionSeries(terms=())
 
-    def test_term_indexing(self):
-        series = InteractionSeries(terms=(balanced_leading(),))
-        with pytest.raises(IndexError):
-            series.term(2)
-        with pytest.raises(IndexError):
-            series.term(0)
-
 
 class TestDiagonalSplit:
     def test_polynomial_in_h0_is_block_diagonal(self):

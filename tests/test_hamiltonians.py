@@ -12,7 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams,
     annihilation, number, pauli, identity, basis_vector, op_norm,
-    commutator, interior_norm, interior_distance, to_fock_blocks, hermitize,
+    commutator, interior_norm, interior_distance, hermitize,
     jc_hamiltonian, jc_constants,
     ith, frame_rotation, rfh, rwa_effective,
     kappa_coefficients, epsilon_coefficients,
@@ -22,6 +22,7 @@ from iontrap import (
     h_check_interaction_series, h_check,
     REGIME_KINDS, Regime, regime_series,
 )
+from iontrap.hamiltonians import _exactly_resonant
 from iontrap.operators import _into_gauge
 
 SPACE = SpaceConfig()
@@ -119,6 +120,11 @@ class TestJaynesCummings:
     def test_resonance_flag(self):
         assert JCParams(1.0, 1.0, 0.1).resonant
         assert not JCParams(1.0, 1.2, 0.1).resonant
+
+    def test_infinite_frequency_is_off_resonance(self):
+        # inf <= 1e-12 * inf would call any frequency resonant with inf
+        assert not _exactly_resonant(1.0, math.inf)
+        assert not _exactly_resonant(math.inf, math.inf)
 
 
 class TestLabAndRotatingFrames:
@@ -349,7 +355,7 @@ class TestCheckFrame:
         # m = 0 and every even m act as the identity on spin
         for m in (0, 2, 4):
             term = h_check_interaction_term(m, P_REF, SPACE)
-            _, eg, ge, _ = to_fock_blocks(term)
+            eg, ge = term.mat[1::2, 0::2], term.mat[0::2, 1::2]
             assert np.max(np.abs(eg)) == 0.0
             assert np.max(np.abs(ge)) == 0.0
 

@@ -467,7 +467,7 @@ class TestScanGap:
     def test_free_crossing(self):
         base = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.0)
         offsets = np.linspace(-0.02, 0.02, 9)
-        scan = scan_gap(1, base, offsets)
+        scan = scan_gap(1, base, offsets, SPACE)
         for off, gap in zip(scan.detuning_offsets, scan.gaps):
             assert abs(gap - 2.0 * abs(off)) < 1e-12
         assert abs(scan.argmin) < 1e-9
@@ -477,7 +477,7 @@ class TestScanGap:
         lam = self.BASE.lam
         shift = anticrossing_shift(n, self.BASE)
         offsets = np.linspace(-shift - 6 * lam ** 3, -shift + 6 * lam ** 3, 13)
-        scan = scan_gap(n, self.BASE, offsets)
+        scan = scan_gap(n, self.BASE, offsets, SPACE)
         assert abs(scan.argmin + shift) <= lam ** 3 * self.BASE.nu * n
         assert all(g > 0 for g in scan.gaps)
 
@@ -486,22 +486,22 @@ class TestScanGap:
         lam = self.BASE.lam
         shift = anticrossing_shift(n, self.BASE)
         offsets = np.linspace(-shift - 6 * lam ** 3, -shift + 6 * lam ** 3, 13)
-        scan = scan_gap(n, self.BASE, offsets)
+        scan = scan_gap(n, self.BASE, offsets, SPACE)
         want = 2.0 * lam * self.BASE.nu * math.sqrt(n)
         assert abs(min(scan.gaps) - want) <= lam ** 2 * self.BASE.nu
 
     def test_bottom_level_rejected(self):
         with pytest.raises(ValueError):
-            scan_gap(0, self.BASE, [0.0])
+            scan_gap(0, self.BASE, [0.0], SPACE)
 
     def test_offset_below_spectrum_rejected(self):
         with pytest.raises(ValueError):
-            scan_gap(1, self.BASE, [-0.6])
+            scan_gap(1, self.BASE, [-0.6], SPACE)
 
     def test_strong_hybridization_refused(self):
         strong = ModelParams.from_balanced(1.0, 1.0, 0.12, 0.6)
         with pytest.raises(OverlapAmbiguityError):
-            scan_gap(1, strong, [0.0])
+            scan_gap(1, strong, [0.0], SPACE)
 
     @pytest.mark.parametrize("center,step", [(0.0, 1e-178), (-5e-25, 1e-36),
                                              (0.3, 0.01)],
