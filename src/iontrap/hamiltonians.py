@@ -199,7 +199,9 @@ def ith_terms(p: ModelParams, space: SpaceConfig) -> tuple:
     K) and their conjugate (Omega_R e^{i omega_L t}, K^dag), with
     h0 = nu n + omega_ge/2 sigma_z and K = sigma_+ D(i eta).  The time
     dependence is only the laser phase, so ``time_ordered_sweep`` forms
-    the pieces' commutators once and never rebuilds a displacement.
+    the pieces' three commutators once and builds each sixth-order step
+    from scalar weights on these six matrices: it never rebuilds a
+    displacement or evaluates H(t) as a matrix.
     """
     h0 = (p.nu * number(space) + 0.5 * p.omega_ge * pauli("z", space)).mat
     drive = (pauli("+", space) @ displacement(1j * p.eta, space)).mat

@@ -37,14 +37,19 @@ class SpaceConfig:
 
     n_max is the highest retained Fock level (Hilbert dimension 2*(n_max+1));
     Fock levels above n_max - interior_margin are excluded from comparisons.
+    Both are integers, numpy integers included; anything else, a float or
+    a bool among them, is a ConfigError naming the field and the value.
     """
 
     n_max: int = 40
     interior_margin: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "n_max", int(self.n_max))
-        object.__setattr__(self, "interior_margin", int(self.interior_margin))
+        for name in ("n_max", "interior_margin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_max < 4:
             raise ConfigError(f"n_max must be >= 4, got {self.n_max}")
         if self.interior_margin < 1:

@@ -5,12 +5,16 @@ the demos do (``cli.parse_config``, the experiments, ``Regime.of``,
 ``regime_series``, ``decompose``, ``solve``, ``residual_norm``).  One pass
 of each of its four parts at seed 1, with its own check, catches a change
 of any of those calls before a benchmark run does.  The module is loaded
-by path and nothing is written under ``bench/``.
+by path and nothing is written under ``bench/``.  The benchmark's
+``setup_s`` times ``import iontrap``, so the arrays the package builds at
+import are held to small constants too.
 """
 
 import importlib.util
+import json
 import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -74,3 +78,34 @@ def test_selftest_rebuilds_a_solution_from_operators(tmp_path, monkeypatch):
             if name not in saved_modules:
                 sys.modules.pop(name, None)
     assert problems == []
+
+
+# Every module of the package, imported in a fresh interpreter; the bytes
+# of the numpy arrays each holds at module level, alone or one level down
+# in a dict, list or tuple, by qualified name.
+_ARRAYS_AT_IMPORT = """
+import importlib, json, pkgutil
+import numpy as np
+import iontrap
+sizes = {}
+for info in [None, *pkgutil.iter_modules(iontrap.__path__)]:
+    name = "iontrap" + ("" if info is None else "." + info.name)
+    for key, value in vars(importlib.import_module(name)).items():
+        held = (value.values() if isinstance(value, dict)
+                else value if isinstance(value, (list, tuple)) else [value])
+        size = sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        if size:
+            sizes[name + "." + key] = size
+print(json.dumps(sizes))
+"""
+
+
+def test_import_builds_no_tables():
+    # set-up time is the import: a table built at import costs every run
+    # of the CLI, so the arrays made at import stay small constants
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _ARRAYS_AT_IMPORT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    sizes = json.loads(out)
+    assert "iontrap.operators._TAYLOR_BLOCKS" in sizes  # the probe sees them
+    assert sum(sizes.values()) <= 1024, sizes

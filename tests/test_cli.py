@@ -327,9 +327,9 @@ class TestSweepsFactorOnce:
         assert count(many) == n_few
 
     def test_frame_chain_integrates_once_to_the_last_time(self, monkeypatch):
-        # defaults t = 0.5, 1, 1.5, 2 at 200 steps per unit: one sweep of
-        # 400 order-4 steps, one exponential each; each time from 0 would
-        # take 100 + 200 + 300 + 400 steps.  The steps weigh the lab
+        # defaults t = 0.5, 1, 1.5, 2 at 40 steps per unit: one sweep of
+        # 80 order-6 steps, one exponential each; each time from 0 would
+        # take 20 + 40 + 60 + 80 steps.  The steps weigh the lab
         # Hamiltonian's fixed terms, so nothing evaluates H(t)
         from iontrap import hamiltonians, oracle
 
@@ -353,13 +353,13 @@ class TestSweepsFactorOnce:
                    + self.count_eigh(monkeypatch, ith_terms, P_RES, SPACE))
         n_run = self.count_eigh(monkeypatch, frame_chain,
                                 P_RES, SPACE, Options({}), map)
-        assert len(exponentials) == 400
+        assert len(exponentials) == 80
         assert len(evaluations) == 0
         assert n_run == n_setup
 
     def test_replay_steps_need_no_eigensolver(self, monkeypatch):
         # criterion 10's replay of criterion 1: n_max 60, the strong drive,
-        # order 4 at 200 steps per unit.  The steps' generators pass the
+        # 200 steps per unit, as criterion 1.  The steps' generators pass the
         # Taylor bound 0.33 but not twice it, so one squaring serves
         big = SpaceConfig(n_max=60, interior_margin=15)
         strong = ModelParams(nu=1.0, omega_ge=1.3, omega_L=1.0,
@@ -562,13 +562,13 @@ class TestFrameChainExperiment:
                                                   eta=0.1)],
                              ids=["weak-drive", "strong-drive"])
     def test_unitarity_defect_is_recorded(self, p):
-        # defaults: 400 steps, none of which is unitary by construction
+        # defaults: 80 steps, none of which is unitary by construction
         (table,) = frame_chain(p, SPACE, Options({}), map)
         assert 0.0 < table.metadata["unitarity_defect"] <= 1e-12
 
     def test_tolerance_violation_is_a_diagnostic(self):
-        # 5 steps per unit leave an interior error of about 1.5e-5 > 1e-6
-        opts = Options({"t_max": "1.0", "t_steps": "2", "steps_per_unit": "5"})
+        # 2 steps per unit leave an interior error of about 3.5e-5 > 1e-6
+        opts = Options({"t_max": "1.0", "t_steps": "2", "steps_per_unit": "2"})
         with pytest.raises(DiagnosticError) as err:
             frame_chain(self.P, SPACE, opts, map)
         assert err.value.tables  # partial results survive for the writer
@@ -651,7 +651,7 @@ class TestRunner:
     @pytest.mark.parametrize("option", ["order = 4", "tolerance = 1e-6"])
     def test_fixed_frame_chain_settings_are_unknown_options(
             self, tmp_path, capsys, option):
-        # the integrator is order 4 and the bound criterion 1's 1e-6, always
+        # the integrator is order 6 and the bound criterion 1's 1e-6, always
         text = FULL + f"[experiment]\nname = frame-chain\n{option}\n"
         assert self.run(tmp_path, text) == 2
         assert "unknown experiment options" in capsys.readouterr().err
@@ -681,7 +681,7 @@ class TestRunner:
         # the exact energies stay O(1); H0 + C1 carries lam^2 nu = 1e12
         ("compare-rwa", {"nu": "1", "delta_breve": "1", "eta_breve": "0",
                          "lambda": "1e6"}, ""),
-        # the chain's energies reach 1e10, before the sweep's 400 steps
+        # the chain's energies reach 1e10, before the sweep's 80 steps
         ("frame-chain", {"nu": "1", "omega_ge": "1.9", "omega_L": "1",
                          "Omega_R": "1e10", "eta": "0.1"}, ""),
     ])

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from iontrap.operators import (
-    SpaceConfig, BasisIndex, Operator, GROUND, EXCITED,
+    ConfigError, SpaceConfig, BasisIndex, Operator, GROUND, EXCITED,
     annihilation, number, pauli, identity, displacement,
     expm, op_norm, commutator, hermitize,
     interior_block, interior_norm, interior_distance,
@@ -35,6 +35,26 @@ def test_space_config_rejects_bad_sizes():
         SpaceConfig(40, 0)
     with pytest.raises(ValueError):
         SpaceConfig(5, 4)      # n_max - margin < 2
+
+
+@pytest.mark.parametrize("n_max,margin,field", [
+    (20.9, 5, "n_max"), (20, 5.7, "interior_margin"), (20.0, 5, "n_max"),
+    (math.nan, 2, "n_max"), (math.inf, 2, "n_max"),
+    (20, -math.inf, "interior_margin"),
+    ("20", 5, "n_max"), (True, 1, "n_max"), (np.float64(20.0), 5, "n_max"),
+], ids=["fraction", "fractional-margin", "integral-float", "nan", "inf",
+        "minus-inf-margin", "string", "bool", "numpy-float"])
+def test_space_config_takes_integers_only(n_max, margin, field):
+    # never truncated to an integer, and never a bare ValueError or
+    # OverflowError: the config error names the field and the value
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+        SpaceConfig(n_max, margin)
+
+
+def test_space_config_takes_numpy_integers():
+    space = SpaceConfig(np.int64(20), np.int32(5))
+    assert space == SpaceConfig(20, 5)
+    assert type(space.n_max) is int and type(space.interior_margin) is int
 
 
 def test_basis_index_flattening():

@@ -240,14 +240,15 @@ class TestTimeOrderedPropagator:
         assert np.linalg.norm(u.mat - ref, 2) < 1e-8
 
     def test_convergence_rate(self):
-        # halving an order-4 step divides the error by about 2^4
+        # halving an order-6 step divides the error by about 2^6 = 64; an
+        # order-4 step would divide it by about 16
         f = ith_terms(P_WEAK, SPACE)
         ref = frame_chain_fn(P_WEAK, SPACE)(1.0)
         e_coarse = interior_distance(
             time_ordered_sweep(f, [1.0], SPACE, 5)[0], ref)
         e_fine = interior_distance(
             time_ordered_sweep(f, [1.0], SPACE, 10)[0], ref)
-        assert 10.0 < e_coarse / e_fine < 24.0
+        assert 40.0 < e_coarse / e_fine < 96.0
 
     def test_argument_validation(self):
         f = ith_terms(P_WEAK, SPACE)
@@ -290,19 +291,31 @@ class TestTimeOrderedSweep:
 
     @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
                              ids=["weak-drive", "strong-drive"])
-    def test_order_4_sweep_equals_a_reference_loop(self, p):
-        # the textbook step: scipy's expm of the two-node Magnus exponent
-        # with the two-product commutator of the whole lab Hamiltonian
-        swept = time_ordered_sweep(ith_terms(p, SPACE), (0.5, 1.0), SPACE, 200)
-        h = 1.0 / 200
+    @pytest.mark.parametrize("steps_per_unit", [200, 40])
+    def test_order_6_sweep_equals_a_reference_loop(self, p, steps_per_unit):
+        # the textbook step: scipy's expm of the three-node Magnus exponent,
+        # its commutators taken of the whole lab Hamiltonian at the nodes
+        swept = time_ordered_sweep(ith_terms(p, SPACE), (0.5, 1.0), SPACE,
+                                   steps_per_unit)
+        h = 1.0 / steps_per_unit
+        nodes = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+
+        def comm(x, y):
+            return x @ y - y @ x
+
         u = np.eye(SPACE.dim, dtype=complex)
-        for k in range(200):
-            h1 = ith(k * h + (0.5 - math.sqrt(3.0) / 6.0) * h, p, SPACE).mat
-            h2 = ith(k * h + (0.5 + math.sqrt(3.0) / 6.0) * h, p, SPACE).mat
-            omega = (-0.5j * h * (h1 + h2)
-                     + math.sqrt(3.0) / 12.0 * h * h * (h1 @ h2 - h2 @ h1))
+        for k in range(steps_per_unit):
+            a_1, a_2, a_3 = (-1j * ith((k + c) * h, p, SPACE).mat
+                             for c in nodes)
+            alpha1 = h * a_2
+            alpha2 = math.sqrt(15.0) * h / 3.0 * (a_3 - a_1)
+            alpha3 = 10.0 * h / 3.0 * (a_3 - 2.0 * a_2 + a_1)
+            c_1 = comm(alpha1, alpha2)
+            c_2 = -comm(alpha1, 2.0 * alpha3 + c_1) / 60.0
+            omega = (alpha1 + alpha3 / 12.0
+                     + comm(-20.0 * alpha1 - alpha3 + c_1, alpha2 + c_2) / 240.0)
             u = scipy.linalg.expm(omega) @ u
-            if k + 1 == 100:
+            if 2 * (k + 1) == steps_per_unit:
                 assert np.abs(swept[0].mat - u).max() <= 1e-12
         assert np.abs(swept[1].mat - u).max() <= 1e-12
 
@@ -366,6 +379,17 @@ class TestFrameChain:
         stepped = time_ordered_sweep(ith_terms(p, SPACE), [t], SPACE,
                                      steps_per_unit=200)[0]
         assert interior_distance(chain, stepped) <= 1e-6
+
+    @pytest.mark.parametrize("p", [P_WEAK, P_STRONG],
+                             ids=["weak-drive", "strong-drive"])
+    def test_default_density_keeps_the_order_4_accuracy(self, p):
+        # criterion 1's points at the default step density stay within
+        # 1.9e-9, the order-4 step's error at 200 steps per unit (strong
+        # 1.84e-9, weak 5.6e-12); the order-6 step at 40 reads 9.7e-10 and
+        # 4.0e-13.  A coarser default may not buy speed with accuracy
+        chain = frame_chain_fn(p, SPACE)(2.0)
+        stepped = time_ordered_sweep(ith_terms(p, SPACE), [2.0], SPACE)[0]
+        assert interior_distance(chain, stepped) <= 1.9e-9
 
     def test_integrator_error_is_integrator_sided(self):
         # halving the step shrinks the disagreement: the chain is exact
