@@ -23,9 +23,9 @@ import numpy as np
 from .operators import (
     ConfigError, SpaceConfig, Operator,
     annihilation, number, pauli, identity,
-    fock_lowering, from_fock_blocks, expm, hermitize,
+    fock_lowering, from_fock_blocks, expm, hermitize, _block_matrix,
 )
-from .hamiltonians import ModelParams, JCParams, bh_reference, _exactly_resonant
+from .hamiltonians import ModelParams, JCParams, bh_reference
 from .engine import InteractionSeries, _degenerate
 from .oracle import SpectralDecomposition, exact_eigs
 
@@ -40,12 +40,19 @@ REGIME_KINDS = (
 _NEAR_RHO = 0.1
 
 
-def _require_resonance(p: ModelParams, what: str) -> None:
-    if not _exactly_resonant(p.nu, p.delta_breve):
-        raise ValueError(
-            f"{what} is a closed form at resonance nu = delta_breve; "
-            f"got nu={p.nu!r}, delta_breve={p.delta_breve!r} "
-            "(build the operator with expm instead)")
+def _exactly_resonant(nu: float, omega: float) -> bool:
+    """nu = omega to 1e-12 relative: the resonance closed forms are exact at.
+    False unless both are finite: an infinite frequency resonates with none."""
+    return (math.isfinite(nu) and math.isfinite(omega)
+            and abs(nu - omega) <= 1e-12 * max(nu, abs(omega)))
+
+
+def _require_resonance(what: str, nu: float, name: str, omega: float) -> None:
+    """The closed forms' one resonance rule: ConfigError off nu = omega."""
+    if not _exactly_resonant(nu, omega):
+        raise ConfigError(
+            f"{what} is a closed form at resonance nu = {name}; "
+            f"got nu={nu!r}, {name}={omega!r}")
 
 
 def _require_near_resonance(p: ModelParams, what: str) -> None:
@@ -86,7 +93,7 @@ class Regime:
 
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown regime kind {self.kind!r}; valid: {REGIME_KINDS}")
 
     @classmethod
@@ -214,9 +221,7 @@ def jc_evolutor(t: float, p: JCParams, space: SpaceConfig) -> Operator:
     S = lam nu (a sigma_+ + a^dag sigma_-) couples |n, g> to |n-1, e>, so
     the exponential closes over cos/sin of lam nu sqrt(n) t per pair.
     """
-    if not p.resonant:
-        raise ValueError(
-            "closed-form evolutor needs nu = omega; use expm off resonance")
+    _require_resonance("jc_evolutor", p.nu, "omega", p.omega)
     ee, eg, ge, gg = _exchange_blocks(p.lam * p.nu * t, space)
     return from_fock_blocks(space, ee, -1j * eg, -1j * ge, gg)
 
@@ -228,7 +233,7 @@ def jc_evolutor_breve(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     i lam nu (a sigma_+ - a^dag sigma_-), so the off-diagonal entries are
     real sines instead of -i sines.
     """
-    _require_resonance(p, "jc_evolutor_breve")
+    _require_resonance("jc_evolutor_breve", p.nu, "delta_breve", p.delta_breve)
     ee, eg, ge, gg = _exchange_blocks(p.lam * p.nu * t, space)
     return from_fock_blocks(space, ee, eg, -ge, gg)
 
@@ -236,16 +241,17 @@ def jc_evolutor_breve(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
 def rwa_evolutor_fn(p: ModelParams, space: SpaceConfig):
     """t -> exp(-i H0 t) JC_breve(t): the exchange term kept alone.
 
-    The resonance is checked here and again by ``jc_evolutor_breve`` at
-    every time.  The reference H0 is diagonal, so
-    exp(-i H0 t) is the phase of its diagonal; no eigendecomposition is
-    involved.
+    The resonance is checked once, here, by ``_require_resonance``; each
+    time builds the blocks of ``jc_evolutor_breve`` without checking it
+    again.  The reference H0 is diagonal, so exp(-i H0 t) is the phase of
+    its diagonal; no eigendecomposition is involved.
     """
-    _require_resonance(p, "rwa_evolutor_fn")
+    _require_resonance("rwa_evolutor_fn", p.nu, "delta_breve", p.delta_breve)
     h0 = bh_reference(p, space).mat.diagonal()
 
     def evolutor(t: float) -> Operator:
-        jc = jc_evolutor_breve(t, p, space).mat
+        ee, eg, ge, gg = _exchange_blocks(p.lam * p.nu * t, space)
+        jc = _block_matrix(space, ee, eg, -ge, gg)
         return Operator(np.exp(-1j * t * h0)[:, None] * jc, space)
 
     return evolutor
@@ -274,7 +280,7 @@ def first_order_evolutor_fn(p: ModelParams,
 
 def exp_z1(p: ModelParams, space: SpaceConfig) -> Operator:
     """Closed form of exp(i Z1) at resonance; see ``_exp_i_z1``."""
-    _require_resonance(p, "exp_z1")
+    _require_resonance("exp_z1", p.nu, "delta_breve", p.delta_breve)
     return _exp_i_z1(p.lam, space)
 
 
@@ -288,7 +294,7 @@ def sandwich(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     treatment lacks, since it sets kappa = 0.  The overall scalar phase
     carries the displacement-energy constant of the reference.
     """
-    _require_resonance(p, "sandwich")
+    _require_resonance("sandwich", p.nu, "delta_breve", p.delta_breve)
     nu, lam = p.nu, p.lam
     ns = np.arange(space.n_max + 1)
     root = np.sqrt(ns)
@@ -318,13 +324,13 @@ def y1_relation(t: float, p: ModelParams, space: SpaceConfig) -> Operator:
     left-multiplying the exchange-only evolutor by its exponential
     restores the first-order dynamics.
     """
-    _require_resonance(p, "y1_relation")
+    rwa = rwa_evolutor_fn(p, space)
     a = annihilation(space)
     sp, sm = pauli("+", space), pauli("-", space)
     osc = cmath.exp(2j * p.nu * t)
     integral = 0.5 * p.lam * ((osc - 1.0) * (a @ sm)
                               + (osc.conjugate() - 1.0) * (a.dag @ sp))
-    return expm(-1j * integral) @ rwa_evolutor_fn(p, space)(t)
+    return expm(-1j * integral) @ rwa(t)
 
 
 # -- second-order spectrum ----------------------------------------------------

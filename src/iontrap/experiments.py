@@ -19,15 +19,14 @@ import numpy as np
 
 from .operators import (
     ConfigError, SpaceConfig, BasisIndex, basis_vector, number, pauli,
-    op_norm, interior_distance, EXCITED, GROUND,
+    op_norm, interior_distance, EXCITED, GROUND, _require_interior_level,
 )
 from .hamiltonians import (
-    ModelParams, bh, ith_terms, _exactly_resonant, _require_rabi, _t1_gauge,
-    _t_delta_gauge,
+    ModelParams, bh, ith_terms, _require_rabi, _t1_gauge, _t_delta_gauge,
 )
 from .engine import ClusterAmbiguityError, decompose, solve, residual_norm
 from .closedforms import (
-    REGIME_KINDS, Regime, regime_series, spectrum_second_order,
+    Regime, regime_series, spectrum_second_order,
     anticrossing_shift, rwa_evolutor_fn, first_order_evolutor_fn,
 )
 from .oracle import (
@@ -166,13 +165,13 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     Each exact level is paired by overlap: E0 with |0,g>, rung n with
     span{|n-1,e>, |n,g>}.  A projection under the oracle's threshold is a
     DiagnosticError, an ambiguous level pairing, with the rungs paired
-    so far.
+    so far.  Rungs past the interior are refused by
+    ``_require_interior_level``.
     """
     n_levels = opts.get_int("n_levels", 10)
     opts.finish()
     _require_rabi(p)
-    if n_levels > space.n_max:  # rung n pairs |n-1,e> with |n,g>
-        raise ConfigError(f"n_levels must be at most n_max = {space.n_max}")
+    _require_interior_level(n_levels, 0, space, "option 'n_levels'")
     spec = spectrum_second_order(p, n_levels)
     values, vectors = exact_eigs(bh(p, space))
     cols = {"n": [], "E_minus": [], "E_plus": [],
@@ -206,15 +205,15 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     weighted sums of |psi|^2.  norm_defect, the largest |<psi|psi> - 1|
     over the sweep, records how far rounding took the state off the unit
     sphere.  A sweep whose phases E t exceed the budget of
-    ``_check_phase_budget`` is a diagnostic before it runs.
+    ``_check_phase_budget`` is a diagnostic before it runs.  An initial_n
+    past the interior is refused by ``_require_interior_level``.
     """
     ts = _time_grid(opts, 6.0, 121)
     n0 = opts.get_int("initial_n", 0)
     spin_name = opts.get_str("initial_spin", "g", choices={"g", "e"})
     opts.finish()
     _require_rabi(p)
-    if not 0 <= n0 <= space.n_max:
-        raise ConfigError(f"initial_n must be in 0..{space.n_max}")
+    _require_interior_level(n0, 0, space, "option 'initial_n'")
     spin = GROUND if spin_name == "g" else EXCITED
     psi0 = basis_vector(space, n0, spin)
     n_diag = number(space).mat.diagonal().real
@@ -242,8 +241,8 @@ def evolve(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Interior-norm error of the RWA and first-order evolutors.
 
-    The RWA evolutor is a closed form at resonance, so nu != delta_breve
-    is a config error before anything is built.  All three propagators
+    The RWA evolutor is a closed form at resonance, so its builder, which
+    refuses nu != delta_breve, runs first.  All three propagators
     are built before the sweep, so a sweep past the phase budget of
     ``_check_phase_budget`` fails before any point runs.  The budget
     holds the energies of bh and of H0 + C1, which the RWA evolutor shares.
@@ -251,13 +250,8 @@ def compare_rwa(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     ts = _time_grid(opts, 3.0, 61)
     opts.finish()
     _require_rabi(p)
-    if not _exactly_resonant(p.nu, p.delta_breve):
-        raise ConfigError(
-            "compare-rwa needs nu = delta_breve, so give the reduced set "
-            f"with delta_breve = nu; got nu={p.nu!r}, "
-            f"delta_breve={p.delta_breve!r}")
-    exact = exact_propagator_fn(bh(p, space))
     rwa = rwa_evolutor_fn(p, space)
+    exact = exact_propagator_fn(bh(p, space))
     first = first_order_evolutor_fn(p, space)
     for spec in (exact, first):
         _check_phase_budget(spec.eigenvalues, float(ts[-1]))
@@ -292,15 +286,13 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     ambiguous degeneracy, an inconclusive fit or a slope below N + 0.7 is
     a DiagnosticError.
     """
-    kind = opts.get_str("regime", "eta_much_less",
-                        choices=set(REGIME_KINDS))
+    regime = Regime(opts.get_str("regime", "eta_much_less"))
     grid = opts.get_floats("lambda_grid", (0.02, 0.04, 0.08, 0.16))
     opts.finish()
     _require_rabi(p)
     if len(grid) < 4 or any(lam <= 0 for lam in grid):
         raise ConfigError("lambda_grid needs at least 4 entries, all positive")
     try:
-        regime = Regime.of(kind, p)
         h0, series = regime_series(p, regime, space)
         spec = decompose(h0)
     except ClusterAmbiguityError as exc:
@@ -316,7 +308,7 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
             "R1": [r[0] for r in rows],
             "R2": [r[1] for r in rows]}
     w, clusters = spec.eigenvalues, spec.clusters
-    meta = {"regime": kind, "clusters": len(clusters),
+    meta = {"regime": regime.kind, "clusters": len(clusters),
             "min_cluster_gap": min((float(w[hi[0]] - w[lo[-1]]) for lo, hi
                                     in zip(clusters, clusters[1:])), default=None),
             "R2_ge_R1": [lam for lam, (r1, r2) in zip(grid, rows) if r2 >= r1]}
@@ -350,19 +342,18 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     edge, in whatever order the offsets are given:
     that is a DiagnosticError naming the rung, with the tables scanned so
     far, that rung's included.  So is a scan whose gaps are all equal,
-    its window below the rounding of delta_breve = nu + 2 offset.
+    its window below the rounding of delta_breve = nu + 2 offset.  Rungs
+    past the interior are refused by ``_require_interior_level`` first.
     """
     levels = opts.get_ints("levels", (1, 2, 3))
     offsets_raw = opts.get_floats("offsets", ())
     points = opts.get_int("points", 13)
     opts.finish()
     _require_rabi(p)
-    if any(n < 1 for n in levels):
-        raise ConfigError("levels must be positive integers")
+    for n in levels:
+        _require_interior_level(n, 1, space, "each entry of option 'levels'")
     if len(set(levels)) != len(levels):  # each rung names one table
         raise ConfigError(f"levels must not repeat a rung; got {levels}")
-    if max(levels) > space.n_max:  # rung n pairs |n-1,e> with |n,g>
-        raise ConfigError(f"levels must be at most n_max = {space.n_max}")
     if points < 5:
         raise ConfigError("points must be at least 5")
 

@@ -132,13 +132,6 @@ class ModelParams:
         return p
 
 
-def _exactly_resonant(nu: float, omega: float) -> bool:
-    """nu = omega to 1e-12 relative: the resonance closed forms are exact at.
-    False unless both are finite: an infinite frequency resonates with none."""
-    return (math.isfinite(nu) and math.isfinite(omega)
-            and abs(nu - omega) <= 1e-12 * max(nu, abs(omega)))
-
-
 @dataclass(frozen=True)
 class JCParams:
     """Jaynes-Cummings inputs: trap and spin frequencies plus coupling lam."""
@@ -155,10 +148,6 @@ class JCParams:
             raise ConfigError("parameters must be finite")
         if self.nu <= 0:
             raise ConfigError(f"trap frequency nu must be > 0, got {self.nu}")
-
-    @property
-    def resonant(self) -> bool:
-        return _exactly_resonant(self.nu, self.omega)
 
 
 # -- Jaynes-Cummings model -----------------------------------------------------
@@ -300,7 +289,6 @@ def _t1_gauge(eta: float, space: SpaceConfig) -> np.ndarray:
 
 def t2(p: ModelParams, space: SpaceConfig) -> Operator:
     """Spin rotation by theta about the y axis."""
-    _require_rabi(p)
     nf = np.eye(space.n_max + 1)
     c, s = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
     return from_fock_blocks(space, c * nf, -s * nf, s * nf, c * nf)
@@ -322,7 +310,6 @@ def t_delta(p: ModelParams, space: SpaceConfig) -> Operator:
 def _t_delta_gauge(p: ModelParams, space: SpaceConfig) -> np.ndarray:
     """U^dag t_delta U, real orthogonal: blocks of the two half displacements
     D(i(eta_breve -+ eta)/2), each the real G of ``_gauge_displacement``."""
-    _require_rabi(p)
     kp, km = kappa_coefficients(p.Delta)
     d_minus = _gauge_displacement(0.5 * (p.eta_breve - p.eta), space.n_max)
     d_plus = _gauge_displacement(0.5 * (p.eta_breve + p.eta), space.n_max)
@@ -415,7 +402,6 @@ def bh(p: ModelParams, space: SpaceConfig, route: str = "conjugation") -> Operat
     9.9e-15 at margins 5, 6, 7 and 8.  Either result is real symmetric in
     the gauge, which ``exact_eigs`` uses.
     """
-    _require_rabi(p)
     if route == "conjugation":
         td = _t_delta_gauge(p, space)
         return _out_of_gauge(td @ _rfh_gauge(p, space) @ td.T, space)
@@ -489,10 +475,10 @@ def h_check(p: ModelParams, space: SpaceConfig, route: str = "conjugation") -> O
     margin is at least 8, as for ``bh``: at bh's measured point and
     margin 8 their interior distance reads 2.6e-13.
     """
-    _require_rabi(p)
     if route == "conjugation":
+        balanced = bh(p, space, "conjugation")
         t = check_transform(space)
-        return t @ bh(p, space, "conjugation") @ t.dag
+        return t @ balanced @ t.dag
     if route == "closed_form":
         return _closed_form(p, space, h_check_reference, h_check_interaction_series)
     raise ValueError(f"unknown route {route!r}; valid: conjugation, closed_form")

@@ -36,7 +36,8 @@ class SpaceConfig:
     """Size of the truncated space and of the trusted interior block.
 
     n_max is the highest retained Fock level (Hilbert dimension 2*(n_max+1));
-    Fock levels above n_max - interior_margin are excluded from comparisons.
+    Fock levels above n_max - interior_margin are excluded from comparisons
+    and, by ``_require_interior_level``, from what a caller may request.
     Both are integers, numpy integers included; anything else, a float or
     a bool among them, is a ConfigError naming the field and the value.
     """
@@ -72,6 +73,16 @@ class SpaceConfig:
     @property
     def interior_dim(self) -> int:
         return 2 * (self.n_interior + 1)
+
+
+def _require_interior_level(level: int, lowest: int, space: SpaceConfig,
+                            what: str) -> None:
+    """ConfigError naming what unless lowest <= level <= space.n_interior:
+    above the interior the truncation edge moves a requested level."""
+    if not lowest <= level <= space.n_interior:
+        raise ConfigError(
+            f"{what} must be in {lowest}..{space.n_interior} (n_max - "
+            f"interior_margin), got {level}")
 
 
 GROUND = 0

@@ -20,6 +20,7 @@ import numpy as np
 from .operators import (
     ConfigError, SpaceConfig, BasisIndex, Operator, op_norm, pauli,
     _expm_matrix, _below_limit, _hermiticity_defect, _flat_gauge_phases, _into_gauge,
+    _require_interior_level,
     GROUND, EXCITED,
 )
 from .hamiltonians import ModelParams, bh, t_delta
@@ -456,12 +457,12 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
     splitting.  Sweeping at fixed Rabi frequency instead would drag
     eta_breve along delta_breve and displace the gap minimum by
     ~lam^2 eta_breve n^2, swamping the effect being located.  Levels are
-    matched to the pair by ``_rung_levels``.  An offset that drives
+    matched to the pair by ``_rung_levels``.  A rung past the interior
+    is refused by ``_require_interior_level``; an offset that drives
     delta_breve to 0 or below, or whose rebuilt drive Omega_R underflows
     to 0, is a ConfigError naming it.
     """
-    if n < 1:
-        raise ValueError("the bottom level is unpaired; need n >= 1")
+    _require_interior_level(n, 1, space, "rung n")
     nu, lam, eta_b = p_base.nu, p_base.lam, p_base.eta_breve
     gaps = []
     for off in offsets:

@@ -14,7 +14,9 @@ from iontrap import (
     SpaceConfig, ModelParams, JCParams, experiments, frame_chain_fn, ith,
     ith_terms, bh, exact_eigs, spectrum_second_order, time_ordered_sweep,
     first_order_evolutor_fn, identity, interior_distance, decompose,
-    regime_series, Regime, t_delta, t1, scan_gap,
+    regime_series, Regime, t_delta, t1, t2, t3, scan_gap,
+    bh_reference, bh_interaction_term, h_check, h_check_reference,
+    h_check_interaction_term,
 )
 from iontrap.experiments import (
     EXPERIMENTS, ConfigError, DiagnosticError, Options, ResultTable,
@@ -132,20 +134,34 @@ class TestConfigErrorWhereDecided:
                               Regime("eta_much_less"), SPACE),
         lambda: spectrum_second_order(P_RES, -1),
         lambda: scan_gap(1, P_RES, [-0.6], SpaceConfig(6, 2)),
+        lambda: scan_gap(5, P_RES, [0.0], SpaceConfig(6, 2)),
         lambda: JCParams(1.0, math.inf, 0.1),
         lambda: JCParams(0.0, 1.0, 0.1),
     ], ids=["n_max", "margin", "interior", "finite", "nu", "Omega_R",
             "lam", "eta_breve", "delta_breve", "lam-zero", "near-resonance",
-            "regime-lam-zero", "n_levels", "offset", "jc-finite", "jc-nu"])
+            "regime-lam-zero", "n_levels", "offset", "rung", "jc-finite",
+            "jc-nu"])
     def test_input_rules_raise_config_error(self, call):
         with pytest.raises(ConfigError):
             call()
 
-    def test_drive_rule_has_one_message(self):
-        # Delta, the frame builders and the experiments share _require_rabi
-        for call in (lambda: UNDRIVEN.Delta, lambda: UNDRIVEN.theta,
-                     lambda: t1(UNDRIVEN, SPACE),
-                     lambda: spectrum(UNDRIVEN, SPACE, Options({}), map)):
+    @pytest.mark.parametrize("p", [
+        UNDRIVEN, dataclasses.replace(UNDRIVEN, omega_ge=1.0)],
+        ids=["detuned", "delta-zero"])
+    def test_drive_rule_has_one_message(self, p):
+        # every balanced-frame builder reaches _require_rabi, itself or
+        # through Delta, before anything else can fail
+        small = SpaceConfig(6, 2)
+        calls = [lambda: p.Delta, lambda: p.theta,
+                 lambda: spectrum(p, small, Options({}), map)]
+        calls += [lambda f=f: f(p, small) for f in (
+            t1, t2, t3, t_delta, bh_reference, h_check_reference,
+            frame_chain_fn)]
+        calls += [lambda f=f, r=r: f(p, small, r) for f in (bh, h_check)
+                  for r in ("conjugation", "closed_form")]
+        calls += [lambda f=f, m=m: f(m, p, small) for m in (0, 2) for f in (
+            bh_interaction_term, h_check_interaction_term)]
+        for call in calls:
             with pytest.raises(ConfigError) as info:
                 call()
             assert str(info.value) == ("the balanced frame needs a drive, "
@@ -464,12 +480,16 @@ class TestAnticrossingExperiment:
         assert table.metadata["argmin"] == table.columns["offset"][0]
 
     def test_rung_above_n_max_is_a_config_error(self):
-        # rung n pairs |n-1,e> with |n,g>, so n_max 6 holds rungs up to 6
+        # rung n pairs |n-1,e> with |n,g>; at n_max 6, margin 2 rungs past
+        # the interior's top level 4 feel the edge, so 5 to 7 are refused
         small = SpaceConfig(n_max=6, interior_margin=2)
-        with pytest.raises(ConfigError, match="at most n_max = 6"):
-            anticrossing(P_RES, small, Options({"levels": "1,7"}), map)
-        with pytest.raises(DiagnosticError, match="missed minimum at n=6"):
-            anticrossing(P_RES, small, Options({"levels": "6"}), map)
+        for levels in ("1,7", "6", "5"):
+            with pytest.raises(ConfigError, match=r"must be in 1\.\.4"):
+                anticrossing(P_RES, small, Options({"levels": levels}), map)
+        # rung 4 is scanned: a window right of its minimum misses it
+        with pytest.raises(DiagnosticError, match="missed minimum at n=4"):
+            anticrossing(P_RES, small, Options(
+                {"levels": "4", "offsets": "0.0,0.001,0.002"}), map)
 
     def test_repeated_rung_is_a_config_error(self):
         # each rung names one table, anticrossing_n<rung>.csv
@@ -643,8 +663,10 @@ class TestRunner:
                   "lambda_grid = -0.02,0.04,0.08,0.16\n",
         REDUCED + "[experiment]\nname = residual-order\n"
                   "lambda_grid = 0.02,0.04,0.08\n",
+        REDUCED + "[experiment]\nname = residual-order\nregime = x\n",
     ], ids=["negative-nu", "nan-steps_per_unit", "nan-t_max",
-            "zero-steps_per_unit", "nonpositive-lambda", "three-lambdas"])
+            "zero-steps_per_unit", "nonpositive-lambda", "three-lambdas",
+            "unknown-regime"])
     def test_bad_value_exit_2(self, tmp_path, text):
         assert self.run(tmp_path, text) == 2
 
@@ -823,6 +845,24 @@ class TestRunner:
             assert err == ("" if name == "limits" else
                            "config error: the balanced frame needs a drive, "
                            "Omega_R > 0; got Omega_R = 0\n")
+
+    @pytest.mark.parametrize("name,lowest,options", [
+        ("spectrum", 0, "n_levels = {}\n"),
+        ("evolve", 0, "initial_n = {}\nt_max = 1.0\nt_steps = 3\n"),
+        # offsets around rung 30's minimum, which the default window misses
+        ("anticrossing", 1, "levels = {}\n"
+                            "offsets = -0.06,-0.045,-0.04,-0.035,-0.02\n"),
+    ], ids=["spectrum", "evolve", "anticrossing"])
+    def test_levels_past_the_interior_exit_2(self, tmp_path, capsys, name,
+                                             lowest, options):
+        # the interior of n_max 40, margin 10 ends at level 30; measured
+        # against n_max 80, level 40 read spectrum's E_plus 0.026 off and
+        # evolve's p_excited 0.19 off, while both exited 0
+        text = (REDUCED + "[space]\nn_max = 40\ninterior_margin = 10\n"
+                + f"[experiment]\nname = {name}\n")
+        assert self.run(tmp_path, text + options.format(31)) == 2
+        assert f"must be in {lowest}..30" in capsys.readouterr().err
+        assert self.run(tmp_path, text + options.format(30), out="ok") == 0
 
     def test_import_loads_only_numpy_beyond_the_stdlib(self):
         # every run pays this import in a fresh interpreter

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iontrap import (
-    SpaceConfig, Operator, ModelParams, JCParams,
+    ConfigError, SpaceConfig, Operator, ModelParams, JCParams,
     annihilation, number, pauli, identity, basis_vector,
     op_norm, commutator, interior_norm, interior_distance, hermitize, expm,
     GROUND, EXCITED,
@@ -61,7 +61,7 @@ class TestRegime:
             "near_resonant"}
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unknown regime kind"):
             Regime(kind="eta_resonant")
 
     def test_validate_reads_resonance_off_parameters(self):
@@ -277,6 +277,17 @@ class TestClosedFormEvolutors:
                         @ jc_evolutor_breve(t, p, SPACE))
                 assert op_norm(u(t) - want) < 1e-13
 
+    def test_rwa_evolutor_is_the_phased_exchange_evolutor(self):
+        # the builder's closure forms jc_evolutor_breve's blocks itself,
+        # without its resonance check, and bit for bit
+        for p in (POINT_RES, ModelParams.from_balanced(1.0, 1.0, 0.0, 0.12)):
+            u = rwa_evolutor_fn(p, SPACE)
+            h0 = bh_reference(p, SPACE).mat.diagonal()
+            for t in (0.0, 0.7, 2.0, -1.3):
+                want = (np.exp(-1j * t * h0)[:, None]
+                        * jc_evolutor_breve(t, p, SPACE).mat)
+                assert np.array_equal(u(t).mat, want)
+
     def test_lam_zero_reductions(self):
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.0)
         free = exact_evolutor(bh_reference(p, SPACE), 1.8)
@@ -285,16 +296,24 @@ class TestClosedFormEvolutors:
         assert op_norm(y1_relation(1.8, p, SPACE) - free) < 1e-13
 
     def test_resonance_gates(self):
+        # one rule and one message, naming the closed form that needs it;
+        # y1_relation's is the rwa_evolutor_fn it builds first
         off = ModelParams.from_balanced(1.0, 1.05, 0.0, 0.1)
-        for fn in (jc_evolutor_breve, sandwich, y1_relation):
-            with pytest.raises(ValueError):
-                fn(1.0, off, SPACE)
-        with pytest.raises(ValueError):
-            rwa_evolutor_fn(off, SPACE)
-        with pytest.raises(ValueError):
-            exp_z1(off, SPACE)
-        with pytest.raises(ValueError):
+        tail = ("is a closed form at resonance nu = delta_breve; "
+                f"got nu=1.0, delta_breve={off.delta_breve!r}")
+        for name, call in (
+                ("jc_evolutor_breve", lambda: jc_evolutor_breve(1.0, off, SPACE)),
+                ("sandwich", lambda: sandwich(1.0, off, SPACE)),
+                ("rwa_evolutor_fn", lambda: y1_relation(1.0, off, SPACE)),
+                ("rwa_evolutor_fn", lambda: rwa_evolutor_fn(off, SPACE)),
+                ("exp_z1", lambda: exp_z1(off, SPACE))):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert str(info.value) == f"{name} {tail}"
+        with pytest.raises(ConfigError) as info:
             jc_evolutor(1.0, JCParams(nu=1.0, omega=1.2, lam=0.1), SPACE)
+        assert str(info.value) == ("jc_evolutor is a closed form at resonance "
+                                   "nu = omega; got nu=1.0, omega=1.2")
 
     def test_vacuum_is_frozen_under_exchange(self):
         # |0,g> has no exchange partner, so the JC evolutor fixes it

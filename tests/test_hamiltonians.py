@@ -22,7 +22,7 @@ from iontrap import (
     h_check_interaction_series, h_check,
     REGIME_KINDS, Regime, regime_series,
 )
-from iontrap.hamiltonians import _exactly_resonant
+from iontrap.closedforms import _exactly_resonant
 from iontrap.operators import _into_gauge
 
 SPACE = SpaceConfig()
@@ -116,10 +116,6 @@ class TestJaynesCummings:
             gg = vg.conj() @ n_const.mat @ vg
             assert ee == pytest.approx(p.nu * (n - 0.5), rel=1e-14)
             assert gg == pytest.approx(p.nu * (n - 0.5), rel=1e-14)
-
-    def test_resonance_flag(self):
-        assert JCParams(1.0, 1.0, 0.1).resonant
-        assert not JCParams(1.0, 1.2, 0.1).resonant
 
     def test_infinite_frequency_is_off_resonance(self):
         # inf <= 1e-12 * inf would call any frequency resonant with inf
