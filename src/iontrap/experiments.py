@@ -337,6 +337,8 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Avoided-crossing scan around each requested pair level.
 
+    Given ``offsets`` must hold at least three distinct values, as the
+    default window of ``points`` >= 5 does; fewer is a ConfigError.
     A scan whose smallest gap lies at its lowest or highest offset has
     not bracketed the minimum, so its argmin would only be the window's
     edge, in whatever order the offsets are given:
@@ -356,6 +358,11 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         raise ConfigError(f"levels must not repeat a rung; got {levels}")
     if points < 5:
         raise ConfigError("points must be at least 5")
+    distinct = len(set(offsets_raw))
+    if offsets_raw and distinct < 3:  # no parabola, no bracketed minimum
+        raise ConfigError(
+            f"option 'offsets' must hold at least 3 distinct values, "
+            f"got {distinct}")
 
     def one_scan(n):
         shift = anticrossing_shift(n, p)

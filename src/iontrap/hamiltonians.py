@@ -224,6 +224,24 @@ def _rfh_gauge(p: ModelParams, space: SpaceConfig) -> np.ndarray:
                          drive.T, np.diag(p.nu * n - 0.5 * p.delta))
 
 
+def _bh_gauge_parts(p: ModelParams,
+                    space: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(F, D) with U^dag bh U = F + Omega_R D, real, for every drive that
+    keeps nu, Delta and eta, as a scan at fixed nu, lam and eta_breve does.
+
+    With delta = Delta Omega_R, ``_rfh_gauge`` is nu n (x) 1 plus Omega_R
+    times [[Delta/2, G(eta)], [G(eta)^T, -Delta/2]], and ``_t_delta_gauge``
+    T depends on Delta, eta and eta_breve alone, so F = T (nu n (x) 1) T^T
+    and D = T [[Delta/2, G], [G^T, -Delta/2]] T^T: three products, once.
+    """
+    td = _t_delta_gauge(p, space)
+    g = _gauge_displacement(p.eta, space.n_max)
+    half = np.diag(np.full(space.n_max + 1, 0.5 * p.Delta))
+    trap = np.repeat(p.nu * np.arange(space.n_max + 1.0), 2)
+    spin = _block_matrix(space, half, g, g.T, -half)
+    return (td * trap) @ td.T, td @ spin @ td.T
+
+
 def rwa_effective(which: str, p: ModelParams, space: SpaceConfig) -> Operator:
     """Rotating-wave effective interactions: carrier and the two sidebands.
 

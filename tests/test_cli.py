@@ -500,8 +500,8 @@ class TestAnticrossingExperiment:
 
     def test_ambiguity_is_a_diagnostic(self):
         strong = ModelParams.from_balanced(1.0, 1.0, 0.12, 0.6)
-        opts = Options({"levels": "1", "offsets": "0.0"})
-        with pytest.raises(DiagnosticError):
+        opts = Options({"levels": "1", "offsets": "-0.01,0.0,0.01"})
+        with pytest.raises(DiagnosticError, match="cluster ambiguity"):
             anticrossing(strong, SPACE, opts, map)
 
 
@@ -767,10 +767,24 @@ class TestRunner:
     def test_diagnostic_exit_3_still_writes(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"
                 "eta_breve = 0.12\nlambda = 0.6\n"
-                "[experiment]\nname = anticrossing\nlevels = 1\noffsets = 0.0\n")
+                "[experiment]\nname = anticrossing\nlevels = 1\n"
+                "offsets = -0.01,0.0,0.01\n")
         assert self.run(tmp_path, text) == 3
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert "ambiguity" in meta["diagnostic"]
+        assert "at offset -0.01" in meta["diagnostic"]
+
+    @pytest.mark.parametrize("offsets,distinct", [
+        ("-0.00125", 1), ("-0.005,0.005", 2), ("0.0,-0.0,0.01,0.01", 2)])
+    def test_fewer_than_three_offsets_exit_2(self, tmp_path, capsys, offsets,
+                                             distinct):
+        # one offset was read as an unresolved window and two as a missed
+        # minimum: neither fixes a parabola or brackets a minimum
+        text = (REDUCED + "[space]\nn_max = 12\n[experiment]\n"
+                f"name = anticrossing\nlevels = 1\noffsets = {offsets}\n")
+        assert self.run(tmp_path, text) == 2
+        assert ("option 'offsets' must hold at least 3 distinct values, "
+                f"got {distinct}") in capsys.readouterr().err
 
     def test_missed_minimum_exit_3(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"

@@ -23,6 +23,7 @@ from iontrap import (
     REGIME_KINDS, Regime, regime_series,
 )
 from iontrap.closedforms import _exactly_resonant
+from iontrap.hamiltonians import _bh_gauge_parts
 from iontrap.operators import _into_gauge
 
 SPACE = SpaceConfig()
@@ -237,6 +238,20 @@ class TestBalancedHamiltonian:
     def test_unknown_route(self):
         with pytest.raises(ValueError):
             bh(P_REF, SPACE, "magic")
+
+    @pytest.mark.parametrize("eta_breve", [0.0, 0.03])
+    def test_scan_parts_rebuild_the_gauge_array(self, eta_breve):
+        # at fixed nu, lam and eta_breve only Omega_R moves with
+        # delta_breve, so one offset's F and D give every offset's bh,
+        # on both sides of the resonance delta_breve = nu = 1
+        first = ModelParams.from_balanced(1.0, 0.9, eta_breve, 0.05)
+        fixed, drive = _bh_gauge_parts(first, SPACE)
+        for delta_breve in (0.9, 0.97, 1.0, 1.03, 1.1):
+            p = ModelParams.from_balanced(1.0, delta_breve, eta_breve, 0.05)
+            want = _into_gauge(bh(p, SPACE).mat, SPACE)
+            got = fixed + p.Omega_R * drive
+            assert got.dtype == want.dtype == np.float64
+            assert op_norm(got - want) <= 1e-13 * max(1.0, op_norm(want))
 
     def test_spectrum_preserved_under_conjugation(self):
         # unitary equivalence with the rotating frame, full truncated space

@@ -11,12 +11,14 @@ from iontrap import (
     number, pauli, identity, basis_vector, op_norm, interior_distance,
     GROUND, EXCITED,
     jc_constants, ith, ith_terms, bh, bh_reference, h_check,
-    frame_rotation, t_delta,
+    frame_rotation, rfh, t_delta,
     spectrum_second_order, anticrossing_shift,
     OverlapAmbiguityError, ConvergenceFit, GapScan, SpectralDecomposition,
     exact_eigs, exact_propagator_fn, time_ordered_sweep, frame_chain_fn,
     fit_order, scan_gap,
 )
+from iontrap import oracle
+from iontrap.operators import _flat_gauge_phases, _into_gauge
 from iontrap.oracle import _parabolic_argmin, _rung_levels
 
 SPACE = SpaceConfig()
@@ -149,6 +151,42 @@ class TestExactEigs:
         res = h.mat @ vectors - vectors * values
         assert np.linalg.norm(res, axis=0).max() <= 1e-12 * op_norm(h)
         assert np.abs(values - want).max() <= 1e-10
+
+    @staticmethod
+    def symmetrized_in_the_fock_basis(h):
+        """The factorization without its checks, in the order first
+        written: symmetrize in the Fock basis, then enter the gauge."""
+        mat = _into_gauge(0.5 * (h.mat + h.mat.conj().T), h.space)
+        values, vectors = np.linalg.eigh(mat)
+        return values, _flat_gauge_phases(h.space)[:, None] * vectors
+
+    @pytest.mark.parametrize("build", [
+        lambda p: rfh(p, SPACE), lambda p: bh(p, SPACE),
+        lambda p: bh(p, SPACE, "closed_form"), lambda p: h_check(p, SPACE)],
+        ids=["rfh", "bh", "bh-closed-form", "h_check"])
+    def test_symmetrizing_in_the_gauge_changes_no_bit(self, build):
+        # the gauge's phases are exact quarter turns, so the symmetrized
+        # gauge array, and every eigenpair, is the same bit for bit
+        for p in (P_WEAK, P_STRONG,
+                  ModelParams.from_balanced(1.0, 1.03, 0.02, 0.05)):
+            h = build(p)
+            values, vectors = exact_eigs(h)
+            want_values, want_vectors = self.symmetrized_in_the_fock_basis(h)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(vectors, want_vectors)
+
+    def test_residual_past_the_bound_is_refused(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shifted(a):  # every pair's residual is 1e-3 exactly
+            values, vectors = eigh(a)
+            return values + 1e-3, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ArithmeticError,
+                           match=r"^eigendecomposition residual 1\.000e-03 "
+                                 r"exceeds 1e-10 \* scale$"):
+            exact_eigs(bh(P_WEAK, SPACE))
 
     def test_lowest_level_matches_second_order_formula(self):
         p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.05)
@@ -513,6 +551,39 @@ class TestScanGap:
         scan = scan_gap(n, self.BASE, offsets, SPACE)
         want = 2.0 * lam * self.BASE.nu * math.sqrt(n)
         assert abs(min(scan.gaps) - want) <= lam ** 2 * self.BASE.nu
+
+    @pytest.mark.parametrize("eta_breve", [0.0, 0.02])
+    def test_gaps_are_those_of_factoring_bh_at_each_offset(self, eta_breve):
+        base = ModelParams.from_balanced(1.0, 1.0, eta_breve, 0.05)
+        lam, shift = base.lam, anticrossing_shift(2, base)
+        offsets = np.linspace(-shift - 6 * lam ** 3, -shift + 6 * lam ** 3, 13)
+        scan = scan_gap(2, base, offsets, SPACE)
+        want = []
+        for off in offsets:
+            p = ModelParams.from_balanced(1.0, 1.0 + 2.0 * off, eta_breve, lam)
+            lo, hi = _rung_levels(2, *exact_eigs(bh(p, SPACE)), SPACE)
+            want.append(hi - lo)
+        assert np.abs(np.array(scan.gaps) - want).max() <= 1e-12
+        assert abs(scan.argmin - _parabolic_argmin(scan.detuning_offsets,
+                                                   want)) <= 1e-10
+
+    def test_every_offset_is_checked_and_factored_once(self, monkeypatch):
+        checked, dtypes = [], []
+        defect, eigh = oracle._hermiticity_defect, np.linalg.eigh
+
+        def counting_defect(a, rel_tol):
+            checked.append(a.shape)
+            return defect(a, rel_tol)
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_hermiticity_defect", counting_defect)
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        scan_gap(1, self.BASE, np.linspace(-0.01, 0.01, 5), SPACE)
+        assert checked == [(SPACE.dim, SPACE.dim)] * 5
+        assert dtypes == [np.float64] * 5
 
     def test_bottom_level_rejected(self):
         with pytest.raises(ValueError):
