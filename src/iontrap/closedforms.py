@@ -192,11 +192,15 @@ def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig
 
 def _exchange_blocks(phi: float, space: SpaceConfig) -> tuple:
     """(ee, eg, ge, gg): cos and sin of phi sqrt(n+1) on each pair
-    |n, e>, |n+1, g>, the one-photon exchange rotation."""
+    |n, e>, |n+1, g>, the one-photon exchange rotation.  |n_max, e> has
+    no partner in the truncated space, so its entry is 1, the rotation
+    of the truncated generator, and the blocks form a unitary."""
     ns = np.arange(space.n_max + 1)
     root_up = np.sqrt(ns + 1.0)
     low = fock_lowering(space)
-    return (np.diag(np.cos(phi * root_up)),
+    ee = np.cos(phi * root_up)
+    ee[-1] = 1.0
+    return (np.diag(ee),
             np.diag(np.sin(phi * root_up) / root_up) @ low,
             np.diag(_sin_over_sqrt(phi, ns)) @ low.conj().T,
             np.diag(np.cos(phi * np.sqrt(ns))))
@@ -211,7 +215,6 @@ def _exp_i_z1(lam: float, space: SpaceConfig) -> Operator:
     entry is 1, the exponential of the truncated Z1 on the whole space.
     """
     ee, eg, ge, gg = _exchange_blocks(0.5 * lam, space)
-    ee[-1, -1] = 1.0
     return from_fock_blocks(space, gg, -1j * ge, -1j * eg, ee)
 
 

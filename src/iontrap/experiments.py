@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    ConfigError, SpaceConfig, BasisIndex, basis_vector, number, pauli,
+    ConfigError, SpaceConfig, basis_vector, number, pauli,
     op_norm, interior_distance, EXCITED, GROUND, _require_interior_level,
 )
 from .hamiltonians import (
@@ -32,7 +32,8 @@ from .closedforms import (
 from .oracle import (
     OverlapAmbiguityError, exact_eigs, exact_propagator_fn,
     frame_chain_fn, time_ordered_sweep, fit_order, scan_gap,
-    _levels_by_overlap, _rung_levels, _CONCLUSIVE_R2, _STEPS_PER_UNIT,
+    _levels_by_overlap, _rung_basis, _rung_levels, _CONCLUSIVE_R2,
+    _STEPS_PER_UNIT,
 )
 
 
@@ -166,21 +167,24 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     span{|n-1,e>, |n,g>}.  A projection under the oracle's threshold is a
     DiagnosticError, an ambiguous level pairing, with the rungs paired
     so far.  Rungs past the interior are refused by
-    ``_require_interior_level``.
+    ``_require_interior_level``.  The levels come from one certified
+    window of ``bh``, Fock levels 0 through n_levels + 20, by
+    ``exact_eigs``' rungs, or from the whole matrix when no window can
+    be certified.
     """
     n_levels = opts.get_int("n_levels", 10)
     opts.finish()
     _require_rabi(p)
     _require_interior_level(n_levels, 0, space, "option 'n_levels'")
     spec = spectrum_second_order(p, n_levels)
-    values, vectors = exact_eigs(bh(p, space))
+    values, vectors = exact_eigs(bh(p, space), range(n_levels + 1))
     cols = {"n": [], "E_minus": [], "E_plus": [],
             "E_minus_exact": [], "E_plus_exact": [],
             "err_minus": [], "err_plus": []}
     meta = {"n_levels": n_levels, "E0": spec.E0}
     try:
-        (e0,) = _levels_by_overlap((BasisIndex(0, GROUND).flat,), values,
-                                   vectors, "level E0")
+        (e0,) = _levels_by_overlap(_rung_basis(0), values, vectors,
+                                   "level E0")
         meta.update(E0_exact=e0, err_E0=abs(spec.E0 - e0))
         for n, e_minus, e_plus in spec.levels:
             lo, hi = _rung_levels(n, values, vectors, space)

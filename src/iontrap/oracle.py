@@ -34,6 +34,8 @@ _HERM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 # minimal squared projection onto span{|n-1,e>, |n,g>} for a confident match
 _OVERLAP_THRESHOLD = 0.8
+# Fock levels a rung window keeps past its top rung, before any doubling
+_WINDOW_MARGIN = 20
 
 _STEPS_PER_UNIT = 40.0  # the Magnus sweeps' default step density
 # a Hamiltonian as fixed terms, H(t) = sum_j c_j(t) M_j: (c_j, M_j) pairs
@@ -45,7 +47,7 @@ _GAUSS_NODES = (0.5 - _ROOT15 / 10.0, 0.5, 0.5 + _ROOT15 / 10.0)
 
 # -- exact diagonalization and propagation -------------------------------------
 
-def exact_eigs(h: Operator):
+def exact_eigs(h: Operator, rungs: Sequence[int] = ()):
     """Ascending eigenvalues and eigenvector matrix of a hermitian operator.
 
     H is taken into the Fock phase gauge U = diag(i^n) (x) 1, factored
@@ -54,8 +56,15 @@ def exact_eigs(h: Operator):
     real symmetric for ``rfh``, ``bh`` (both routes) and every H0 of the
     engine, so those take a real factorization; any other hermitian
     input (``h_check``, say) is factored complex.
+
+    Given rungs, the factorization is ``_rung_eigs``' instead: only the
+    lowest pairs, through those that hold the rungs' levels, certified
+    from a leading Fock window, or every pair when no window is.  That
+    is enough for ``_rung_levels`` and ``_levels_by_overlap`` on those
+    rungs, and for nothing that needs every pair, such as a propagator.
     """
-    values, vectors = _gauge_eigs(_into_gauge(h.mat, h.space))
+    g = _into_gauge(h.mat, h.space)
+    values, vectors = _rung_eigs(g, h.space, rungs) if rungs else _gauge_eigs(g)
     return values, _flat_gauge_phases(h.space)[:, None] * vectors
 
 
@@ -78,12 +87,23 @@ def _gauge_eigs(g: np.ndarray):
     hermitian array the bounds decide, and no spectral norm
     (``op_norm``) is taken.
     """
+    return _factored(_symmetrized(g), g)
+
+
+def _symmetrized(g: np.ndarray) -> np.ndarray:
+    """(G + G^dag)/2 after ``_gauge_eigs``' hermiticity test."""
     defect = _hermiticity_defect(g, _HERM_TOL)
     if defect is not None:
         raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
     mat = 0.5 * (g + g.conj().T)
     if np.iscomplexobj(mat):
         mat = _real_if_exact(mat)
+    return mat
+
+
+def _factored(mat: np.ndarray, g: np.ndarray):
+    """The eigenpairs of the symmetrized mat of g, with ``_gauge_eigs``'
+    residual test."""
     values, vectors = np.linalg.eigh(mat)
     # factorization residual per pair; eigh leaves ~eps * ||G||
     try:
@@ -100,6 +120,100 @@ def _gauge_eigs(g: np.ndarray):
     return values, vectors
 
 
+def _rung_eigs(g: np.ndarray, space: SpaceConfig, rungs: Sequence[int]):
+    """Eigenpairs of a gauge array G that hold the levels of the rungs.
+
+    Rung n >= 1 is the pair read by ``_rung_levels``, rung 0 the level of
+    |0,g>.  The pairs come from the leading block B of G on the first
+    n + 21 Fock levels (0 through n + _WINDOW_MARGIN, n the top rung), as
+    the lowest m of B's Ritz pairs, through the last one the rungs pick,
+    with their vectors padded by zeros.  They are kept only when certified
+    by ``_window_pairs``; otherwise the window doubles, and once it would
+    pass half the dimension G is factored whole, as ``_gauge_eigs`` does.  So
+    every refusal and message is that of the full route: the hermiticity
+    test runs once on all of G, and a pairing the window cannot certify,
+    such as an ambiguous one, is made (or refused) on every pair.
+    Whichever route is taken, ``_levels_by_overlap`` picks the same levels
+    from the result, with the same projections to rounding.
+    """
+    mat = _symmetrized(g)
+    bases = [_rung_basis(n) for n in rungs]
+    fock = max(rungs) + _WINDOW_MARGIN + 1
+    while np.isrealobj(mat) and 2 * fock <= space.dim // 2:
+        pairs = _window_pairs(mat, 2 * fock, bases)
+        if pairs is not None:
+            return pairs
+        fock *= 2
+    return _factored(mat, g)
+
+
+def _window_pairs(mat: np.ndarray, k: int, bases: list):
+    """The certified lowest Ritz pairs of mat's leading k x k block, or None.
+
+    B = mat[:k, :k] = Y diag(theta) Y^T.  For each basis the Ritz vectors
+    with the most weight on it are picked, as ``_levels_by_overlap`` picks
+    them; m is one past the highest pick.  The m lowest pairs, each Ritz
+    vector padded by zeros, are certified against the whole of mat
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11):
+
+    - each residual r_i = ||mat y_i - theta_i y_i|| is within
+      _RESIDUAL_TOL of max(1, max|theta|), which is at most ||mat||_2, so
+      each interval [theta_i - r_i, theta_i + r_i] holds an eigenvalue;
+    - the m intervals are disjoint and below the cut c, halfway between
+      theta_m and theta_{m+1};
+    - the Schur complement S = H22 - c - H21 (B - c)^-1 H12, less that
+      residual tolerance for rounding, has a Cholesky factor.  Then
+      mat - c has exactly the m negative eigenvalues of B - c
+      (Haynsworth, Linear Algebra Appl. 1, 73 (1968)), so each interval
+      holds exactly one eigenvalue and they are the m lowest;
+    - each picked projection exceeds _OVERLAP_THRESHOLD by more than
+      s (2 + s), s = r_i / sep_i, where sep_i is the distance from
+      theta_i to the other intervals and to c: by Davis and Kahan
+      sin(angle) <= s between y_i and its eigenvector, which moves a
+      projection by at most that much.  Over 0.8 each, the picked
+      eigenvectors outweigh every other on the basis, so the full
+      route picks them too.
+    """
+    try:
+        theta, y = np.linalg.eigh(mat[:k, :k])
+    except np.linalg.LinAlgError:
+        return None
+    picks = []
+    for basis in bases:
+        over = sum(y[flat] ** 2 for flat in basis)
+        picks.append((np.argsort(over)[-len(basis):], over))
+    m = 1 + max(int(pick.max()) for pick, _ in picks)
+    if m >= k:
+        return None
+    kept, ym = theta[:m], y[:, :m]
+    residual = mat[:, :k] @ ym
+    residual[:k] -= ym * kept
+    res = np.linalg.norm(residual, axis=0)
+    tol = _RESIDUAL_TOL * max(1.0, float(np.abs(theta).max()))
+    cut = 0.5 * (theta[m - 1] + theta[m])
+    if not (_below_limit(float(res.max()), tol)
+            and np.all(kept[1:] - res[1:] > kept[:-1] + res[:-1])
+            and kept[-1] + res[-1] < cut):
+        return None
+    coupling = mat[k:, :k] @ y
+    schur = mat[k:, k:] - (coupling / (theta - cut)) @ coupling.T
+    schur[np.diag_indices_from(schur)] -= cut + tol
+    try:
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return None
+    others = np.abs(kept[:, None] - kept[None, :]) - res[None, :]
+    np.fill_diagonal(others, math.inf)
+    sin = res / np.minimum(others.min(axis=1), cut - kept)
+    for pick, over in picks:
+        if np.any(over[pick] - sin[pick] * (2.0 + sin[pick])
+                  <= _OVERLAP_THRESHOLD):
+            return None
+    vectors = np.zeros((mat.shape[0], m))
+    vectors[:k] = ym
+    return kept, vectors
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Checked eigenpairs of a hermitian operator, callable as its propagator.
@@ -110,7 +224,7 @@ class SpectralDecomposition:
     it is U(t) = diag(e^{-i t r}) L diag(e^{-i t E}) L^dag, one matrix
     product; ``apply`` costs two matrix-vector products.  clusters
     groups the indices ``engine.decompose`` finds degenerate, at its one
-    absolute tolerance; only it fills them, and the block methods need them.
+    absolute tolerance; only it fills them, and ``intra_mask`` needs them.
     The arrays are private read-only copies, so an instance is immutable.
     """
 
@@ -145,11 +259,6 @@ class SpectralDecomposition:
             raise ValueError("needs the clusters of engine.decompose; "
                              "this decomposition has none")
 
-    def reconstruct(self) -> Operator:
-        """L E L^dag: the operator, in the frame F if one is folded in."""
-        return Operator((self.eigenbasis * self.eigenvalues) @ self._adjoint,
-                        self.space)
-
     def intra_mask(self) -> np.ndarray:
         """Boolean matrix: True where row and column index share a cluster."""
         self._require_clusters()
@@ -157,11 +266,6 @@ class SpectralDecomposition:
         for i, cluster in enumerate(self.clusters):
             labels[list(cluster)] = i
         return labels[:, None] == labels[None, :]
-
-    def projector(self, m: int) -> np.ndarray:
-        self._require_clusters()
-        cols = self.eigenbasis[:, list(self.clusters[m])]
-        return cols @ cols.conj().T
 
     def __call__(self, t: float) -> Operator:
         """U(t) as an operator."""
@@ -382,13 +486,20 @@ class GapScan:
     of the tracked pair; argmin the parabola-refined location of the
     smallest gap in the same units.  The vertex of the parabola through
     the three lowest gaps amplifies their ~1e-14 eigensolver rounding
-    about 150x, so argmin is reliable to about 1e-11 only; compare it at
-    that tolerance, not to the last printed digit.
+    about 150 sqrt(n) times on the default grid of rung n, so argmin is
+    reliable to about 1e-11 sqrt(n) only; compare it at that tolerance,
+    not to the last printed digit.
 
-    ``scan_gap`` factors each offset's ``bh`` from two fixed gauge arrays,
-    F + Omega_R D, built once per scan: one ``eigh`` per offset.  Its
-    gaps agree with factoring ``bh`` itself at each offset to 7e-14 and
-    its argmin to 8e-12 (rungs 1, 2, 3 and 10 at dim 242).
+    ``scan_gap`` forms each offset's ``bh`` from two fixed gauge arrays,
+    F + Omega_R D, built once per scan, and reads the pair from a
+    leading Fock window of it, Fock levels 0 through n + 20, certified
+    against the whole array by ``_rung_eigs`` (residual intervals, an
+    inertia count by a Cholesky-checked Schur complement, Davis-Kahan
+    bounds on the overlaps).  A window that fails the certificate
+    doubles, and past half the dimension the whole array is factored.
+    Its gaps agree with factoring the whole array at each offset to
+    5e-14 and its argmin to 1.6e-11 (rungs 1, 3, 10 and 30 at dim 242,
+    eta_breve 0 and 0.03).
     """
 
     detuning_offsets: tuple
@@ -458,10 +569,16 @@ def _rung_levels(n: int, values: np.ndarray, vectors: np.ndarray,
     """
     if not 1 <= n <= space.n_max:
         raise ValueError(f"rung n must be in 1..{space.n_max}, got {n}")
-    lo, hi = _levels_by_overlap(
-        (BasisIndex(n - 1, EXCITED).flat, BasisIndex(n, GROUND).flat),
-        values, vectors, f"pair n={n}", where)
+    lo, hi = _levels_by_overlap(_rung_basis(n), values, vectors,
+                                f"pair n={n}", where)
     return lo, hi
+
+
+def _rung_basis(n: int) -> tuple:
+    """Flat indices of rung n: |n-1,e> and |n,g>, or |0,g> alone at n = 0."""
+    if n == 0:
+        return (BasisIndex(0, GROUND).flat,)
+    return (BasisIndex(n - 1, EXCITED).flat, BasisIndex(n, GROUND).flat)
 
 
 def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
@@ -483,13 +600,19 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
     fixed too, and only Omega_R = delta_breve/sqrt(4 + Delta^2) moves, so
     ``bh`` in the Fock phase gauge is F + Omega_R D at every offset.
     ``hamiltonians._bh_gauge_parts`` builds F and D once, from the first
-    offset the checks above let through.  Each offset then costs one
-    real ``eigh`` with ``_gauge_eigs``' hermiticity and residual checks
-    and the overlap threshold of ``_rung_levels``: 7 ms against 12 ms
-    for rebuilding and factoring ``bh`` at dim 242, BLAS on one thread.
-    Against that route the gaps agree to 7e-14 and argmin to 8e-12,
-    over rungs 1, 2, 3 and 10 at dim 242, lam 0.05 to 0.07 and
-    eta_breve 0 to 0.03.
+    offset the checks above let through.  Each offset's F + Omega_R D
+    takes ``_gauge_eigs``' hermiticity test on the whole array, and its
+    pair comes from ``_rung_eigs``: the leading window of Fock levels 0
+    through n + 20, one real ``eigh`` of it, certified against the whole
+    array by residual intervals, a Cholesky-checked Schur complement and
+    Davis-Kahan bounds on the overlaps; the window doubles when the
+    certificate fails, and past half the dimension the offset takes
+    ``_gauge_eigs`` whole, so every error and message is the full
+    route's.  An offset costs 1.3-2.2 ms against 5.8-6.1 ms for
+    factoring the whole array at dim 242, BLAS on one thread.  Against
+    that route the gaps agree to 5e-14 and argmin to 1.6e-11 (the
+    vertex amplifies gap rounding about 150 sqrt(n) times), over rungs
+    1, 3, 10 and 30 at dim 242, lam 0.05 and eta_breve 0 and 0.03.
     """
     _require_interior_level(n, 1, space, "rung n")
     nu, lam, eta_b = p_base.nu, p_base.lam, p_base.eta_breve
@@ -509,7 +632,7 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
             parts = _bh_gauge_parts(p, space)
         fixed, drive = parts
         # the gauge's phases leave the overlaps |v|^2 as they are
-        values, vectors = _gauge_eigs(fixed + p.Omega_R * drive)
+        values, vectors = _rung_eigs(fixed + p.Omega_R * drive, space, (n,))
         lo, hi = _rung_levels(n, values, vectors, space, f" at offset {off!r}")
         gaps.append(float(hi - lo))
     offs = tuple(float(x) for x in offsets)

@@ -269,6 +269,22 @@ class TestClosedFormEvolutors:
             prod = u.dag @ u
             assert interior_norm(prod - identity(SPACE)) < 1e-10
 
+    def test_unitary_on_the_truncation_edge(self):
+        # |n_max, e> has no exchange partner in the space, so its entry is
+        # 1; cos(lam nu t sqrt(n_max + 1)) there left a defect of 0.67
+        p = ModelParams.from_balanced(1.0, 1.0, 0.0, 0.05)
+        pj = JCParams(nu=1.0, omega=1.0, lam=0.05)
+        one = identity(SPACE)
+        for u in (rwa_evolutor_fn(p, SPACE)(3.0), jc_evolutor(3.0, pj, SPACE),
+                  jc_evolutor_breve(3.0, p, SPACE)):
+            assert op_norm(u.dag @ u - one) <= 1e-12
+        # and the truncated generator's exponential on the whole space
+        a = annihilation(SPACE)
+        gen = hermitize(1j * p.lam * p.nu * (
+            a @ pauli("+", SPACE) - a.dag @ pauli("-", SPACE)))
+        assert op_norm(jc_evolutor_breve(3.0, p, SPACE)
+                       - exact_evolutor(gen, 3.0)) <= 1e-12
+
     def test_rwa_evolutor_equals_exponential_product(self):
         for p in (POINT_RES, ModelParams.from_balanced(1.0, 1.0, 0.0, 0.12)):
             u = rwa_evolutor_fn(p, SPACE)

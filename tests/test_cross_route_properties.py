@@ -2,13 +2,15 @@
 parameter space, not only at the fixed points of the other modules."""
 
 import numpy as np
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from iontrap import (
     SpaceConfig, ModelParams, interior_distance, interior_norm,
     REGIME_KINDS, Regime, regime_series, bh_first_second_order,
-    decompose, solve, bh, h_check, exact_eigs,
+    decompose, solve, bh, h_check, exact_eigs, OverlapAmbiguityError,
 )
+from iontrap.operators import _into_gauge
+from iontrap.oracle import _gauge_eigs, _rung_eigs, _rung_levels
 from test_config_properties import DETERMINISTIC
 
 SPACE = SpaceConfig(n_max=20, interior_margin=5)
@@ -124,3 +126,31 @@ def test_constants_scale_with_the_frequencies(point, s):
         assert interior_distance(c_s, s * c) <= 1e-9 * interior_norm(s * c)
     for z, z_s in zip(base.Z, moved.Z):
         assert interior_distance(z_s, z) <= 1e-9 * interior_norm(z)
+
+
+# dim 122: rungs 1-9 keep their first window, Fock levels 0..n+20,
+# within half the dimension
+WINDOWED = SpaceConfig(n_max=60, interior_margin=15)
+
+
+def _pair_or_refusal(n, eigs):
+    try:
+        return _rung_levels(n, *eigs, WINDOWED)
+    except OverlapAmbiguityError as exc:
+        return str(exc)
+
+
+@settings(DETERMINISTIC, max_examples=120)
+@given(p=balanced_points(), n=st.integers(1, 9))
+def test_window_pair_is_the_full_pair(p, n):
+    # the certified window route and _gauge_eigs of the whole array pick
+    # the same pair, or refuse it with the same message; levels within
+    # 1e-13 nu (n + 1), worst measured 1.1e-14 over 300 draws
+    g = _into_gauge(bh(p, WINDOWED).mat, WINDOWED)
+    window, full = _rung_eigs(g, WINDOWED, (n,)), _gauge_eigs(g)
+    event("window" if window[0].size < full[0].size else "full array")
+    got, want = _pair_or_refusal(n, window), _pair_or_refusal(n, full)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.abs(np.subtract(got, want)).max() <= 1e-13 * p.nu * (n + 1)

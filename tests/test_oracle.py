@@ -18,7 +18,9 @@ from iontrap import (
     fit_order, scan_gap,
 )
 from iontrap import oracle
-from iontrap.operators import _flat_gauge_phases, _into_gauge
+from iontrap.operators import (
+    _flat_gauge_phases, _into_gauge, _position_eigen,
+)
 from iontrap.oracle import _parabolic_argmin, _rung_levels
 
 SPACE = SpaceConfig()
@@ -567,7 +569,12 @@ class TestScanGap:
         assert abs(scan.argmin - _parabolic_argmin(scan.detuning_offsets,
                                                    want)) <= 1e-10
 
-    def test_every_offset_is_checked_and_factored_once(self, monkeypatch):
+    # dim 82 factors each offset whole; at dim 242 rung 1 takes the
+    # window of Fock levels 0..21, and the whole array is still checked
+    @pytest.mark.parametrize("space", [SPACE, SpaceConfig(120, 30)],
+                             ids=["whole", "window"])
+    def test_every_offset_is_checked_and_factored_once(self, monkeypatch,
+                                                       space):
         checked, dtypes = [], []
         defect, eigh = oracle._hermiticity_defect, np.linalg.eigh
 
@@ -579,10 +586,11 @@ class TestScanGap:
             dtypes.append(np.asarray(a).dtype)
             return eigh(a, *args, **kwargs)
 
+        _position_eigen(space.n_max)  # the displacements' cached eigh
         monkeypatch.setattr(oracle, "_hermiticity_defect", counting_defect)
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        scan_gap(1, self.BASE, np.linspace(-0.01, 0.01, 5), SPACE)
-        assert checked == [(SPACE.dim, SPACE.dim)] * 5
+        scan_gap(1, self.BASE, np.linspace(-0.01, 0.01, 5), space)
+        assert checked == [(space.dim, space.dim)] * 5
         assert dtypes == [np.float64] * 5
 
     def test_bottom_level_rejected(self):
@@ -620,3 +628,104 @@ class TestScanGap:
             GapScan(detuning_offsets=(0.0, 0.1), gaps=(1.0,), argmin=0.0)
         with pytest.raises(ValueError):
             GapScan(detuning_offsets=(0.0,), gaps=(-1.0,), argmin=0.0)
+
+
+class TestRungWindow:
+    BIG = SpaceConfig(n_max=120, interior_margin=30)
+
+    @staticmethod
+    def full_route(g, space, rungs):
+        return oracle._gauge_eigs(g)
+
+    @pytest.mark.parametrize("eta_breve", [0.0, 0.03])
+    @pytest.mark.parametrize("n", [1, 3, 10, 30])
+    def test_scans_agree_with_the_full_route(self, monkeypatch, n, eta_breve):
+        # the vertex amplifies the ~1e-14 rounding of either route's gaps
+        # by about 150 sqrt(n) on this grid, as the parabola flattens
+        # like 1/sqrt(n): measured 4.9e-14 in a gap, 1.6e-11 in argmin
+        base = ModelParams.from_balanced(1.0, 1.0, eta_breve, 0.05)
+        lam, shift = base.lam, anticrossing_shift(n, base)
+        offsets = np.linspace(-shift - 6 * lam ** 3, -shift + 6 * lam ** 3, 13)
+        sizes = []
+        window = oracle._window_pairs
+
+        def recording(mat, k, bases):
+            sizes.append(k)
+            return window(mat, k, bases)
+
+        monkeypatch.setattr(oracle, "_window_pairs", recording)
+        scan = scan_gap(n, base, offsets, self.BIG)
+        assert sizes == [2 * (n + 21)] * 13  # every offset's first window
+        monkeypatch.setattr(oracle, "_rung_eigs", self.full_route)
+        full = scan_gap(n, base, offsets, self.BIG)
+        assert np.abs(np.array(scan.gaps) - full.gaps).max() <= 1e-13
+        assert abs(scan.argmin - full.argmin) <= 1e-11 * math.sqrt(n)
+
+    def test_spectrum_levels_agree_with_the_full_route(self):
+        p = ModelParams.from_balanced(1.0, 1.02, 0.01, 0.05)
+        g = _into_gauge(bh(p, self.BIG).mat, self.BIG)
+        rungs = range(11)
+        window = oracle._rung_eigs(g, self.BIG, rungs)
+        full = oracle._gauge_eigs(g)
+        assert window[0].size < full[0].size  # the window was certified
+        assert abs(oracle._levels_by_overlap((0,), *window, "E0")[0]
+                   - oracle._levels_by_overlap((0,), *full, "E0")[0]) <= 1e-13
+        for n in rungs[1:]:
+            got = _rung_levels(n, *window, self.BIG)
+            want = _rung_levels(n, *full, self.BIG)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-13
+
+    def test_a_level_the_window_misses_takes_the_full_route(self):
+        # two trailing states at Fock 100 coupled strongly put a level near
+        # -5, below every level of the window; nothing couples it to the
+        # window, so every residual stays at rounding
+        p = ModelParams.from_balanced(1.0, 1.0, 0.02, 0.05)
+        g = _into_gauge(bh(p, self.BIG).mat, self.BIG)
+        g[200, 201] = g[201, 200] = 105.0
+        values, vectors = oracle._rung_eigs(g, self.BIG, (1,))
+        full_values, full_vectors = oracle._gauge_eigs(g)
+        assert np.array_equal(values, full_values)
+        assert np.array_equal(vectors, full_vectors)
+        assert values[0] < -4.0
+
+    def test_an_indefinite_schur_complement_is_refused(self):
+        # a trailing state set between the kept levels and cut off from
+        # the window: residuals, intervals and overlaps all pass, and only
+        # the inertia count sees the level the window does not hold
+        p = ModelParams.from_balanced(1.0, 1.0, 0.02, 0.05)
+        g = _into_gauge(bh(p, self.BIG).mat, self.BIG)
+        mat = oracle._symmetrized(g)
+        k, bases = 44, [oracle._rung_basis(1)]
+        kept, _ = oracle._window_pairs(mat, k, bases)
+        mat[150, :] = mat[:, 150] = 0.0
+        mat[150, 150] = 0.5 * (kept[0] + kept[1])
+        assert oracle._window_pairs(mat, k, bases) is None
+        values, _ = np.linalg.eigh(mat)
+        assert np.sum(values < kept[-1] + 1e-9) == kept.size + 1
+
+    def test_a_residual_past_the_bound_is_refused(self):
+        # |1,g> coupled by 1e-7 to a trailing state: the window's rung-1
+        # vectors leave residuals near 1e-7 against the whole array, past
+        # the 1e-10 of _RESIDUAL_TOL, while every other part would pass
+        p = ModelParams.from_balanced(1.0, 1.0, 0.02, 0.05)
+        mat = oracle._symmetrized(_into_gauge(bh(p, self.BIG).mat, self.BIG))
+        k, bases = 44, [oracle._rung_basis(1)]
+        assert oracle._window_pairs(mat, k, bases) is not None
+        mat[2, 200] = mat[200, 2] = 1e-7
+        assert oracle._window_pairs(mat, k, bases) is None
+
+    def test_a_projection_within_its_davis_kahan_bound_is_refused(
+            self, monkeypatch):
+        # a threshold one ulp under the pair's smaller window projection is
+        # cleared, but not by the bound on how far the exact eigenvector's
+        # projection can lie from it, so the window cannot vouch for it
+        p = ModelParams.from_balanced(1.0, 1.0, 0.02, 0.05)
+        mat = oracle._symmetrized(_into_gauge(bh(p, self.BIG).mat, self.BIG))
+        k, bases = 44, [oracle._rung_basis(1)]
+        kept, vectors = oracle._window_pairs(mat, k, bases)
+        smaller = np.sort(vectors[1] ** 2 + vectors[2] ** 2)[-2]
+        monkeypatch.setattr(oracle, "_OVERLAP_THRESHOLD", smaller - 1e-6)
+        assert oracle._window_pairs(mat, k, bases) is not None
+        monkeypatch.setattr(oracle, "_OVERLAP_THRESHOLD",
+                            float(np.nextafter(smaller, 0.0)))
+        assert oracle._window_pairs(mat, k, bases) is None
