@@ -32,8 +32,7 @@ from .closedforms import (
 from .oracle import (
     OverlapAmbiguityError, exact_eigs, exact_propagator_fn,
     frame_chain_fn, time_ordered_sweep, fit_order, scan_gap,
-    _levels_by_overlap, _rung_basis, _rung_levels, _CONCLUSIVE_R2,
-    _STEPS_PER_UNIT,
+    _rung_levels, _CONCLUSIVE_R2, _STEPS_PER_UNIT,
 )
 
 
@@ -163,14 +162,13 @@ def _check_phase_budget(energies: np.ndarray, t_max: float) -> None:
 def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Second-order level formula against exact diagonalization.
 
-    Each exact level is paired by overlap: E0 with |0,g>, rung n with
-    span{|n-1,e>, |n,g>}.  A projection under the oracle's threshold is a
-    DiagnosticError, an ambiguous level pairing, with the rungs paired
-    so far.  Rungs past the interior are refused by
-    ``_require_interior_level``.  The levels come from one certified
-    window of ``bh``, Fock levels 0 through n_levels + 20, by
-    ``exact_eigs``' rungs, or from the whole matrix when no window can
-    be certified.
+    Each exact level is paired by overlap with ``_rung_levels``: E0 with
+    |0,g>, rung n with span{|n-1,e>, |n,g>}.  A projection under the
+    oracle's threshold is a DiagnosticError, an ambiguous level pairing,
+    with the rungs paired so far.  Rungs past the interior are refused by
+    ``_require_interior_level``.  The levels come from one ``exact_eigs``
+    of ``bh`` for rungs 0 through n_levels, its pairs certified against
+    the whole array by ``oracle._window_pairs``.
     """
     n_levels = opts.get_int("n_levels", 10)
     opts.finish()
@@ -183,11 +181,10 @@ def spectrum(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
             "err_minus": [], "err_plus": []}
     meta = {"n_levels": n_levels, "E0": spec.E0}
     try:
-        (e0,) = _levels_by_overlap(_rung_basis(0), values, vectors,
-                                   "level E0")
+        (e0,) = _rung_levels(0, values, vectors)
         meta.update(E0_exact=e0, err_E0=abs(spec.E0 - e0))
         for n, e_minus, e_plus in spec.levels:
-            lo, hi = _rung_levels(n, values, vectors, space)
+            lo, hi = _rung_levels(n, values, vectors)
             cols["n"].append(n)
             cols["E_minus"].append(e_minus)
             cols["E_plus"].append(e_plus)

@@ -51,25 +51,24 @@ def exact_eigs(h: Operator, rungs: Sequence[int] = ()):
     """Ascending eigenvalues and eigenvector matrix of a hermitian operator.
 
     H is taken into the Fock phase gauge U = diag(i^n) (x) 1, factored
-    there by ``_gauge_eigs`` with its checks, and the eigenvectors come
+    there by ``_rung_eigs`` with its checks, and the eigenvectors come
     back to the Fock basis by the exact phases of U.  The gauge array is
     real symmetric for ``rfh``, ``bh`` (both routes) and every H0 of the
     engine, so those take a real factorization; any other hermitian
     input (``h_check``, say) is factored complex.
 
-    Given rungs, the factorization is ``_rung_eigs``' instead: only the
-    lowest pairs, through those that hold the rungs' levels, certified
-    from a leading Fock window, or every pair when no window is.  That
-    is enough for ``_rung_levels`` and ``_levels_by_overlap`` on those
-    rungs, and for nothing that needs every pair, such as a propagator.
+    With no rungs every pair comes back.  Given rungs, only the lowest
+    pairs through those that hold the rungs' levels may come back,
+    certified against the whole array by ``_window_pairs``: enough for
+    ``_rung_levels`` on those rungs, and for nothing that needs every
+    pair, such as a propagator.
     """
-    g = _into_gauge(h.mat, h.space)
-    values, vectors = _rung_eigs(g, h.space, rungs) if rungs else _gauge_eigs(g)
+    values, vectors = _rung_eigs(_into_gauge(h.mat, h.space), rungs)
     return values, _flat_gauge_phases(h.space)[:, None] * vectors
 
 
-def _gauge_eigs(g: np.ndarray):
-    """Ascending eigenvalues and eigenvectors of a gauge array G = U^dag H U.
+def _rung_eigs(g: np.ndarray, rungs: Sequence[int] = ()):
+    """Ascending eigenpairs of a gauge array G = U^dag H U, checked.
 
     G is symmetrized as (G + G^dag)/2 before factorization, in float64
     when that is exactly real (``_real_if_exact``).  A hermiticity defect
@@ -79,19 +78,29 @@ def _gauge_eigs(g: np.ndarray):
     -1, -i, so G's entries are H's up to exact quarter turns: every
     norm, check and message is the one H itself would give.
 
-    Both checks are decided from cheap certified bounds first and from
-    the exact spectral norms only when the bounds cannot decide, so every
-    accept, reject and message is that of the exact test.  Hermiticity is
-    bounded by ``operators._hermiticity_defect``; for the residual,
-    max|E| of the symmetrized matrix is at most ||G||_2.  For a
-    hermitian array the bounds decide, and no spectral norm
-    (``op_norm``) is taken.
+    With no rungs every pair comes from ``_factored``.  Given rungs (n
+    for the pair ``_rung_levels`` reads, 0 for the level of |0,g>), the
+    pairs are those of a leading Fock window, levels 0 through the top
+    rung plus _WINDOW_MARGIN, certified by ``_window_pairs``; a window it
+    cannot certify doubles, and once it would pass half the dimension G
+    is factored whole.  So every refusal and message is that of the full
+    route: the hermiticity test runs once on all of G, and ``_rung_levels``
+    picks the same levels from either route's pairs.
     """
-    return _factored(_symmetrized(g), g)
+    mat = _symmetrized(g)
+    if rungs:
+        bases = [_rung_basis(n) for n in rungs]
+        fock = max(rungs) + _WINDOW_MARGIN + 1
+        while np.isrealobj(mat) and 2 * fock <= mat.shape[0] // 2:
+            pairs = _window_pairs(mat, 2 * fock, bases)
+            if pairs is not None:
+                return pairs
+            fock *= 2
+    return _factored(mat, g)
 
 
 def _symmetrized(g: np.ndarray) -> np.ndarray:
-    """(G + G^dag)/2 after ``_gauge_eigs``' hermiticity test."""
+    """(G + G^dag)/2 after ``_rung_eigs``' hermiticity test."""
     defect = _hermiticity_defect(g, _HERM_TOL)
     if defect is not None:
         raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
@@ -102,8 +111,15 @@ def _symmetrized(g: np.ndarray) -> np.ndarray:
 
 
 def _factored(mat: np.ndarray, g: np.ndarray):
-    """The eigenpairs of the symmetrized mat of g, with ``_gauge_eigs``'
-    residual test."""
+    """Every eigenpair of the symmetrized mat of g, with ``_rung_eigs``'
+    residual test.
+
+    The test is decided from cheap certified bounds first and from the
+    exact spectral norm only when they cannot decide, so every accept,
+    reject and message is that of the exact test: max|E| of mat is at
+    most ||G||_2, and for a hermitian array the bound decides, so no
+    spectral norm (``op_norm``) is taken.
+    """
     values, vectors = np.linalg.eigh(mat)
     # factorization residual per pair; eigh leaves ~eps * ||G||
     try:
@@ -120,41 +136,15 @@ def _factored(mat: np.ndarray, g: np.ndarray):
     return values, vectors
 
 
-def _rung_eigs(g: np.ndarray, space: SpaceConfig, rungs: Sequence[int]):
-    """Eigenpairs of a gauge array G that hold the levels of the rungs.
-
-    Rung n >= 1 is the pair read by ``_rung_levels``, rung 0 the level of
-    |0,g>.  The pairs come from the leading block B of G on the first
-    n + 21 Fock levels (0 through n + _WINDOW_MARGIN, n the top rung), as
-    the lowest m of B's Ritz pairs, through the last one the rungs pick,
-    with their vectors padded by zeros.  They are kept only when certified
-    by ``_window_pairs``; otherwise the window doubles, and once it would
-    pass half the dimension G is factored whole, as ``_gauge_eigs`` does.  So
-    every refusal and message is that of the full route: the hermiticity
-    test runs once on all of G, and a pairing the window cannot certify,
-    such as an ambiguous one, is made (or refused) on every pair.
-    Whichever route is taken, ``_levels_by_overlap`` picks the same levels
-    from the result, with the same projections to rounding.
-    """
-    mat = _symmetrized(g)
-    bases = [_rung_basis(n) for n in rungs]
-    fock = max(rungs) + _WINDOW_MARGIN + 1
-    while np.isrealobj(mat) and 2 * fock <= space.dim // 2:
-        pairs = _window_pairs(mat, 2 * fock, bases)
-        if pairs is not None:
-            return pairs
-        fock *= 2
-    return _factored(mat, g)
-
-
 def _window_pairs(mat: np.ndarray, k: int, bases: list):
     """The certified lowest Ritz pairs of mat's leading k x k block, or None.
 
     B = mat[:k, :k] = Y diag(theta) Y^T.  For each basis the Ritz vectors
-    with the most weight on it are picked, as ``_levels_by_overlap`` picks
-    them; m is one past the highest pick.  The m lowest pairs, each Ritz
-    vector padded by zeros, are certified against the whole of mat
-    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 11):
+    with the most weight on it are picked by ``_picked``, the rule
+    ``_rung_levels`` applies to exact pairs; m is one past the highest
+    pick.  The m lowest pairs, each Ritz vector padded by zeros, are
+    certified against the whole of mat (Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 4 and 11):
 
     - each residual r_i = ||mat y_i - theta_i y_i|| is within
       _RESIDUAL_TOL of max(1, max|theta|), which is at most ||mat||_2, so
@@ -178,10 +168,7 @@ def _window_pairs(mat: np.ndarray, k: int, bases: list):
         theta, y = np.linalg.eigh(mat[:k, :k])
     except np.linalg.LinAlgError:
         return None
-    picks = []
-    for basis in bases:
-        over = sum(y[flat] ** 2 for flat in basis)
-        picks.append((np.argsort(over)[-len(basis):], over))
+    picks = [_picked(basis, y) for basis in bases]
     m = 1 + max(int(pick.max()) for pick, _ in picks)
     if m >= k:
         return None
@@ -212,6 +199,43 @@ def _window_pairs(mat: np.ndarray, k: int, bases: list):
     vectors = np.zeros((mat.shape[0], m))
     vectors[:k] = ym
     return kept, vectors
+
+
+def _picked(basis: tuple, vectors: np.ndarray):
+    """The len(basis) columns of vectors that project most onto
+    span(basis), and every column's squared projection.
+
+    basis holds flat indices; the projections are read off those rows.
+    """
+    over = sum(np.abs(vectors[flat]) ** 2 for flat in basis)
+    return np.argsort(over)[-len(basis):], over
+
+
+def _rung_basis(n: int) -> tuple:
+    """Flat indices of rung n: |n-1,e> and |n,g>, or |0,g> alone at n = 0."""
+    if n == 0:
+        return (BasisIndex(0, GROUND).flat,)
+    return (BasisIndex(n - 1, EXCITED).flat, BasisIndex(n, GROUND).flat)
+
+
+def _rung_levels(n: int, values: np.ndarray, vectors: np.ndarray,
+                 where: str = "") -> tuple:
+    """The exact levels of rung n, ascending, matched by overlap.
+
+    Rung n >= 1 is the pair (E_minus, E_plus) that projects most onto
+    span{|n-1,e>, |n,g>}; rung 0 is (E0,), the level on |0,g>.  A
+    projection under _OVERLAP_THRESHOLD is refused with
+    OverlapAmbiguityError instead of guessed; its message names the
+    pair, or "level E0", and ends with where.  The callers decide the
+    rung's range, with ``_require_interior_level``.
+    """
+    pick, over = _picked(_rung_basis(n), vectors)
+    if over[pick].min() < _OVERLAP_THRESHOLD:
+        what = "level E0" if n == 0 else f"pair n={n}"
+        raise OverlapAmbiguityError(
+            f"{what}: projection {over[pick].min():.3f} < "
+            f"{_OVERLAP_THRESHOLD}{where}")
+    return tuple(float(e) for e in sorted(values[pick]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,16 +514,10 @@ class GapScan:
     reliable to about 1e-11 sqrt(n) only; compare it at that tolerance,
     not to the last printed digit.
 
-    ``scan_gap`` forms each offset's ``bh`` from two fixed gauge arrays,
-    F + Omega_R D, built once per scan, and reads the pair from a
-    leading Fock window of it, Fock levels 0 through n + 20, certified
-    against the whole array by ``_rung_eigs`` (residual intervals, an
-    inertia count by a Cholesky-checked Schur complement, Davis-Kahan
-    bounds on the overlaps).  A window that fails the certificate
-    doubles, and past half the dimension the whole array is factored.
-    Its gaps agree with factoring the whole array at each offset to
-    5e-14 and its argmin to 1.6e-11 (rungs 1, 3, 10 and 30 at dim 242,
-    eta_breve 0 and 0.03).
+    ``scan_gap`` reads each offset's pair from eigenpairs certified
+    against the whole array by ``_window_pairs``: its gaps agree with
+    factoring the whole array at each offset to 5e-14 and its argmin to
+    1.6e-11 (rungs 1, 3, 10 and 30 at dim 242, eta_breve 0 and 0.03).
     """
 
     detuning_offsets: tuple
@@ -543,44 +561,6 @@ def _parabolic_argmin(xs: Sequence[float], ys: Sequence[float]) -> float:
     return min(max(vertex, lo), hi)
 
 
-def _levels_by_overlap(basis: tuple, values: np.ndarray, vectors: np.ndarray,
-                       what: str, where: str = "") -> list:
-    """The len(basis) exact levels that project most onto span(basis).
-
-    basis holds flat indices; the projections are read off those rows of
-    the eigenvector matrix.  The levels come back ascending.  A
-    projection under 0.8 is refused with OverlapAmbiguityError instead of
-    guessed; its message begins with what and ends with where.
-    """
-    overlap = sum(np.abs(vectors[flat]) ** 2 for flat in basis)
-    pick = np.argsort(overlap)[-len(basis):]
-    if overlap[pick].min() < _OVERLAP_THRESHOLD:
-        raise OverlapAmbiguityError(
-            f"{what}: projection {overlap[pick].min():.3f} < "
-            f"{_OVERLAP_THRESHOLD}{where}")
-    return [float(e) for e in sorted(values[pick])]
-
-
-def _rung_levels(n: int, values: np.ndarray, vectors: np.ndarray,
-                space: SpaceConfig, where: str = "") -> tuple[float, float]:
-    """The exact pair (E_minus, E_plus) of rung n, matched by overlap
-    with span{|n-1,e>, |n,g>} through ``_levels_by_overlap``.  where is
-    appended to the error message.
-    """
-    if not 1 <= n <= space.n_max:
-        raise ValueError(f"rung n must be in 1..{space.n_max}, got {n}")
-    lo, hi = _levels_by_overlap(_rung_basis(n), values, vectors,
-                                f"pair n={n}", where)
-    return lo, hi
-
-
-def _rung_basis(n: int) -> tuple:
-    """Flat indices of rung n: |n-1,e> and |n,g>, or |0,g> alone at n = 0."""
-    if n == 0:
-        return (BasisIndex(0, GROUND).flat,)
-    return (BasisIndex(n - 1, EXCITED).flat, BasisIndex(n, GROUND).flat)
-
-
 def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
              space: SpaceConfig) -> GapScan:
     """Exact gap of the n-th avoided pair as the detuning mismatch is swept.
@@ -601,19 +581,16 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
     ``bh`` in the Fock phase gauge is F + Omega_R D at every offset.
     ``hamiltonians._bh_gauge_parts`` builds F and D once, from the first
     offset the checks above let through.  Each offset's F + Omega_R D
-    takes ``_gauge_eigs``' hermiticity test on the whole array, and its
-    pair comes from ``_rung_eigs``: the leading window of Fock levels 0
-    through n + 20, one real ``eigh`` of it, certified against the whole
-    array by residual intervals, a Cholesky-checked Schur complement and
-    Davis-Kahan bounds on the overlaps; the window doubles when the
-    certificate fails, and past half the dimension the offset takes
-    ``_gauge_eigs`` whole, so every error and message is the full
-    route's.  An offset costs 1.3-2.2 ms against 5.8-6.1 ms for
-    factoring the whole array at dim 242, BLAS on one thread.  Against
-    that route the gaps agree to 5e-14 and argmin to 1.6e-11 (the
-    vertex amplifies gap rounding about 150 sqrt(n) times), over rungs
-    1, 3, 10 and 30 at dim 242, lam 0.05 and eta_breve 0 and 0.03.
+    goes to ``_rung_eigs`` for rung n, so its pairs are certified against
+    the whole array by ``_window_pairs``, and the whole array takes the
+    hermiticity test.  Against factoring the whole array at each offset
+    the gaps agree to 5e-14 and argmin to 1.6e-11 (the vertex amplifies
+    gap rounding about 150 sqrt(n) times), over rungs 1, 3, 10 and 30 at
+    dim 242, lam 0.05 and eta_breve 0 and 0.03.  Empty offsets are a
+    ValueError, raised before any work.
     """
+    if len(offsets) == 0:
+        raise ValueError("offsets must hold at least one offset")
     _require_interior_level(n, 1, space, "rung n")
     nu, lam, eta_b = p_base.nu, p_base.lam, p_base.eta_breve
     parts = None
@@ -632,8 +609,8 @@ def scan_gap(n: int, p_base: ModelParams, offsets: Sequence[float],
             parts = _bh_gauge_parts(p, space)
         fixed, drive = parts
         # the gauge's phases leave the overlaps |v|^2 as they are
-        values, vectors = _rung_eigs(fixed + p.Omega_R * drive, space, (n,))
-        lo, hi = _rung_levels(n, values, vectors, space, f" at offset {off!r}")
+        values, vectors = _rung_eigs(fixed + p.Omega_R * drive, (n,))
+        lo, hi = _rung_levels(n, values, vectors, f" at offset {off!r}")
         gaps.append(float(hi - lo))
     offs = tuple(float(x) for x in offsets)
     return GapScan(detuning_offsets=offs, gaps=tuple(gaps),

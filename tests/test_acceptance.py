@@ -177,7 +177,7 @@ def _worst_level_error(p: ModelParams, space: SpaceConfig, n_levels: int):
     values, vectors = exact_eigs(bh(p, space))
     worst = abs(spectrum_second_order(p, 0).E0 - values[0])
     for n, e_lo, e_hi in spectrum_second_order(p, n_levels).levels:
-        lo, hi = _rung_levels(n, values, vectors, space)
+        lo, hi = _rung_levels(n, values, vectors)
         worst = max(worst, abs(lo - e_lo), abs(hi - e_hi))
     return worst
 

@@ -227,7 +227,7 @@ class TestSpectrumExperiment:
         values, vectors = exact_eigs(bh(p, SPACE))
         want = []
         for n, e_lo, e_hi in spectrum_second_order(p, 10).levels:
-            lo, hi = _rung_levels(n, values, vectors, SPACE)
+            lo, hi = _rung_levels(n, values, vectors)
             want.append(max(abs(lo - e_lo), abs(hi - e_hi)))
         assert got == pytest.approx(want, abs=1e-12)
         assert got[-1] == pytest.approx(3.72e-2, abs=5e-5)

@@ -18,6 +18,7 @@ from iontrap import (
     exp_z1, sandwich, y1_relation,
     spectrum_second_order, levels_first_order, levels_rwa,
     transition_probability, anticrossing_shift, exact_eigs,
+    exact_propagator_fn, fit_order,
 )
 from iontrap.oracle import _rung_levels
 
@@ -40,7 +41,7 @@ def level_errors(p, n_levels):
     values, vectors = exact_eigs(bh(p, SPACE))
     out = []
     for n, e_lo, e_hi in spectrum_second_order(p, n_levels).levels:
-        lo, hi = _rung_levels(n, values, vectors, SPACE)
+        lo, hi = _rung_levels(n, values, vectors)
         out.append((n, max(abs(lo - e_lo), abs(hi - e_hi))))
     return out
 
@@ -419,6 +420,19 @@ class TestY1Relation:
             exact = exact_evolutor(bh(p, SPACE), t)
             errs.append(interior_distance(y1_relation(t, p, SPACE), exact))
         assert fit_slope(lams, errs) > 1.7
+
+    def test_restores_first_order_below_the_secular_phase(self):
+        # criterion 4's grid, where the first-order term would lead: a
+        # first-order error left by y1_relation would pull the slope to 1
+        t = 1.0
+        grid = (0.0005, 0.001, 0.002, 0.004)
+
+        def err(lam):
+            p = ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
+            return interior_distance(y1_relation(t, p, SPACE),
+                                     exact_propagator_fn(bh(p, SPACE))(t))
+
+        assert fit_order(err, grid).slope >= 1.7
 
     def test_exchange_only_error_is_first_order(self):
         t = 1.0

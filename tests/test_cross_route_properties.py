@@ -10,7 +10,7 @@ from iontrap import (
     decompose, solve, bh, h_check, exact_eigs, OverlapAmbiguityError,
 )
 from iontrap.operators import _into_gauge
-from iontrap.oracle import _gauge_eigs, _rung_eigs, _rung_levels
+from iontrap.oracle import _rung_eigs, _rung_levels
 from test_config_properties import DETERMINISTIC
 
 SPACE = SpaceConfig(n_max=20, interior_margin=5)
@@ -135,7 +135,7 @@ WINDOWED = SpaceConfig(n_max=60, interior_margin=15)
 
 def _pair_or_refusal(n, eigs):
     try:
-        return _rung_levels(n, *eigs, WINDOWED)
+        return _rung_levels(n, *eigs)
     except OverlapAmbiguityError as exc:
         return str(exc)
 
@@ -143,11 +143,11 @@ def _pair_or_refusal(n, eigs):
 @settings(DETERMINISTIC, max_examples=120)
 @given(p=balanced_points(), n=st.integers(1, 9))
 def test_window_pair_is_the_full_pair(p, n):
-    # the certified window route and _gauge_eigs of the whole array pick
+    # the certified window route and _rung_eigs of the whole array pick
     # the same pair, or refuse it with the same message; levels within
     # 1e-13 nu (n + 1), worst measured 1.1e-14 over 300 draws
     g = _into_gauge(bh(p, WINDOWED).mat, WINDOWED)
-    window, full = _rung_eigs(g, WINDOWED, (n,)), _gauge_eigs(g)
+    window, full = _rung_eigs(g, (n,)), _rung_eigs(g)
     event("window" if window[0].size < full[0].size else "full array")
     got, want = _pair_or_refusal(n, window), _pair_or_refusal(n, full)
     if isinstance(want, str):

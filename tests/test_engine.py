@@ -829,10 +829,10 @@ class TestHigherOrdersBehindTheGates:
     HIGH = SpaceConfig(n_max=120, interior_margin=30)
 
     @staticmethod
-    def levels(h, space=SPACE, top=10):
+    def levels(h, top=10):
         """E0, then (E_minus, E_plus) of rungs n <= top paired by overlap."""
         w, v = exact_eigs(h)
-        pairs = [_rung_levels(n, w, v, space) for n in range(1, top + 1)]
+        pairs = [_rung_levels(n, w, v) for n in range(1, top + 1)]
         return np.array([w[0]] + [e for pair in pairs for e in pair])
 
     def level_errors(self, family, lam, space=SPACE, top=10):
@@ -841,9 +841,9 @@ class TestHigherOrdersBehindTheGates:
         p = family(lam)
         h0, series = regime_series(p, Regime.of("near_resonant", p), space)
         sol = solve(decompose(h0), series, 3)
-        exact = self.levels(bh(p, space), space, top)
-        order2 = self.levels(h0 + sol.constant(lam, 2), space, top)
-        order3 = self.levels(h0 + sol.constant(lam, 3), space, top)
+        exact = self.levels(bh(p, space), top)
+        order2 = self.levels(h0 + sol.constant(lam, 2), top)
+        order3 = self.levels(h0 + sol.constant(lam, 3), top)
         spec = spectrum_second_order(p, top)
         formula = np.array([spec.E0] + [e for _, lo, hi in spec.levels
                                         for e in (lo, hi)])

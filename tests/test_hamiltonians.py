@@ -1,5 +1,6 @@
 """Frame chain: lab -> rotating -> balanced -> spin-decoupled."""
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from iontrap import (
-    SpaceConfig, Operator, ModelParams, JCParams,
+    SpaceConfig, Operator, ModelParams, JCParams, GROUND, EXCITED,
     annihilation, number, pauli, identity, basis_vector, op_norm,
     commutator, interior_norm, interior_distance, hermitize,
     jc_hamiltonian, jc_constants,
@@ -107,6 +108,12 @@ class TestJaynesCummings:
         # the pair commutes exactly even on the truncated space
         assert op_norm(commutator(n_const, s_const)) < 1e-12
 
+    def test_constants_sum_off_resonance(self):
+        # at omega != nu the second constant carries the detuning term
+        p = JCParams(nu=0.7, omega=1.3 * 0.7, lam=0.05)
+        n_const, s_const = jc_constants(p, SPACE)
+        assert op_norm(n_const + s_const - jc_hamiltonian(p, SPACE)) < 1e-12
+
     def test_pair_degeneracy_of_first_constant(self):
         p = JCParams(nu=1.0, omega=1.3, lam=0.05)
         n_const, _ = jc_constants(p, SPACE)
@@ -167,6 +174,26 @@ class TestLabAndRotatingFrames:
             h0 = p.nu * number(SPACE) + 0.5 * p.delta * pauli("z", SPACE)
             assert op_norm(h_eff - h_eff.dag) < 1e-13
             assert interior_norm(commutator(h_eff, h0)) < 1e-12
+
+    def test_rwa_sidebands_are_the_eta_linear_drive(self):
+        # D(i eta) = 1 + i eta (a + a^dag) + O(eta^2), and the eta^2 terms
+        # change the Fock number by 0 or 2, so on the entries that raise
+        # or lower it by one, (rfh(eta) - rfh(0)) / eta is the red
+        # sideband (|n,g> <-> |n+1,e>) and the blue one (|n,g> <-> |n-1,e>)
+        eta = 1e-6
+        p = ModelParams(nu=1.0, omega_ge=1.9, omega_L=1.0, Omega_R=0.25,
+                        eta=eta)
+        linear = (rfh(p, SPACE) - rfh(dataclasses.replace(p, eta=0.0), SPACE)
+                  ) / eta
+        fock, spin = np.divmod(np.arange(SPACE.dim), 2)
+        up = (spin[:, None] == EXCITED) & (spin[None, :] == GROUND)
+        for which, step in (("-", 1), ("+", -1)):
+            raising = up & (fock[:, None] - fock[None, :] == step)
+            mask = raising | raising.T
+            side = rwa_effective(which, p, SPACE) / eta
+            assert np.all(side.mat[~mask] == 0)
+            off = Operator(np.where(mask, (linear - side).mat, 0), SPACE)
+            assert interior_norm(off) < 1e-10
 
     def test_rwa_effective_rejects_unknown_label(self):
         with pytest.raises(ValueError):

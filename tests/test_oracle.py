@@ -1,6 +1,8 @@
 """Exact-diagonalization, integrator, slope-fit and gap-scan services."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -484,6 +486,22 @@ class TestFitOrder:
         with pytest.raises(ValueError, match="rank-deficient"):
             fit_order(lambda x: x, (0.5, 0.5, 0.5, 0.5))
 
+    def test_numpy_floor_has_the_exceptions_module(self):
+        # fit_order takes RankWarning from numpy.exceptions, so the declared
+        # numpy floor, here and in the README, must be a release that has it
+        root = pathlib.Path(__file__).resolve().parent.parent
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        (floor,) = re.findall(r'"numpy>=([0-9.]+)"', pyproject)
+        added = re.search(r"versionadded:: NumPy ([0-9.]+)",
+                          np.exceptions.__doc__).group(1)
+
+        def release(v):
+            return tuple(int(part) for part in v.split("."))
+
+        assert release(floor) >= release(added)
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        assert f"numpy ≥ {floor}" in readme
+
     def test_container_validation(self):
         with pytest.raises(ValueError):
             ConvergenceFit(lambdas=(0.1, 0.2), residuals=(1.0,),
@@ -512,17 +530,24 @@ class TestRungLevels:
             assert np.array_equal(got, want)
             pick = np.argsort(want)[-2:]
             if want[pick].min() >= 0.8:
-                assert _rung_levels(n, values, vectors, big) == tuple(
+                assert _rung_levels(n, values, vectors) == tuple(
                     float(e) for e in sorted(values[pick]))
             else:
                 with pytest.raises(OverlapAmbiguityError):
-                    _rung_levels(n, values, vectors, big)
+                    _rung_levels(n, values, vectors)
 
-    @pytest.mark.parametrize("n", [0, 41])
-    def test_rung_outside_the_space_is_refused(self, n):
+    def test_rung_0_reads_e0(self):
+        # |0,g> is the one state of rung 0, and the lowest level lies on it
         values, vectors = exact_eigs(bh(TestScanGap.BASE, SPACE))
-        with pytest.raises(ValueError, match="rung"):
-            _rung_levels(n, values, vectors, SPACE)
+        assert _rung_levels(0, values, vectors) == (float(values[0]),)
+
+    def test_e0_refusal_names_the_level(self):
+        # every column spread evenly: each projects 1/82 onto |0,g>
+        values, _ = exact_eigs(bh(TestScanGap.BASE, SPACE))
+        spread = np.full((SPACE.dim, SPACE.dim), 1.0 / math.sqrt(SPACE.dim))
+        with pytest.raises(OverlapAmbiguityError,
+                           match=r"^level E0: projection 0\.012 < 0\.8 here$"):
+            _rung_levels(0, values, spread, " here")
 
 
 class TestScanGap:
@@ -563,7 +588,7 @@ class TestScanGap:
         want = []
         for off in offsets:
             p = ModelParams.from_balanced(1.0, 1.0 + 2.0 * off, eta_breve, lam)
-            lo, hi = _rung_levels(2, *exact_eigs(bh(p, SPACE)), SPACE)
+            lo, hi = _rung_levels(2, *exact_eigs(bh(p, SPACE)))
             want.append(hi - lo)
         assert np.abs(np.array(scan.gaps) - want).max() <= 1e-12
         assert abs(scan.argmin - _parabolic_argmin(scan.detuning_offsets,
@@ -592,6 +617,13 @@ class TestScanGap:
         scan_gap(1, self.BASE, np.linspace(-0.01, 0.01, 5), space)
         assert checked == [(space.dim, space.dim)] * 5
         assert dtypes == [np.float64] * 5
+
+    def test_empty_offsets_refused(self):
+        # a plain ValueError before any work, the rung's check included
+        for offsets in ([], np.array([])):
+            with pytest.raises(ValueError, match="offsets") as info:
+                scan_gap(0, self.BASE, offsets, SPACE)
+            assert type(info.value) is ValueError
 
     def test_bottom_level_rejected(self):
         with pytest.raises(ValueError):
@@ -634,8 +666,8 @@ class TestRungWindow:
     BIG = SpaceConfig(n_max=120, interior_margin=30)
 
     @staticmethod
-    def full_route(g, space, rungs):
-        return oracle._gauge_eigs(g)
+    def full_route(g, rungs=()):
+        return oracle._factored(oracle._symmetrized(g), g)
 
     @pytest.mark.parametrize("eta_breve", [0.0, 0.03])
     @pytest.mark.parametrize("n", [1, 3, 10, 30])
@@ -665,14 +697,12 @@ class TestRungWindow:
         p = ModelParams.from_balanced(1.0, 1.02, 0.01, 0.05)
         g = _into_gauge(bh(p, self.BIG).mat, self.BIG)
         rungs = range(11)
-        window = oracle._rung_eigs(g, self.BIG, rungs)
-        full = oracle._gauge_eigs(g)
+        window = oracle._rung_eigs(g, rungs)
+        full = oracle._rung_eigs(g)
         assert window[0].size < full[0].size  # the window was certified
-        assert abs(oracle._levels_by_overlap((0,), *window, "E0")[0]
-                   - oracle._levels_by_overlap((0,), *full, "E0")[0]) <= 1e-13
-        for n in rungs[1:]:
-            got = _rung_levels(n, *window, self.BIG)
-            want = _rung_levels(n, *full, self.BIG)
+        for n in rungs:
+            got = _rung_levels(n, *window)
+            want = _rung_levels(n, *full)
             assert np.abs(np.subtract(got, want)).max() <= 1e-13
 
     def test_a_level_the_window_misses_takes_the_full_route(self):
@@ -682,8 +712,8 @@ class TestRungWindow:
         p = ModelParams.from_balanced(1.0, 1.0, 0.02, 0.05)
         g = _into_gauge(bh(p, self.BIG).mat, self.BIG)
         g[200, 201] = g[201, 200] = 105.0
-        values, vectors = oracle._rung_eigs(g, self.BIG, (1,))
-        full_values, full_vectors = oracle._gauge_eigs(g)
+        values, vectors = oracle._rung_eigs(g, (1,))
+        full_values, full_vectors = oracle._rung_eigs(g)
         assert np.array_equal(values, full_values)
         assert np.array_equal(vectors, full_vectors)
         assert values[0] < -4.0
