@@ -385,7 +385,8 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
         try:
             tables.append(one_scan(n))
         except OverlapAmbiguityError as exc:
-            raise DiagnosticError(f"cluster ambiguity at n={n}: {exc}", tables)
+            raise DiagnosticError(f"ambiguous level pairing at n={n}: {exc}",
+                                  tables)
         gaps, offsets = tables[-1].columns["gap"], tables[-1].columns["offset"]
         if min(gaps) == max(gaps):
             raise DiagnosticError(
@@ -442,8 +443,8 @@ def limits(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Self-check: algebraic frame chain against stepwise integration.
 
-    One time-ordered sweep of sixth-order Magnus steps, steps_per_unit
-    of them per unit time (default 40: 80 steps at the default t_max 2),
+    One time-ordered sweep of sixth-order Magnus steps, 40 per unit time
+    (``oracle._STEPS_PER_UNIT``: 80 steps at the default t_max 2),
     reaches every time, each continuing from the one before; the points
     compare the chain with the sweep's propagators, and an interior error
     above criterion 1's _PHASE_TOL is a DiagnosticError.  So is a sweep
@@ -456,15 +457,12 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     rounding, drifted from the unitary group.
     """
     ts = [float(t) for t in _time_grid(opts, 2.0, 5)[1:]]  # skip t = 0
-    steps_per_unit = opts.get_float("steps_per_unit", _STEPS_PER_UNIT)
     opts.finish()
     _require_rabi(p)
-    if steps_per_unit <= 0:
-        raise ConfigError("need steps_per_unit > 0")
     chain = frame_chain_fn(p, space)
     _check_phase_budget(np.concatenate((chain.eigenvalues, chain.rates)),
                         ts[-1])
-    stepped = time_ordered_sweep(ith_terms(p, space), ts, space, steps_per_unit)
+    stepped = time_ordered_sweep(ith_terms(p, space), ts, space)
 
     eye = np.eye(space.dim)
 
@@ -476,7 +474,7 @@ def frame_chain(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     rows = list(mapper(point, zip(ts, stepped)))
     errs = [r[0] for r in rows]
     cols = {"t": ts, "interior_err": errs}
-    meta = {"steps_per_unit": steps_per_unit, "order": 6,
+    meta = {"steps_per_unit": _STEPS_PER_UNIT, "order": 6,
             "tolerance": _PHASE_TOL,
             "unitarity_defect": max(r[1] for r in rows)}
     tables = [ResultTable("frame_chain", cols, meta)]

@@ -34,7 +34,7 @@ _HERM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 # minimal squared projection onto span{|n-1,e>, |n,g>} for a confident match
 _OVERLAP_THRESHOLD = 0.8
-# Fock levels a rung window keeps past its top rung, before any doubling
+# Fock levels a rung window keeps past its top rung
 _WINDOW_MARGIN = 20
 
 _STEPS_PER_UNIT = 40.0  # the Magnus sweeps' default step density
@@ -79,23 +79,21 @@ def _rung_eigs(g: np.ndarray, rungs: Sequence[int] = ()):
     norm, check and message is the one H itself would give.
 
     With no rungs every pair comes from ``_factored``.  Given rungs (n
-    for the pair ``_rung_levels`` reads, 0 for the level of |0,g>), the
-    pairs are those of a leading Fock window, levels 0 through the top
-    rung plus _WINDOW_MARGIN, certified by ``_window_pairs``; a window it
-    cannot certify doubles, and once it would pass half the dimension G
-    is factored whole.  So every refusal and message is that of the full
-    route: the hermiticity test runs once on all of G, and ``_rung_levels``
-    picks the same levels from either route's pairs.
+    for the pair ``_rung_levels`` reads, 0 for the level of |0,g>), one
+    leading Fock window is tried, levels 0 through the top rung plus
+    _WINDOW_MARGIN, when it fits in half the dimension; its pairs come
+    back if ``_window_pairs`` certifies them, and otherwise G is factored
+    whole.  So every refusal and message is that of the full route: the
+    hermiticity test runs once on all of G, and ``_rung_levels`` picks
+    the same levels from either route's pairs.
     """
     mat = _symmetrized(g)
-    if rungs:
-        bases = [_rung_basis(n) for n in rungs]
-        fock = max(rungs) + _WINDOW_MARGIN + 1
-        while np.isrealobj(mat) and 2 * fock <= mat.shape[0] // 2:
-            pairs = _window_pairs(mat, 2 * fock, bases)
+    if rungs and np.isrealobj(mat):
+        k = 2 * (max(rungs) + _WINDOW_MARGIN + 1)
+        if k <= mat.shape[0] // 2:
+            pairs = _window_pairs(mat, k, [_rung_basis(n) for n in rungs])
             if pairs is not None:
                 return pairs
-            fock *= 2
     return _factored(mat, g)
 
 
@@ -512,12 +510,8 @@ class GapScan:
     the three lowest gaps amplifies their ~1e-14 eigensolver rounding
     about 150 sqrt(n) times on the default grid of rung n, so argmin is
     reliable to about 1e-11 sqrt(n) only; compare it at that tolerance,
-    not to the last printed digit.
-
-    ``scan_gap`` reads each offset's pair from eigenpairs certified
-    against the whole array by ``_window_pairs``: its gaps agree with
-    factoring the whole array at each offset to 5e-14 and its argmin to
-    1.6e-11 (rungs 1, 3, 10 and 30 at dim 242, eta_breve 0 and 0.03).
+    not to the last printed digit.  ``scan_gap`` states how closely its
+    gaps and argmin agree with factoring the whole array at each offset.
     """
 
     detuning_offsets: tuple

@@ -501,7 +501,8 @@ class TestAnticrossingExperiment:
     def test_ambiguity_is_a_diagnostic(self):
         strong = ModelParams.from_balanced(1.0, 1.0, 0.12, 0.6)
         opts = Options({"levels": "1", "offsets": "-0.01,0.0,0.01"})
-        with pytest.raises(DiagnosticError, match="cluster ambiguity"):
+        with pytest.raises(DiagnosticError,
+                           match="ambiguous level pairing at n=1"):
             anticrossing(strong, SPACE, opts, map)
 
 
@@ -586,9 +587,12 @@ class TestFrameChainExperiment:
         (table,) = frame_chain(p, SPACE, Options({}), map)
         assert 0.0 < table.metadata["unitarity_defect"] <= 1e-12
 
-    def test_tolerance_violation_is_a_diagnostic(self):
+    def test_tolerance_violation_is_a_diagnostic(self, monkeypatch):
         # 2 steps per unit leave an interior error of about 3.5e-5 > 1e-6
-        opts = Options({"t_max": "1.0", "t_steps": "2", "steps_per_unit": "2"})
+        sweep = experiments.time_ordered_sweep
+        monkeypatch.setattr(experiments, "time_ordered_sweep",
+                            lambda terms, ts, space: sweep(terms, ts, space, 2))
+        opts = Options({"t_max": "1.0", "t_steps": "2"})
         with pytest.raises(DiagnosticError) as err:
             frame_chain(self.P, SPACE, opts, map)
         assert err.value.tables  # partial results survive for the writer
@@ -656,27 +660,28 @@ class TestRunner:
 
     @pytest.mark.parametrize("text", [
         FULL.replace("nu = 1.0", "nu = -1") + "[experiment]\nname = limits\n",
-        FULL + "[experiment]\nname = frame-chain\nsteps_per_unit = nan\n",
         REDUCED + "[experiment]\nname = evolve\nt_max = nan\n",
-        FULL + "[experiment]\nname = frame-chain\nsteps_per_unit = 0\n",
         REDUCED + "[experiment]\nname = residual-order\n"
                   "lambda_grid = -0.02,0.04,0.08,0.16\n",
         REDUCED + "[experiment]\nname = residual-order\n"
                   "lambda_grid = 0.02,0.04,0.08\n",
         REDUCED + "[experiment]\nname = residual-order\nregime = x\n",
-    ], ids=["negative-nu", "nan-steps_per_unit", "nan-t_max",
-            "zero-steps_per_unit", "nonpositive-lambda", "three-lambdas",
-            "unknown-regime"])
+    ], ids=["negative-nu", "nan-t_max", "nonpositive-lambda",
+            "three-lambdas", "unknown-regime"])
     def test_bad_value_exit_2(self, tmp_path, text):
         assert self.run(tmp_path, text) == 2
 
-    @pytest.mark.parametrize("option", ["order = 4", "tolerance = 1e-6"])
+    @pytest.mark.parametrize("option", ["steps_per_unit = 40", "order = 4",
+                                        "tolerance = 1e-6"])
     def test_fixed_frame_chain_settings_are_unknown_options(
             self, tmp_path, capsys, option):
-        # the integrator is order 6 and the bound criterion 1's 1e-6, always
+        # the integrator takes 40 order-6 steps per unit and the bound is
+        # criterion 1's 1e-6, always
         text = FULL + f"[experiment]\nname = frame-chain\n{option}\n"
         assert self.run(tmp_path, text) == 2
-        assert "unknown experiment options" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown experiment options" in err
+        assert option.split(" = ")[0] in err
 
     @pytest.mark.parametrize("name,raised", [
         ("spectrum", "OverflowError"),
@@ -771,7 +776,7 @@ class TestRunner:
                 "offsets = -0.01,0.0,0.01\n")
         assert self.run(tmp_path, text) == 3
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-        assert "ambiguity" in meta["diagnostic"]
+        assert "ambiguous level pairing at n=1" in meta["diagnostic"]
         assert "at offset -0.01" in meta["diagnostic"]
 
     @pytest.mark.parametrize("offsets,distinct", [
@@ -829,8 +834,7 @@ class TestRunner:
         runs = (
             ("compare-rwa", REDUCED, "t_max = 1.0\nt_steps = 5\n"),
             ("evolve", REDUCED, "t_max = 2.0\nt_steps = 7\ninitial_n = 1\n"),
-            ("frame-chain", FULL, "t_max = 0.5\nt_steps = 4\n"
-                                  "steps_per_unit = 40\n"),
+            ("frame-chain", FULL, "t_max = 0.5\nt_steps = 4\n"),
             ("residual-order", REDUCED, ""),
         )
         for name, params, options in runs:

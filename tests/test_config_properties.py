@@ -137,9 +137,9 @@ def float_lists(min_size, max_size):
 
 
 # The float options whose run time does not grow with their value, each
-# with the parameters of its experiment.  Left out: frame-chain's t_max
-# and steps_per_unit, which set its number of Magnus steps, and counts
-# such as t_steps and points, whose cost grows with the value drawn.
+# with the parameters of its experiment.  Left out: frame-chain's t_max,
+# which sets its number of Magnus steps, and counts such as t_steps and
+# points, whose cost grows with the value drawn.
 FULL_SET = {"nu": "1.0", "omega_ge": "1.9", "omega_L": "1.0",
             "Omega_R": "0.25", "eta": "0.1"}
 RESONANT = reduced(1.0, 1.0, 0.0, 0.05)["params"]

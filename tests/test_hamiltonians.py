@@ -13,7 +13,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from iontrap import (
     SpaceConfig, Operator, ModelParams, JCParams, GROUND, EXCITED,
     annihilation, number, pauli, identity, basis_vector, op_norm,
-    commutator, interior_norm, interior_distance, hermitize,
+    commutator, interior_block, interior_norm, interior_distance, hermitize,
     jc_hamiltonian, jc_constants,
     ith, frame_rotation, rfh, rwa_effective,
     kappa_coefficients, epsilon_coefficients,
@@ -23,6 +23,7 @@ from iontrap import (
     h_check_interaction_series, h_check,
     REGIME_KINDS, Regime, regime_series,
 )
+import iontrap.hamiltonians as hamiltonians
 from iontrap.closedforms import _exactly_resonant
 from iontrap.hamiltonians import _bh_gauge_parts
 from iontrap.operators import _into_gauge
@@ -401,6 +402,20 @@ class TestCheckFrame:
         w_b = np.linalg.eigvalsh(bh(P_REF, SPACE, "conjugation").mat)
         w_c = np.linalg.eigvalsh(h_check(P_REF, SPACE, "conjugation").mat)
         assert np.max(np.abs(w_b - w_c)) < 1e-10
+
+
+@pytest.mark.parametrize("term", [bh_interaction_term, h_check_interaction_term])
+def test_printed_terms_are_hermitian_before_symmetrization(monkeypatch, term):
+    # hermitize hides an anti-hermitian error in a printed product, such as
+    # a changed (1 - m) identity term; with it off the interior shows it
+    # (<= 8e-16 as printed, >= 1.3e-3 with 1.01 - m, 1 - 1.01 m or 2 - m)
+    monkeypatch.setattr(hamiltonians, "hermitize", lambda op: op)
+    p = ModelParams.from_balanced(1.0, 1.0, 0.07, 0.05)
+    space = SpaceConfig(20, 8)
+    for m in range(7):
+        block = interior_block(term(m, p, space))
+        defect = op_norm(block - block.conj().T)
+        assert defect <= 1e-13 * op_norm(block), m
 
 
 # A fixed seed and no example database keep the suite deterministic.

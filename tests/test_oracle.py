@@ -705,14 +705,30 @@ class TestRungWindow:
             want = _rung_levels(n, *full)
             assert np.abs(np.subtract(got, want)).max() <= 1e-13
 
-    def test_a_level_the_window_misses_takes_the_full_route(self):
+    def test_a_level_the_window_misses_takes_the_full_route(self,
+                                                             monkeypatch):
         # two trailing states at Fock 100 coupled strongly put a level near
         # -5, below every level of the window; nothing couples it to the
         # window, so every residual stays at rounding
         p = ModelParams.from_balanced(1.0, 1.0, 0.02, 0.05)
         g = _into_gauge(bh(p, self.BIG).mat, self.BIG)
         g[200, 201] = g[201, 200] = 105.0
+        calls = []
+        window, factored = oracle._window_pairs, oracle._factored
+
+        def recording_window(mat, k, bases):
+            calls.append(("window", k))
+            return window(mat, k, bases)
+
+        def recording_factored(mat, g):
+            calls.append(("factored", mat.shape[0]))
+            return factored(mat, g)
+
+        monkeypatch.setattr(oracle, "_window_pairs", recording_window)
+        monkeypatch.setattr(oracle, "_factored", recording_factored)
         values, vectors = oracle._rung_eigs(g, (1,))
+        # the one window, Fock levels 0..21, is refused, then G goes whole
+        assert calls == [("window", 44), ("factored", self.BIG.dim)]
         full_values, full_vectors = oracle._rung_eigs(g)
         assert np.array_equal(values, full_values)
         assert np.array_equal(vectors, full_vectors)
