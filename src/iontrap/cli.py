@@ -6,9 +6,11 @@ eta) or the reduced balanced set (nu, delta_breve, eta_breve, lambda);
 exactly one of the two.  Keys are case-insensitive.  All frequencies in
 units of nu, canonically nu = 1.
 
-Outputs: one CSV per result table (17 significant digits, LF endings)
-plus metadata.json echoing the config, the engine version and every
-tolerance in play, written atomically.  Identical configs produce
+Outputs, written atomically: one CSV per result table (17 significant
+digits, LF endings) and metadata.json with the config echo, engine
+version, params, space and each table's metadata; of tolerances,
+frame-chain's records tolerance, order and steps_per_unit, and
+residual-order's r_squared_threshold.  Identical configs produce
 byte-identical files; nothing wall-clock-dependent is recorded.
 
 The experiment's points run in turn, in one thread, with numpy's

@@ -268,8 +268,8 @@ def first_order_evolutor_fn(p: ModelParams,
     -(lam/2)(a sigma_- + a^dag sigma_+) and H0 + C1 is the reference plus
     the exchange coupling regardless of which side of resonance the
     detuning sits (the sigma_z mismatch recombines into the reference).
-    exp(i Z1) is the closed-form pair rotation of ``exp_z1`` at any lam,
-    and H0 + C1 = V E V^dag is diagonalized once, so the result is the
+    exp(i Z1) is ``_exp_i_z1``'s closed-form pair rotation, off resonance
+    too, and H0 + C1 = V E V^dag is diagonalized once, so the result is the
     decomposition with eigenbasis exp(-i Z1) V.
     """
     _require_near_resonance(p, "first_order_evolutor_fn")

@@ -76,7 +76,7 @@ def decompose(h0: Operator) -> SpectralDecomposition:
     """Diagonalize a hermitian operator and cluster degenerate eigenvalues.
 
     The eigenpairs come from ``exact_eigs``, with its checks; this is the
-    one builder of a SpectralDecomposition that fills its clusters.
+    one builder of clusters, and ``_eigenframe`` checks them on first use.
     Adjacent eigenvalues share a cluster when ``_degenerate`` calls their
     gap a degeneracy; a gap in its ambiguous band, or chained merging into
     a cluster wider than _EPS_DEG, raises ClusterAmbiguityError.
@@ -185,8 +185,7 @@ def diagonal_split(G: Operator, spec: SpectralDecomposition):
     add back to G exactly since the off part is the difference.
     """
     _require_space("operator", G.space, "decomposition", spec.space)
-    mask = spec.intra_mask()
-    to_eig, from_eig, _ = _eigenframe(spec)
+    to_eig, from_eig, _, mask = _eigenframe(spec)
     block_op = _out_of_gauge(
         from_eig(to_eig(_into_gauge(G.mat, G.space)) * mask), G.space)
     return block_op, G - block_op
@@ -322,23 +321,36 @@ def _rotations(v: np.ndarray):
 
 
 def _eigenframe(spec: SpectralDecomposition):
-    """``_rotations`` of the gauge eigenbasis, and H0 in the gauge.
+    """The engine's one entry for a decomposition: the ``_rotations`` of
+    its gauge eigenbasis, H0 in the gauge and the cluster mask.
 
-    The gauge eigenbasis is U^dag L, in the dtype ``_real_if_exact`` gives
-    it: for a decomposition of ``exact_eigs``, bit for bit the eigenvectors
-    it factored, since U's phases are exact.  The rotations and H0 are
-    fixed for a decomposition, so this one caller of ``_rotations`` forms
-    them on its first ``solve``, ``residual_norm`` or ``diagonal_split``
-    and keeps them on it; a decomposition the engine never reads (a
-    propagator's, say) pays nothing, the gauge eigenbasis included.
+    The clusters must be those of ``decompose``: none, or clusters that
+    do not partition the indices, is a ValueError.  The mask is True where
+    row and column index share a cluster.  The gauge eigenbasis is U^dag L,
+    in the dtype ``_real_if_exact`` gives it: for a decomposition of
+    ``exact_eigs``, bit for bit the eigenvectors it factored, since U's
+    phases are exact.  All four are fixed for a decomposition, so this one
+    caller of ``_rotations`` forms them on its first ``solve``,
+    ``residual_norm`` or ``diagonal_split`` and keeps them on it; a
+    decomposition the engine never reads (a propagator's) pays nothing.
     """
     frame = spec.__dict__.get("_eigenframe")
     if frame is None:
+        clusters = spec.clusters
+        if clusters is None:
+            raise ValueError("needs the clusters of engine.decompose; "
+                             "this decomposition has none")
+        flat = [i for cluster in clusters for i in cluster]
+        if sorted(flat) != list(range(spec.dim)):
+            raise ValueError(f"the clusters do not partition range({spec.dim})")
+        labels = np.repeat(np.arange(len(clusters)),
+                           [len(c) for c in clusters])[np.argsort(flat)]
+        mask = labels[:, None] == labels[None, :]
         to_eig, from_eig = _rotations(_real_if_exact(
             _flat_gauge_phases(spec.space).conj()[:, None] * spec.eigenbasis))
         h0 = from_eig(np.diag(spec.eigenvalues))
-        h0.flags.writeable = False
-        frame = (to_eig, from_eig, h0)
+        h0.flags.writeable = mask.flags.writeable = False
+        frame = (to_eig, from_eig, h0, mask)
         object.__setattr__(spec, "_eigenframe", frame)
     return frame
 
@@ -347,7 +359,7 @@ def solve(spec: SpectralDecomposition, series: InteractionSeries,
           N: int) -> PerturbativeSolution:
     """Run the recursion to order N (cluster mask, minimal gauge).
 
-    The cluster mask ``spec.intra_mask()`` marks the entries of G_n that
+    The cluster mask of ``_eigenframe`` marks the entries of G_n that
     commute with H0: they form C_n, and the rest is solved away by
     (Z_n)_{jk} = i (G_n)_{jk} / (E_k - E_j), kept as Y_n = i Z_n; within
     a cluster Z_n is 0.  ``decompose`` cuts clusters where ``_degenerate``
@@ -364,9 +376,8 @@ def solve(spec: SpectralDecomposition, series: InteractionSeries,
         raise ValueError(f"order must be >= 1, got {N}")
     _require_space("series", series.terms[0].space, "decomposition",
                    spec.space)
-    mask = spec.intra_mask()
     w = spec.eigenvalues
-    to_eig, from_eig, _ = _eigenframe(spec)
+    to_eig, from_eig, _, mask = _eigenframe(spec)
     # eigenvalue-difference matrix E(k) - E(j) at entry (j, k)
     diff = w[None, :] - w[:, None]
     inv_diff = np.divide(1.0, diff, out=np.zeros_like(diff), where=~mask)
@@ -413,8 +424,7 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     different truncations stay comparable.
 
     It sums the gauge arrays the series and the solution store, with no
-    gauge entry and no Operator: H0 from the eigenpairs (formed once per
-    decomposition, by ``_eigenframe``), H = H0 + sum
+    gauge entry and no Operator: H0 from ``_eigenframe``, H = H0 + sum
     lam^k H_k and e^{iW} = e^{Y(lam)}, real orthogonal for
     ``regime_series``, whose interior rows alone dress H.  The residual is
     hermitian, so its norm is the largest |eigenvalue| of the symmetrized
@@ -429,7 +439,7 @@ def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,
     k = _interior_size(spec.space, n_keep)
     u = _expm_matrix(_lam_sum(lam, sol._y, n))[:k]
     c = _lam_sum(lam, [c[:k, :k] for c in sol._c], n)
-    _, _, h0 = _eigenframe(spec)
+    _, _, h0, _ = _eigenframe(spec)
     h = h0 + _lam_sum(lam, series._gauge)
     resid = u @ h @ u.conj().T - h0[:k, :k] - c
     values = np.linalg.eigvalsh(0.5 * (resid + resid.conj().T))

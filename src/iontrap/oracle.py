@@ -246,7 +246,7 @@ class SpectralDecomposition:
     it is U(t) = diag(e^{-i t r}) L diag(e^{-i t E}) L^dag, one matrix
     product; ``apply`` costs two matrix-vector products.  clusters
     groups the indices ``engine.decompose`` finds degenerate, at its one
-    absolute tolerance; only it fills them, and ``intra_mask`` needs them.
+    absolute tolerance; only it fills them, ``engine._eigenframe`` checks them.
     The arrays are private read-only copies, so an instance is immutable.
     """
 
@@ -275,19 +275,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    def _require_clusters(self) -> None:
-        if self.clusters is None:
-            raise ValueError("needs the clusters of engine.decompose; "
-                             "this decomposition has none")
-
-    def intra_mask(self) -> np.ndarray:
-        """Boolean matrix: True where row and column index share a cluster."""
-        self._require_clusters()
-        labels = np.empty(self.dim, dtype=int)
-        for i, cluster in enumerate(self.clusters):
-            labels[list(cluster)] = i
-        return labels[:, None] == labels[None, :]
 
     def __call__(self, t: float) -> Operator:
         """U(t) as an operator."""

@@ -80,6 +80,21 @@ class TestRegime:
             Regime.of("near_resonant", far)
         Regime.of("near_resonant", POINT_NEAR)  # inside the default window
 
+    @pytest.mark.parametrize("ratio", [1.09, 0.91, 1.11, 0.89])
+    def test_near_window_edges(self, ratio):
+        # |nu - delta_breve| <= 0.1 nu decides all three; 1.1 nu itself is
+        # no edge to test, since |1 - 1.1| rounds to 0.10000000000000009
+        p = ModelParams.from_balanced(1.0, ratio, 0.0, 0.05)
+        space = SpaceConfig(n_max=8, interior_margin=2)
+        for call in (lambda: Regime.of("near_resonant", p),
+                     lambda: first_order_evolutor_fn(p, space),
+                     lambda: spectrum_second_order(p, 2)):
+            if abs(ratio - 1.0) < 0.1:
+                call()
+            else:
+                with pytest.raises(ConfigError, match="nearly resonant window"):
+                    call()
+
 
 class TestRegimeSeries:
     def test_lam_zero_rejected(self):
@@ -331,6 +346,14 @@ class TestClosedFormEvolutors:
             jc_evolutor(1.0, JCParams(nu=1.0, omega=1.2, lam=0.1), SPACE)
         assert str(info.value) == ("jc_evolutor is a closed form at resonance "
                                    "nu = omega; got nu=1.0, omega=1.2")
+
+    def test_resonance_is_exact_to_1e_12(self):
+        space = SpaceConfig(n_max=8, interior_margin=2)
+        rwa_evolutor_fn(ModelParams.from_balanced(1.0, 1.0 + 1e-13, 0.0, 0.1),
+                        space)
+        with pytest.raises(ConfigError, match="closed form at resonance"):
+            rwa_evolutor_fn(
+                ModelParams.from_balanced(1.0, 1.0 + 1e-11, 0.0, 0.1), space)
 
     def test_vacuum_is_frozen_under_exchange(self):
         # |0,g> has no exchange partner, so the JC evolutor fixes it

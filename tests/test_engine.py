@@ -14,7 +14,9 @@ from iontrap import (
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor_fn,
     exact_eigs, exact_propagator_fn, frame_chain_fn, fit_order,
 )
-from iontrap.engine import _Banded, _add_commutator, _degenerate, _rotations
+from iontrap.engine import (
+    _Banded, _add_commutator, _degenerate, _eigenframe, _rotations,
+)
 from iontrap.operators import _flat_gauge_phases, expm
 from iontrap.oracle import _rung_levels
 
@@ -119,7 +121,7 @@ class TestDecompose:
         for h0 in h0s:
             spec = decompose(h0)
             w = spec.eigenvalues
-            assert np.array_equal(spec.intra_mask(),
+            assert np.array_equal(_eigenframe(spec)[3],
                                   _degenerate(w[None, :] - w[:, None]))
 
     def test_clusters_match_a_loop_over_adjacent_gaps(self):
@@ -159,12 +161,40 @@ class TestDecompose:
         assert np.array_equal(spec.eigenbasis, prop.eigenbasis)
 
     def test_unclustered_spectrum_is_refused(self):
+        # every engine entry refuses it with one message, residual_norm
+        # included: it would read the eigenbasis as H0's
         h0 = balanced_reference(1.0)
         prop = exact_propagator_fn(h0)
         series = InteractionSeries(terms=(balanced_leading(),))
-        for call in (prop.intra_mask, lambda: solve(prop, series, 1),
+        sol = solve(decompose(h0), series, 1)
+        for call in (lambda: residual_norm(prop, series, sol, 0.05),
+                     lambda: solve(prop, series, 1),
                      lambda: diagonal_split(h0, prop)):
-            with pytest.raises(ValueError, match="decompose"):
+            with pytest.raises(ValueError, match="^needs the clusters of "
+                               "engine.decompose; this decomposition has none$"):
+                call()
+        assert "_eigenframe" not in prop.__dict__
+
+    @pytest.mark.parametrize("clusters", [
+        lambda c: c[:3], lambda c: c + ((0,),), lambda c: c + ((len(c),),)],
+        ids=["first-three", "an-index-twice", "out-of-range"])
+    def test_clusters_that_do_not_partition_are_refused(self, clusters):
+        # unchecked, the first 3 of 10 clusters at n_max 8 would move C_1
+        # by 2.8
+        from iontrap import SpectralDecomposition
+        space = SpaceConfig(n_max=8, interior_margin=2)
+        h0 = balanced_reference(1.0, space)
+        spec = decompose(h0)
+        assert len(spec.clusters) == 10
+        bad = SpectralDecomposition(space, spec.eigenvalues, spec.eigenbasis,
+                                    clusters=clusters(spec.clusters))
+        series = InteractionSeries(terms=(balanced_leading(space),))
+        sol = solve(spec, series, 1)
+        for call in (lambda: residual_norm(bad, series, sol, 0.05),
+                     lambda: solve(bad, series, 1),
+                     lambda: diagonal_split(h0, bad)):
+            with pytest.raises(ValueError, match=r"^the clusters do not "
+                               r"partition range\(18\)$"):
                 call()
 
 
@@ -172,6 +202,19 @@ class TestInteractionSeries:
     def test_rejects_non_hermitian_term(self):
         with pytest.raises(ValueError):
             InteractionSeries(terms=(annihilation(SPACE),))
+
+    @pytest.mark.parametrize("defect,hermitian", [(1e-11, False),
+                                                  (1e-13, True)])
+    def test_hermiticity_to_1e_12_relative(self, defect, hermitian):
+        h = number(SPACE)
+        skew = np.zeros((SPACE.dim, SPACE.dim))
+        skew[0, 1] = defect * op_norm(h)  # ||H - H^dag||_2 = defect ||H||_2
+        term = Operator(h.mat + skew, SPACE)
+        if hermitian:
+            InteractionSeries(terms=(term,))
+        else:
+            with pytest.raises(ValueError, match="not hermitian"):
+                InteractionSeries(terms=(term,))
 
     def test_evaluate(self):
         h1 = balanced_leading()
@@ -325,7 +368,7 @@ class TestSolve:
         spec = decompose(h0)
         series = InteractionSeries(terms=(balanced_leading(),))
         sol = solve(spec, series, 2)
-        mask = spec.intra_mask()
+        mask = _eigenframe(spec)[3]
         for n in range(2):
             c, z = sol.C[n], sol.Z[n]
             assert op_norm(c - c.dag) < 1e-10

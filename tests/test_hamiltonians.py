@@ -328,6 +328,21 @@ class TestBalancedHamiltonian:
         p0 = ModelParams(1.0, 1.0, 1.0, 0.5, 0.1)
         assert bh_series_order(p0, SPACE) == 0
 
+    @pytest.mark.parametrize("eta_breve,M", [(0.01, 7), (0.03, 10),
+                                             (0.087, 14)])
+    def test_series_order_is_the_first_below_1e_12(self, eta_breve, M):
+        # the docstring's tail bound, with ||a + a^dag||_interior below
+        # 2 sqrt(n_interior + 1)
+        p = ModelParams.from_balanced(1.0, 1.0296, eta_breve, 0.0243)
+        space = SpaceConfig(n_max=40)
+        b = 2.0 * math.sqrt(space.n_interior + 1.0)
+
+        def tail(m):
+            return eta_breve ** (m + 1) * b ** m * math.e / math.factorial(m + 1)
+
+        assert bh_series_order(p, space) == M
+        assert tail(M) < 1e-12 <= tail(M - 1)
+
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):
             bh_interaction_term(-1, P_REF, SPACE)

@@ -471,6 +471,14 @@ class TestFitOrder:
         fit = fit_order(lambda x: noise[x], self.GRID)
         assert not fit.conclusive
 
+    @pytest.mark.parametrize("ratio,conclusive", [(1.3, True), (1.7, False)])
+    def test_conclusive_from_r_squared_095(self, ratio, conclusive):
+        # alternate points raised by ratio: r^2 0.98 and 0.93
+        bump = {x: ratio if k % 2 else 1.0 for k, x in enumerate(self.GRID)}
+        fit = fit_order(lambda x: x * bump[x], self.GRID)
+        assert 0.9 < fit.r_squared < 0.99
+        assert fit.conclusive is conclusive
+
     def test_cancellation_rejected(self):
         with pytest.raises(ValueError):
             fit_order(lambda x: 0.0 if x > 0.1 else x, self.GRID)
