@@ -28,7 +28,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +86,9 @@ def _parse_space(items: dict) -> SpaceConfig:
 
 
 def parse_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name a section "\n", so a [DEFAULT] section is an
+    # unknown one rather than keys copied into every other section
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -123,8 +124,11 @@ def parse_config(path: str) -> RunConfig:
 # -- output writers -----------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
+    # mode 0o666 less the umask, as open() makes a file; the rename would
+    # keep the 0o600 of a tempfile.mkstemp file
     out_dir = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-")
+    tmp = os.path.join(out_dir, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -26,7 +26,7 @@ from .operators import (
     fock_lowering, from_fock_blocks, expm, hermitize, _block_matrix,
 )
 from .hamiltonians import ModelParams, JCParams, bh_reference
-from .engine import InteractionSeries, _degenerate
+from .engine import InteractionSeries, _degenerate, chi, gamma
 from .oracle import SpectralDecomposition, exact_eigs
 
 REGIME_KINDS = (
@@ -83,10 +83,10 @@ class Regime:
     eta_breve-quadratic coupling is assigned, or that the detuning
     mismatch joins the perturbation); it is never inferred from
     magnitudes.  Whether nu = delta_breve is read off the parameters by
-    ``validate``, decided by ``engine._degenerate`` (absolute tolerance,
-    ambiguous band) as the engine clusters; nu - delta_breve, or
-    2 nu - delta_breve in the eta kinds, in the band raises
-    ClusterAmbiguityError.
+    ``engine.chi``, decided by ``engine._degenerate`` (absolute tolerance,
+    ambiguous band) as the engine clusters; ``validate`` raises
+    ClusterAmbiguityError for nu - delta_breve, or 2 nu - delta_breve in
+    the eta kinds, in the band.
     """
 
     kind: str
@@ -103,14 +103,13 @@ class Regime:
         r.validate(p)
         return r
 
-    def validate(self, p: ModelParams) -> bool:
-        """Reject a regime/parameter mismatch; return whether nu = delta_breve."""
-        resonant = bool(_degenerate(p.nu - p.delta_breve, "nu - delta_breve"))
+    def validate(self, p: ModelParams) -> None:
+        """Reject a regime/parameter mismatch or an ambiguous resonance."""
+        _degenerate(p.nu - p.delta_breve, "nu - delta_breve")
         if self.kind == "near_resonant":
             _require_near_resonance(p, "the near_resonant regime")
         else:
             _degenerate(2.0 * p.nu - p.delta_breve, "2 nu - delta_breve")
-        return resonant
 
 
 def regime_series(p: ModelParams, regime: Regime,
@@ -158,10 +157,10 @@ def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig
     three eta regimes C1 vanishes off resonance and the second-order
     constant acquires the two-quantum exchange term exactly on the
     two-photon resonance 2 nu = delta_breve (kept only when the regime
-    declares eta_breve of order lam or larger).  The chi/gamma selectors
-    are ``engine._degenerate``'s: one absolute tolerance, an ambiguous band.
+    declares eta_breve of order lam or larger).  The selectors are
+    ``engine.chi`` and ``gamma``, past ``Regime.validate``'s band check.
     """
-    resonant = regime.validate(p)
+    regime.validate(p)
     nu, db, lam, eb = p.nu, p.delta_breve, p.lam, p.eta_breve
     a = annihilation(space)
     sp, sm, sz = pauli("+", space), pauli("-", space), pauli("z", space)
@@ -176,14 +175,14 @@ def bh_first_second_order(p: ModelParams, regime: Regime, space: SpaceConfig
         c2 = 0.5 * lam ** 2 * nu * diag_minus
         return c1, z1, c2
 
-    gam = 0.0 if resonant else 1.0 / (nu - db)  # gamma(nu - db)
-    c1 = jc_like if resonant else 0.0 * one
+    gam = gamma(nu - db)
+    c1 = jc_like if chi(nu - db) else 0.0 * one
     z1 = (-lam * nu * gam * (a @ sp + a.dag @ sm)
           - (lam * nu / (nu + db)) * (a @ sm + a.dag @ sp))
     c2 = (lam ** 2 * nu ** 2 / (nu + db)) * diag_minus \
         - lam ** 2 * nu ** 2 * gam * diag_plus
     if (regime.kind in ("eta_comparable", "eta_much_greater")
-            and _degenerate(2.0 * nu - db)):  # chi(2 nu - delta_breve)
+            and chi(2.0 * nu - db)):
         c2 = c2 - lam * eb * nu * hermitize(a @ a @ sp + a.dag @ a.dag @ sm)
     return c1, z1, c2
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +65,17 @@ class ResultTable:
         return len(next(iter(self.columns.values())))
 
 
+# ASCII decimal literals only: float() and int() also read "0_05" as 5.0
+# and take every Unicode digit, which \d matches too
+_FLOAT = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", re.ASCII)
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def _finite_float(raw, what: str) -> float:
-    """float(raw), or ConfigError naming ``what`` unless it is a finite number."""
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
+    """float(raw), or ConfigError naming ``what`` unless raw is an ASCII
+    decimal literal of a finite number."""
+    text = str(raw)
+    value = float(text) if _FLOAT.fullmatch(text) else math.nan
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be a finite number, got {raw!r}")
     return value
@@ -77,11 +83,13 @@ def _finite_float(raw, what: str) -> float:
 
 def _integer(raw, what: str) -> int:
     """int(raw), or ConfigError naming ``what`` unless raw is written as
-    an integer (so ``1e1`` and ``2.0`` are refused)."""
+    an ASCII decimal integer (so ``1e1``, ``2.0`` and ``1_0`` are refused)."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{what} must be a finite integer, got {raw!r}")
+        if _INTEGER.fullmatch(str(raw)):
+            return int(raw)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise ConfigError(f"{what} must be a finite integer, got {raw!r}")
 
 
 class Options:

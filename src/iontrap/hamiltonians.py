@@ -107,29 +107,24 @@ class ModelParams:
         """Invert the balanced-frame parametrization.
 
         Given (nu, delta_breve, eta_breve, lam) with delta_breve > 0, recover
-        the physical inputs, omega_L = 0.  eta_breve = 0 forces zero detuning;
-        otherwise lam must be nonzero so Delta = eta_breve/lam is defined.
+        the physical inputs, omega_L = 0, through Delta = eta_breve/lam.
+        eta_breve = 0 reads as Delta = 0, zero detuning, at any lam; any
+        other eta_breve needs lam nonzero.
         """
         delta_breve = float(delta_breve)
         eta_breve = float(eta_breve)
         lam = float(lam)
         if delta_breve <= 0:
             raise ConfigError("delta_breve must be > 0")
-        if eta_breve == 0.0:
-            p = cls(nu=nu, omega_ge=0.0, omega_L=0.0,
-                    Omega_R=delta_breve / 2.0, eta=2.0 * lam)
-        else:
-            if lam == 0.0:
-                raise ConfigError(
-                    "eta_breve != 0 with lam = 0 is outside the balanced "
-                    "parametrization (it needs Omega_R = 0)")
-            big_delta = eta_breve / lam
-            root = math.sqrt(4.0 + big_delta ** 2)
-            omega_r = delta_breve / root
-            delta = big_delta * omega_r
-            p = cls(nu=nu, omega_ge=delta, omega_L=0.0,
-                    Omega_R=omega_r, eta=lam * root)
-        return p
+        if eta_breve != 0.0 and lam == 0.0:
+            raise ConfigError(
+                "eta_breve != 0 with lam = 0 is outside the balanced "
+                "parametrization (it needs Omega_R = 0)")
+        big_delta = eta_breve / lam if eta_breve != 0.0 else 0.0
+        root = math.sqrt(4.0 + big_delta ** 2)
+        omega_r = delta_breve / root
+        return cls(nu=nu, omega_ge=big_delta * omega_r, omega_L=0.0,
+                   Omega_R=omega_r, eta=lam * root)
 
 
 @dataclass(frozen=True)
@@ -272,8 +267,7 @@ def kappa_coefficients(big_delta: float) -> tuple[float, float]:
     """
     root = math.sqrt(4.0 + big_delta ** 2)
     first = math.sqrt(0.25 + 0.5 / root)
-    # guard: 0.25 - 0.5/root is an exact 0 at big_delta = 0 up to rounding
-    second = math.sqrt(max(0.25 - 0.5 / root, 0.0))
+    second = math.sqrt(0.25 - 0.5 / root)
     sgn = 1.0 if big_delta >= 0 else -1.0
     return first + sgn * second, first - sgn * second
 
@@ -392,8 +386,6 @@ def bh_series_order(p: ModelParams, space: SpaceConfig) -> int:
     Bound used: |eta_breve|^(M+1) * ||a + a^dag||_interior^M * e / (M+1)!.
     """
     eb = abs(p.eta_breve)
-    if eb == 0.0:
-        return 0
     # top interior singular value of a + a^dag is below 2 sqrt(n_int + 1)
     b = 2.0 * math.sqrt(space.n_interior + 1.0)
     m = 0

@@ -418,7 +418,7 @@ def _expm_matrix(m: np.ndarray) -> np.ndarray:
     norm_1, squarings = np.abs(m).sum(axis=0).max(), 0
     while norm_1 > _TAYLOR_THETA * 2.0 ** squarings:
         squarings += 1
-    out = _taylor12(m / 2.0 ** squarings if squarings else m)
+    out = _taylor12(m / 2.0 ** squarings)
     for _ in range(squarings):
         out = out @ out
     return out
@@ -505,8 +505,9 @@ def op_norm(a) -> float:
 
 
 # A bound decides a norm test only when it clears the limit by this
-# relative margin, far above the rounding of either norm; a closer case
-# takes the exact spectral norms, so every decision is theirs.
+# relative margin, far above the rounding of either norm; a closer
+# hermiticity case takes the exact spectral norms, so every decision is
+# theirs, and a closer eigenpair residual is refused.
 _BOUND_MARGIN = 1e-9
 
 

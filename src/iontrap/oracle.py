@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (
-    ConfigError, SpaceConfig, BasisIndex, Operator, op_norm, pauli,
+    ConfigError, SpaceConfig, BasisIndex, Operator, pauli,
     _expm_matrix, _below_limit, _hermiticity_defect, _flat_gauge_phases, _into_gauge,
-    _real_if_exact, _require_interior_level,
+    _require_interior_level,
     GROUND, EXCITED,
 )
 from .hamiltonians import ModelParams, bh, t_delta, _bh_gauge_parts
@@ -52,10 +52,10 @@ def exact_eigs(h: Operator, rungs: Sequence[int] = ()):
 
     H is taken into the Fock phase gauge U = diag(i^n) (x) 1, factored
     there by ``_rung_eigs`` with its checks, and the eigenvectors come
-    back to the Fock basis by the exact phases of U.  The gauge array is
-    real symmetric for ``rfh``, ``bh`` (both routes) and every H0 of the
-    engine, so those take a real factorization; any other hermitian
-    input (``h_check``, say) is factored complex.
+    back to the Fock basis by the exact phases of U.  The gauge array,
+    in ``_into_gauge``'s dtype, is real symmetric for ``rfh``, ``bh``
+    (both routes) and every H0 of the engine, so those take a real
+    factorization; any other input (``h_check``, say) is factored complex.
 
     With no rungs every pair comes back.  Given rungs, only the lowest
     pairs through those that hold the rungs' levels may come back,
@@ -70,13 +70,13 @@ def exact_eigs(h: Operator, rungs: Sequence[int] = ()):
 def _rung_eigs(g: np.ndarray, rungs: Sequence[int] = ()):
     """Ascending eigenpairs of a gauge array G = U^dag H U, checked.
 
-    G is symmetrized as (G + G^dag)/2 before factorization, in float64
-    when that is exactly real (``_real_if_exact``).  A hermiticity defect
-    beyond _HERM_TOL or a pair's residual beyond _RESIDUAL_TOL, both
-    1e-10 relative to max(1, ||G||), is rejected; the first is a caller
-    bug, never silently averaged away.  U is diagonal with phases 1, i,
-    -1, -i, so G's entries are H's up to exact quarter turns: every
-    norm, check and message is the one H itself would give.
+    G is symmetrized as (G + G^dag)/2 before factorization, in G's
+    dtype.  A hermiticity defect beyond _HERM_TOL, relative to
+    max(1, ||G||), or a pair's residual beyond _RESIDUAL_TOL, relative to
+    max(1, max|E|), is rejected; the first is a caller bug, never
+    silently averaged away.  U is diagonal with phases 1, i, -1, -i, so
+    G's entries are H's up to exact quarter turns: every norm, check and
+    message is the one H itself would give.
 
     With no rungs every pair comes from ``_factored``.  Given rungs (n
     for the pair ``_rung_levels`` reads, 0 for the level of |0,g>), one
@@ -94,7 +94,7 @@ def _rung_eigs(g: np.ndarray, rungs: Sequence[int] = ()):
             pairs = _window_pairs(mat, k, [_rung_basis(n) for n in rungs])
             if pairs is not None:
                 return pairs
-    return _factored(mat, g)
+    return _factored(mat)
 
 
 def _symmetrized(g: np.ndarray) -> np.ndarray:
@@ -102,21 +102,14 @@ def _symmetrized(g: np.ndarray) -> np.ndarray:
     defect = _hermiticity_defect(g, _HERM_TOL)
     if defect is not None:
         raise ValueError(f"operator is not hermitian (defect {defect:.2e})")
-    mat = 0.5 * (g + g.conj().T)
-    if np.iscomplexobj(mat):
-        mat = _real_if_exact(mat)
-    return mat
+    return 0.5 * (g + g.conj().T)
 
 
-def _factored(mat: np.ndarray, g: np.ndarray):
-    """Every eigenpair of the symmetrized mat of g, with ``_rung_eigs``'
-    residual test.
-
-    The test is decided from cheap certified bounds first and from the
-    exact spectral norm only when they cannot decide, so every accept,
-    reject and message is that of the exact test: max|E| of mat is at
-    most ||G||_2, and for a hermitian array the bound decides, so no
-    spectral norm (``op_norm``) is taken.
+def _factored(mat: np.ndarray):
+    """Every eigenpair of a symmetrized gauge array, with ``_rung_eigs``'
+    residual test: the limit is _RESIDUAL_TOL max(1, max|E|), less
+    ``_below_limit``'s margin, the rule ``_window_pairs`` applies; max|E|
+    is ||mat||_2, so no spectral norm is taken.
     """
     values, vectors = np.linalg.eigh(mat)
     # factorization residual per pair; eigh leaves ~eps * ||G||
@@ -125,9 +118,8 @@ def _factored(mat: np.ndarray, g: np.ndarray):
             worst = np.linalg.norm(mat @ vectors - vectors * values, axis=0).max()
     except FloatingPointError:  # an overflowing residual is infinite
         worst = math.inf
-    scale_lo = max(1.0, float(np.abs(values).max()))
-    if (not _below_limit(worst, _RESIDUAL_TOL * scale_lo)
-            and not worst <= _RESIDUAL_TOL * max(1.0, op_norm(g))):
+    scale = max(1.0, float(np.abs(values).max()))
+    if not _below_limit(worst, _RESIDUAL_TOL * scale):
         raise ArithmeticError(
             f"eigendecomposition residual {worst:.3e} exceeds "
             f"{_RESIDUAL_TOL:.0e} * scale")

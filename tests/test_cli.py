@@ -627,6 +627,20 @@ class TestRunner:
         assert meta["tables"]["spectrum"]["n_levels"] == 4
         assert "diagnostic" not in meta
 
+    def test_outputs_take_the_umask(self, tmp_path):
+        # a plain open() under umask 022 makes rw-r--r--, and so does a run
+        text = FULL + "[experiment]\nname = limits\n"
+        old = os.umask(0o022)
+        try:
+            assert self.run(tmp_path, text) == 0
+        finally:
+            os.umask(old)
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["limits.csv",
+                                                         "metadata.json"]
+        for path in out.iterdir():
+            assert path.stat().st_mode & 0o777 == 0o644, path.name
+
     def test_full_precision_round_trip(self, tmp_path):
         text = REDUCED + "[experiment]\nname = spectrum\nn_levels = 3\n"
         self.run(tmp_path, text)
@@ -666,10 +680,25 @@ class TestRunner:
         REDUCED + "[experiment]\nname = residual-order\n"
                   "lambda_grid = 0.02,0.04,0.08\n",
         REDUCED + "[experiment]\nname = residual-order\nregime = x\n",
+        # float() and int() read these as 5.0, 10 and 1.5
+        REDUCED.replace("0.05", "0_05") + "[experiment]\nname = spectrum\n",
+        REDUCED + "[experiment]\nname = spectrum\nn_levels = 1_0\n",
+        REDUCED + "[experiment]\nname = evolve\nt_max = \uff11.\uff15\n",
     ], ids=["negative-nu", "nan-t_max", "nonpositive-lambda",
-            "three-lambdas", "unknown-regime"])
+            "three-lambdas", "unknown-regime", "underscore-float",
+            "underscore-integer", "full-width-digits"])
     def test_bad_value_exit_2(self, tmp_path, text):
         assert self.run(tmp_path, text) == 2
+
+    @pytest.mark.parametrize("default", ["", "lambda = 0.05\n"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys,
+                                                   default):
+        # configparser would copy its keys into every section
+        text = "[DEFAULT]\n" + default + REDUCED + \
+            "[experiment]\nname = spectrum\n"
+        assert self.run(tmp_path, text) == 2
+        assert capsys.readouterr().err == \
+            "config error: unknown sections: ['DEFAULT']\n"
 
     @pytest.mark.parametrize("option", ["steps_per_unit = 40", "order = 4",
                                         "tolerance = 1e-6"])

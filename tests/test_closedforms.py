@@ -11,7 +11,7 @@ from iontrap import (
     op_norm, commutator, interior_norm, interior_distance, hermitize, expm,
     GROUND, EXCITED,
     bh, bh_reference, jc_constants,
-    decompose, solve, ClusterAmbiguityError,
+    chi, decompose, solve, ClusterAmbiguityError,
     REGIME_KINDS, Regime, SecondOrderSpectrum,
     regime_series, bh_first_second_order,
     jc_evolutor, jc_evolutor_breve, rwa_evolutor_fn, first_order_evolutor_fn,
@@ -67,12 +67,12 @@ class TestRegime:
 
     def test_validate_reads_resonance_off_parameters(self):
         regime = Regime(kind="eta_much_less")
-        assert regime.validate(POINT_RES) is True
-        assert regime.validate(POINT_OFF) is False
-        assert Regime.of("eta_much_less", POINT_RES) == regime
         # the engine's tolerance: a mismatch of 5e-9 is resonance
         near = ModelParams.from_balanced(1.0, 1.0 + 5e-9, 0.0, 0.05)
-        assert regime.validate(near) is True
+        for p, resonant in ((POINT_RES, 1.0), (POINT_OFF, 0.0), (near, 1.0)):
+            assert regime.validate(p) is None
+            assert chi(p.nu - p.delta_breve) == resonant
+        assert Regime.of("eta_much_less", POINT_RES) == regime
 
     def test_near_resonant_window(self):
         far = ModelParams.from_balanced(1.0, 1.25, 0.02, 0.05)

@@ -93,6 +93,16 @@ class TestModelParams:
         assert q.eta_breve == 0.0
         assert q.lam == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("lam", [0.05, -0.05, 0.0, -0.0])
+    @pytest.mark.parametrize("eta_breve", [0.0, -0.0])
+    def test_from_balanced_at_zero_eta_breve_bit_for_bit(self, eta_breve,
+                                                         lam):
+        q = ModelParams.from_balanced(1.0, 1.05, eta_breve, lam)
+        for got, want in ((q.Omega_R, 1.05 / 2.0), (q.eta, 2.0 * lam),
+                          (q.omega_ge, 0.0), (q.omega_L, 0.0)):
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
     def test_from_balanced_rejects_inconsistent_input(self):
         with pytest.raises(ValueError):
             ModelParams.from_balanced(1.0, -1.0, 0.0, 0.05)
