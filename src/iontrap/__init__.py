@@ -77,10 +77,7 @@ from .engine import (
     decompose,
     InteractionSeries,
     PerturbativeSolution,
-    diagonal_split,
-    build_G,
     solve,
-    assemble,
     residual_norm,
 )
 from .closedforms import (

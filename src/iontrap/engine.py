@@ -117,20 +117,17 @@ class InteractionSeries:
         object.__setattr__(self, "_gauge", tuple(
             _into_gauge(term.mat, term.space) for term in self.terms))
 
-    def evaluate(self, lam: float) -> Operator:
-        return _out_of_gauge(_lam_sum(lam, self._gauge), self.terms[0].space)
-
 
 class PerturbativeSolution:
     """Constants of motion C_1..C_N and minimal generators Z_1..Z_N.
 
     Each order is stored once, in the gauge: U^dag C_n U and Y_n =
     U^dag (i Z_n) U, in the dtype ``_into_gauge`` gives them (real for
-    ``regime_series``, Y_n antisymmetric).  ``C``, ``Z``, ``generator``
-    and ``constant`` leave the gauge when read and keep nothing.  Built
-    from the Operators C_n and Z_n, it takes them into the gauge once
-    (the benchmark's self-test builds a spoiled solution so); ``solve``
-    hands over its gauge arrays through ``_in_gauge``.
+    ``regime_series``, Y_n antisymmetric).  ``C`` and ``Z`` leave the
+    gauge when read and keep nothing.  Built from the Operators C_n and
+    Z_n, it takes them into the gauge once (the benchmark's self-test
+    builds a spoiled solution so); ``solve`` hands over its gauge arrays
+    through ``_in_gauge``.
     """
 
     __slots__ = ("order", "_space", "_c", "_y")
@@ -154,14 +151,6 @@ class PerturbativeSolution:
     def Z(self) -> tuple:
         return tuple(_out_of_gauge(-1j * y, self._space) for y in self._y)
 
-    def generator(self, lam: float, upto: int | None = None) -> Operator:
-        """W = sum_{k<=upto} lam^k Z_k."""
-        return _out_of_gauge(-1j * _lam_sum(lam, self._y, upto), self._space)
-
-    def constant(self, lam: float, upto: int | None = None) -> Operator:
-        """C(lam) truncated at order upto."""
-        return _out_of_gauge(_lam_sum(lam, self._c, upto), self._space)
-
 
 def _lam_sum(lam: float, mats, upto: int | None = None) -> np.ndarray:
     """sum_{k<=upto} lam^k mats[k-1] (all terms by default), from k = 1 up,
@@ -174,21 +163,6 @@ def _lam_sum(lam: float, mats, upto: int | None = None) -> np.ndarray:
     for k in range(2, n + 1):
         total += mats[k - 1] * lam ** k
     return total
-
-
-def diagonal_split(G: Operator, spec: SpectralDecomposition):
-    """Split G into Sum_m P_m G P_m and the rest.
-
-    G enters the gauge and H0's eigenbasis through ``_eigenframe``, keeps
-    its intra-cluster entries and leaves both again, as in ``solve``.
-    Returns (block_diag, off_diag), on the decomposition's space; they
-    add back to G exactly since the off part is the difference.
-    """
-    _require_space("operator", G.space, "decomposition", spec.space)
-    to_eig, from_eig, _, mask = _eigenframe(spec)
-    block_op = _out_of_gauge(
-        from_eig(to_eig(_into_gauge(G.mat, G.space)) * mask), G.space)
-    return block_op, G - block_op
 
 
 # rows per block of the banded product
@@ -281,27 +255,6 @@ def _assemble_G(n: int, h0: _Banded, terms: list, y_mats: list) -> np.ndarray:
     return np.zeros(h0.mat.shape, dtype) if total is None else total
 
 
-def build_G(n: int, h0: Operator, series: InteractionSeries, z_prev: list) -> Operator:
-    """The order-n data operator G_n, with the i[Z_n, H0] term left out.
-
-    G_n is the lam^n coefficient of e^{iZ} H(lam) e^{-iZ} with
-    Z = sum_{k<n} lam^k Z_k, H_0 = h0 and H_m = 0 beyond the stored series
-    terms.  z_prev must hold Z_1..Z_{n-1}; they and the series must live
-    on H0's space.
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if len(z_prev) != n - 1:
-        raise ValueError(f"expected {n-1} previous generators, got {len(z_prev)}")
-    _require_space("series", series.terms[0].space, "H0", h0.space)
-    for k, z in enumerate(z_prev, 1):
-        _require_space(f"Z_{k}", z.space, "H0", h0.space)
-    total = _assemble_G(n, _Banded(h0.mat),
-                        [_Banded(t.mat) for t in series.terms],
-                        [_Banded(1j * z.mat) for z in z_prev])
-    return Operator(total, h0.space)
-
-
 def _rotations(v: np.ndarray):
     """The basis changes X -> v^dag X v and Y -> v Y v^dag.
 
@@ -330,9 +283,9 @@ def _eigenframe(spec: SpectralDecomposition):
     in the dtype ``_real_if_exact`` gives it: for a decomposition of
     ``exact_eigs``, bit for bit the eigenvectors it factored, since U's
     phases are exact.  All four are fixed for a decomposition, so this one
-    caller of ``_rotations`` forms them on its first ``solve``,
-    ``residual_norm`` or ``diagonal_split`` and keeps them on it; a
-    decomposition the engine never reads (a propagator's) pays nothing.
+    caller of ``_rotations`` forms them on its first ``solve`` or
+    ``residual_norm`` and keeps them on it; a decomposition the engine
+    never reads (a propagator's) pays nothing.
     """
     frame = spec.__dict__.get("_eigenframe")
     if frame is None:
@@ -393,23 +346,6 @@ def solve(spec: SpectralDecomposition, series: InteractionSeries,
         c_gauge.append(from_eig(np.where(mask, g, 0.0)))
         y_gauge.append(from_eig(y_eig))
     return PerturbativeSolution._in_gauge(N, spec.space, c_gauge, y_gauge)
-
-
-def assemble(h0: Operator, sol: PerturbativeSolution, lam: float, n: int):
-    """Dress H0 and the constant back toward the interacting frame.
-
-    Returns (H0n, Cn_op) = (e^{-iW} H0 e^{iW}, e^{-iW} C(lam) e^{iW}) with
-    W = sum_{k<=n} lam^k Z_k.  The pair commutes like (H0, C) does and their
-    sum approximates H(lam) to O(lam^{n+1}).  Both are dressed in the gauge,
-    where e^{-iW} = e^{-Y(lam)}, Y(lam) = sum lam^k Y_k, by the exponential
-    of ``residual_norm``.  An n outside 1..sol.order, or an H0 off the
-    solution's space, is a ValueError.
-    """
-    _require_space("H0", h0.space, "solution", sol._space)
-    u = _expm_matrix(-_lam_sum(lam, sol._y, n))
-    c = _lam_sum(lam, sol._c, n)
-    h0g = _into_gauge(h0.mat, h0.space)
-    return tuple(_out_of_gauge(u @ x @ u.conj().T, h0.space) for x in (h0g, c))
 
 
 def residual_norm(spec: SpectralDecomposition, series: InteractionSeries,

@@ -104,7 +104,7 @@ class Options:
             return default
         return _finite_float(raw, f"option {key!r}")
 
-    def get_int(self, key: str, default: int) -> int:
+    def get_int(self, key: str, default: int | None) -> int | None:
         raw = self._raw.pop(key, None)
         if raw is None:
             return default
@@ -346,8 +346,8 @@ def residual_order(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
 def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """Avoided-crossing scan around each requested pair level.
 
-    Given ``offsets`` must hold at least three distinct values, as the
-    default window of ``points`` >= 5 does; fewer is a ConfigError.
+    Given ``offsets`` replace the default window of ``points`` >= 5 and
+    need three distinct values; fewer, or both options, is a ConfigError.
     A scan whose smallest gap lies at its lowest or highest offset has
     not bracketed the minimum, so its argmin would only be the window's
     edge, in whatever order the offsets are given:
@@ -358,13 +358,17 @@ def anticrossing(p: ModelParams, space: SpaceConfig, opts: Options, mapper):
     """
     levels = opts.get_ints("levels", (1, 2, 3))
     offsets_raw = opts.get_floats("offsets", ())
-    points = opts.get_int("points", 13)
+    points = opts.get_int("points", None)
     opts.finish()
     _require_rabi(p)
     for n in levels:
         _require_interior_level(n, 1, space, "each entry of option 'levels'")
     if len(set(levels)) != len(levels):  # each rung names one table
         raise ConfigError(f"levels must not repeat a rung; got {levels}")
+    if offsets_raw and points is not None:
+        raise ConfigError("options 'offsets' and 'points' exclude each "
+                          "other: 'points' sizes the default window")
+    points = 13 if points is None else points
     if points < 5:
         raise ConfigError("points must be at least 5")
     distinct = len(set(offsets_raw))

@@ -486,11 +486,14 @@ class GapScan:
     the pair's diagonal splitting parameter; gaps the exact E_plus - E_minus
     of the tracked pair; argmin the parabola-refined location of the
     smallest gap in the same units.  The vertex of the parabola through
-    the three lowest gaps amplifies their ~1e-14 eigensolver rounding
-    about 150 sqrt(n) times on the default grid of rung n, so argmin is
-    reliable to about 1e-11 sqrt(n) only; compare it at that tolerance,
-    not to the last printed digit.  ``scan_gap`` states how closely its
-    gaps and argmin agree with factoring the whole array at each offset.
+    the three lowest gaps amplifies their ~1e-14 eigensolver rounding by
+    a factor of order lam nu sqrt(n) / h on a grid of step h; the
+    default h = lam^3 nu of ``anticrossing`` makes it sqrt(n) / lam^2,
+    growing as lam falls.  So argmin is good to about 1e-11 sqrt(n) at
+    lam = 0.05, but sat 7.2e-10 from the converged minimum at rung 10,
+    lam = 0.005: compare it at such a tolerance, not to the last printed
+    digit.  ``scan_gap`` states how closely its gaps and argmin agree
+    with factoring the whole array at each offset.
     """
 
     detuning_offsets: tuple

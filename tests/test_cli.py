@@ -820,6 +820,19 @@ class TestRunner:
         assert ("option 'offsets' must hold at least 3 distinct values, "
                 f"got {distinct}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [99, 3])
+    def test_offsets_and_points_together_exit_2(self, tmp_path, capsys,
+                                                points):
+        # points sizes only the default window, so beside offsets any
+        # value is refused for both, one below its minimum 5 included
+        text = (REDUCED + "[space]\nn_max = 12\n[experiment]\n"
+                "name = anticrossing\nlevels = 1\n"
+                "offsets = -0.005,-0.0025,0.0,0.0025,0.005\n"
+                f"points = {points}\n")
+        assert self.run(tmp_path, text) == 2
+        assert ("options 'offsets' and 'points' exclude each other"
+                in capsys.readouterr().err)
+
     def test_missed_minimum_exit_3(self, tmp_path):
         text = ("[params]\nnu = 1.0\ndelta_breve = 1.0\n"
                 "eta_breve = 0.0\nlambda = 0.08\n"

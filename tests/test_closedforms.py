@@ -123,8 +123,11 @@ class TestRegimeSeries:
         p = POINT_NEAR
         h0c, sc = regime_series(p, Regime.of("eta_comparable", p), SPACE)
         h0n, sn = regime_series(p, Regime.of("near_resonant", p), SPACE)
-        full_c = h0c + sc.evaluate(p.lam)
-        full_n = h0n + sn.evaluate(p.lam)
+        full_c, full_n = h0c, h0n
+        for m, term in enumerate(sc.terms, start=1):
+            full_c = full_c + p.lam ** m * term
+        for m, term in enumerate(sn.terms, start=1):
+            full_n = full_n + p.lam ** m * term
         assert op_norm(full_c - full_n) < 1e-12
 
     def test_near_resonant_reference_is_degenerate_ladder(self):

@@ -10,12 +10,13 @@ from iontrap import (
     annihilation, number, pauli, identity, op_norm, commutator,
     interior_norm, interior_distance, hermitize,
     chi, gamma, ClusterAmbiguityError, decompose, InteractionSeries,
-    diagonal_split, build_G, solve, assemble, residual_norm, REGIME_KINDS,
+    solve, residual_norm, REGIME_KINDS,
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor_fn,
     exact_eigs, exact_propagator_fn, frame_chain_fn, fit_order,
 )
 from iontrap.engine import (
-    _Banded, _add_commutator, _degenerate, _eigenframe, _rotations,
+    _Banded, _add_commutator, _assemble_G, _degenerate, _eigenframe,
+    _rotations,
 )
 from iontrap.operators import _flat_gauge_phases, expm
 from iontrap.oracle import _rung_levels
@@ -43,6 +44,15 @@ def balanced_leading(space=SPACE):
     """i nu (a - a^dag)(sigma_+ + sigma_-), the lam-coefficient of the interaction."""
     a = annihilation(space)
     return hermitize(1j * ((a - a.dag) @ (pauli("+", space) + pauli("-", space))))
+
+
+def lam_sum(lam, ops):
+    """sum_k lam^k ops[k-1]: W from sol.Z, C(lam) from sol.C, H(lam) - H0
+    from a series' terms."""
+    total = lam * ops[0]
+    for k, op in enumerate(ops[1:], start=2):
+        total = total + lam ** k * op
+    return total
 
 
 class TestChiGamma:
@@ -168,8 +178,7 @@ class TestDecompose:
         series = InteractionSeries(terms=(balanced_leading(),))
         sol = solve(decompose(h0), series, 1)
         for call in (lambda: residual_norm(prop, series, sol, 0.05),
-                     lambda: solve(prop, series, 1),
-                     lambda: diagonal_split(h0, prop)):
+                     lambda: solve(prop, series, 1)):
             with pytest.raises(ValueError, match="^needs the clusters of "
                                "engine.decompose; this decomposition has none$"):
                 call()
@@ -191,8 +200,7 @@ class TestDecompose:
         series = InteractionSeries(terms=(balanced_leading(space),))
         sol = solve(spec, series, 1)
         for call in (lambda: residual_norm(bad, series, sol, 0.05),
-                     lambda: solve(bad, series, 1),
-                     lambda: diagonal_split(h0, bad)):
+                     lambda: solve(bad, series, 1)):
             with pytest.raises(ValueError, match=r"^the clusters do not "
                                r"partition range\(18\)$"):
                 call()
@@ -216,74 +224,64 @@ class TestInteractionSeries:
             with pytest.raises(ValueError, match="not hermitian"):
                 InteractionSeries(terms=(term,))
 
-    def test_evaluate(self):
-        h1 = balanced_leading()
-        h2 = hermitize(number(SPACE))
-        series = InteractionSeries(terms=(h1, h2))
-        lam = 0.1
-        direct = lam * h1 + lam ** 2 * h2
-        assert op_norm(series.evaluate(lam) - direct) < 1e-14
-
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError, match="at least one term"):
             InteractionSeries(terms=())
 
 
-class TestDiagonalSplit:
+class TestBlockPart:
+    """The block part of a hermitian g over H0's clusters is solve's C_1
+    for the series (g,)."""
+
+    @staticmethod
+    def block(g, spec):
+        return solve(spec, InteractionSeries((g,)), 1).C[0]
+
     def test_polynomial_in_h0_is_block_diagonal(self):
         h0 = balanced_reference(1.0)
         spec = decompose(h0)
         g = h0 @ h0 + 2.0 * h0
-        block, off = diagonal_split(g, spec)
-        assert op_norm(off) < 1e-10
-        assert op_norm(block - g) < 1e-10
+        assert op_norm(self.block(g, spec) - g) < 1e-10
 
     def test_ladder_on_nondegenerate_spectrum(self):
-        # distinct diagonal entries: any pure ladder operator has no block part
+        # distinct diagonal entries: a hermitian ladder operator has no
+        # block part
         mat = np.diag(np.linspace(0.0, 9.0, SMALL.dim))
         spec = decompose(Operator(mat, SMALL))
         a = annihilation(SMALL)
-        block, off = diagonal_split(a, spec)
-        assert op_norm(block) < 1e-12
-        assert op_norm(off - a) < 1e-12
+        assert op_norm(self.block(a + a.dag, spec)) < 1e-12
 
     def test_resonant_coupling_is_intra_cluster(self):
         # at nu = delta_breve the pair coupling a sigma_+ + a^dag sigma_-
-        # connects only degenerate partners, so the split keeps all of it
+        # connects only degenerate partners, so the block part is all of it
         spec = decompose(balanced_reference(1.0))
         a = annihilation(SPACE)
         g = a @ pauli("+", SPACE) + a.dag @ pauli("-", SPACE)
-        block, off = diagonal_split(g, spec)
-        assert op_norm(off) < 1e-10
-
-    def test_reconstruction_exact(self):
-        spec = decompose(balanced_reference(GOLDEN))
-        g = balanced_leading()
-        block, off = diagonal_split(g, spec)
-        assert op_norm(block + off - g) < 1e-13
-
-    def test_dimension_mismatch(self):
-        spec = decompose(balanced_reference(1.0))
-        with pytest.raises(ValueError):
-            diagonal_split(annihilation(SMALL), spec)
-        # one dimension, 18, on two spaces that differ in their interior
-        spec = decompose(balanced_reference(1.0, SpaceConfig(8, 2)))
-        with pytest.raises(ValueError, match="space"):
-            diagonal_split(balanced_leading(SpaceConfig(8, 3)), spec)
+        assert op_norm(self.block(g, spec) - g) < 1e-10
 
 
-class TestBuildG:
+class TestAssembleG:
+    """G_n by the engine's recurrence on Fock-basis arrays, against the
+    nested-commutator formulas."""
+
+    @staticmethod
+    def assemble_g(n, h0, series, z_prev):
+        return Operator(_assemble_G(n, _Banded(h0.mat),
+                                    [_Banded(t.mat) for t in series.terms],
+                                    [_Banded(1j * z.mat) for z in z_prev]),
+                        h0.space)
+
     def test_first_order_is_the_term(self):
         h0 = balanced_reference(1.0)
         series = InteractionSeries(terms=(balanced_leading(),))
-        g1 = build_G(1, h0, series, [])
+        g1 = self.assemble_g(1, h0, series, [])
         assert op_norm(g1 - balanced_leading()) == 0.0
 
     def test_second_order_vanishes_without_inputs(self):
         h0 = balanced_reference(1.0)
         series = InteractionSeries(terms=(balanced_leading(),))
         z1 = Operator(np.zeros((SPACE.dim, SPACE.dim)), SPACE)
-        g2 = build_G(2, h0, series, [z1])
+        g2 = self.assemble_g(2, h0, series, [z1])
         # F contributions all carry Z_1 or H_2, both zero here
         assert op_norm(g2 - Operator(np.zeros((SPACE.dim, SPACE.dim)), SPACE)) == 0.0
 
@@ -296,7 +294,7 @@ class TestBuildG:
         raw = rng.standard_normal((SPACE.dim, SPACE.dim)) \
             + 1j * rng.standard_normal((SPACE.dim, SPACE.dim))
         z1 = hermitize(Operator(raw, SPACE))
-        g2 = build_G(2, h0, series, [z1])
+        g2 = self.assemble_g(2, h0, series, [z1])
         expected = (-0.5) * commutator(z1, commutator(z1, h0)) \
             + 1j * commutator(z1, h1) + h2
         assert op_norm(g2 - expected) < 1e-10
@@ -312,7 +310,7 @@ class TestBuildG:
             rng.standard_normal((SPACE.dim, SPACE.dim))
             + 1j * rng.standard_normal((SPACE.dim, SPACE.dim)), SPACE))
             for _ in range(2))
-        g3 = build_G(3, h0, series, [z1, z2])
+        g3 = self.assemble_g(3, h0, series, [z1, z2])
 
         def ad(*ops):
             # ad(z, ..., x) = [z, [..., x]]
@@ -325,26 +323,6 @@ class TestBuildG:
                     - 0.5 * ad(z1, z1, h1) - 0.5 * ad(z1, z2, h0)
                     - 0.5 * ad(z2, z1, h0) - (1j / 6) * ad(z1, z1, z1, h0))
         assert op_norm(g3 - expected) < 1e-10 * op_norm(expected)
-
-    def test_argument_validation(self):
-        h0 = balanced_reference(1.0)
-        series = InteractionSeries(terms=(balanced_leading(),))
-        with pytest.raises(ValueError):
-            build_G(0, h0, series, [])
-        with pytest.raises(ValueError):
-            build_G(2, h0, series, [])
-
-    def test_operands_on_another_space_are_refused(self):
-        # one dimension, 18, on two spaces that differ in their interior:
-        # G would take H0's
-        near, far = SpaceConfig(8, 2), SpaceConfig(8, 3)
-        h0 = balanced_reference(1.0, near)
-        with pytest.raises(ValueError, match="space"):
-            build_G(1, h0, InteractionSeries(terms=(balanced_leading(far),)),
-                    [])
-        series = InteractionSeries(terms=(balanced_leading(near),))
-        with pytest.raises(ValueError, match="space"):
-            build_G(2, h0, series, [balanced_leading(far)])
 
 
 class TestSolve:
@@ -405,6 +383,12 @@ class TestSolve:
         for n in range(2):
             assert op_norm(sol.C[n] - sol_perm.C[n]) < 1e-10
             assert op_norm(sol.Z[n] - sol_perm.Z[n]) < 1e-10
+
+    def test_order_below_one_is_refused(self):
+        spec = decompose(balanced_reference(1.0))
+        series = InteractionSeries(terms=(balanced_leading(),))
+        with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+            solve(spec, series, 0)
 
     def test_series_on_another_space_is_refused(self):
         # one dimension, 18, on two spaces that differ in their interior:
@@ -609,67 +593,17 @@ class TestResidualNormReference:
         h0, series = regime_series(p, Regime.of(kind, p), space)
         spec = decompose(h0)
         sol = solve(spec, series, 6)
+        c, z = sol.C, sol.Z
         k = space.interior_dim
         for lam in (0.02, 0.04, 0.08, 0.16):
-            h = h0.mat + series.evaluate(lam).mat
+            h = h0.mat + lam_sum(lam, series.terms).mat
             scale = max(1.0, op_norm(h))
             for n in range(1, 7):
-                u = scipy.linalg.expm(1j * sol.generator(lam, n).mat)
-                moved = u @ h @ u.conj().T - h0.mat - sol.constant(lam, n).mat
+                u = scipy.linalg.expm(1j * lam_sum(lam, z[:n]).mat)
+                moved = u @ h @ u.conj().T - h0.mat - lam_sum(lam, c[:n]).mat
                 want = np.linalg.norm(moved[:k, :k], 2)
                 got = residual_norm(spec, series, sol, lam, upto=n)
                 assert abs(got - want) <= 1e-12 * scale, (lam, n, got, want)
-
-
-class TestAssemble:
-    def test_zero_generators_leave_h0(self):
-        zero = Operator(np.zeros((SPACE.dim, SPACE.dim)), SPACE)
-        h0 = balanced_reference(1.0)
-        spec = decompose(h0)
-        sol = solve(spec, InteractionSeries(terms=(zero,)), 1)
-        h0n, cn = assemble(h0, sol, 0.05, 1)
-        assert op_norm(h0n - h0) < 1e-13
-        assert op_norm(cn) == 0.0
-
-    def test_commutation_preserved(self):
-        h0 = balanced_reference(1.0)
-        spec = decompose(h0)
-        series = InteractionSeries(terms=(balanced_leading(),))
-        sol = solve(spec, series, 2)
-        h0n, cn = assemble(h0, sol, 0.05, 2)
-        assert op_norm(commutator(h0n, cn)) < 1e-10
-
-    def test_sum_approximates_hamiltonian(self):
-        h0 = balanced_reference(1.0)
-        spec = decompose(h0)
-        series = InteractionSeries(terms=(balanced_leading(),))
-        sol = solve(spec, series, 2)
-
-        def err(lam, upto):
-            h0n, cn = assemble(h0, sol, lam, upto)
-            return interior_norm(h0n + cn - (h0 + series.evaluate(lam)))
-
-        # halving lam must shrink the defect by 2^(n+1) per retained order
-        assert err(0.025, 1) < 0.30 * err(0.05, 1)
-        assert err(0.025, 2) < 0.15 * err(0.05, 2)
-        assert err(0.05, 2) < err(0.05, 1)
-
-    def test_order_validation(self):
-        h0 = balanced_reference(1.0)
-        spec = decompose(h0)
-        series = InteractionSeries(terms=(balanced_leading(),))
-        sol = solve(spec, series, 1)
-        with pytest.raises(ValueError):
-            assemble(h0, sol, 0.05, 2)
-
-    def test_h0_on_another_space_is_refused(self):
-        # the dressed pair would land on the other H0's space
-        near, far = SpaceConfig(8, 2), SpaceConfig(8, 3)
-        spec = decompose(balanced_reference(1.0, near))
-        series = InteractionSeries(terms=(balanced_leading(near),))
-        sol = solve(spec, series, 2)
-        with pytest.raises(ValueError, match="space"):
-            assemble(balanced_reference(1.0, far), sol, 0.05, 2)
 
 
 def _banded(rng, n, lower, upper):
@@ -777,23 +711,6 @@ class TestIndexRotation:
                 assert np.array_equal(to_eig(y), vd @ y @ v)
                 assert np.array_equal(from_eig(y), v @ y @ vd)
 
-    def test_split_and_solve_form_the_rotations_once(self, monkeypatch):
-        # diagonal_split enters the eigenbasis through the decomposition's
-        # kept rotations, like solve, so one decomposition forms them once
-        from iontrap import engine
-
-        made = []
-        monkeypatch.setattr(engine, "_rotations",
-                            lambda v: made.append(1) or _rotations(v))
-        spec = decompose(balanced_reference(1.0))
-        g = balanced_leading()
-        split = diagonal_split(g, spec)
-        solve(spec, InteractionSeries(terms=(g,)), 2)
-        again = diagonal_split(g, spec)
-        assert len(made) == 1
-        for a, b in zip(split, again):
-            assert np.array_equal(a.mat, b.mat)
-
     @staticmethod
     def mixed_within_clusters(spec):
         """spec with a random unitary inside every cluster: the same H0,
@@ -839,21 +756,6 @@ class TestIndexRotation:
         assert residual_norm(phased, series, sol_phased, 0.05) == (
             pytest.approx(residual_norm(spec, series, sol, 0.05), rel=1e-12))
 
-    def test_rotated_basis_splits_like_the_permutation(self):
-        spec = decompose(balanced_reference(1.0))
-        spec_mixed = self.mixed_within_clusters(spec)
-        assert np.count_nonzero(spec_mixed.eigenbasis) > spec.dim
-        # the resonant pair coupling lies inside the clusters, the leading
-        # interaction across them: both parts of the split are nonzero
-        a = annihilation(SPACE)
-        g = (a @ pauli("+", SPACE) + a.dag @ pauli("-", SPACE)
-             + balanced_leading())
-        block, off = diagonal_split(g, spec)
-        block_mixed, off_mixed = diagonal_split(g, spec_mixed)
-        assert op_norm(block) > 1.0 and op_norm(off) > 1.0
-        for x, y in ((block, block_mixed), (off, off_mixed)):
-            assert op_norm(x - y) <= 1e-12 * max(1.0, op_norm(x))
-
 
 def _resonant_family(lam):
     return ModelParams.from_balanced(1.0, 1.0, 0.0, lam)
@@ -885,8 +787,8 @@ class TestHigherOrdersBehindTheGates:
         h0, series = regime_series(p, Regime.of("near_resonant", p), space)
         sol = solve(decompose(h0), series, 3)
         exact = self.levels(bh(p, space), top)
-        order2 = self.levels(h0 + sol.constant(lam, 2), top)
-        order3 = self.levels(h0 + sol.constant(lam, 3), top)
+        order2 = self.levels(h0 + lam_sum(lam, sol.C[:2]), top)
+        order3 = self.levels(h0 + lam_sum(lam, sol.C), top)
         spec = spectrum_second_order(p, top)
         formula = np.array([spec.E0] + [e for _, lo, hi in spec.levels
                                         for e in (lo, hi)])
@@ -926,8 +828,8 @@ class TestHigherOrdersBehindTheGates:
             p = _resonant_family(lam)
             h0, series = regime_series(p, Regime.of("eta_much_less", p), SPACE)
             sol = solve(decompose(h0), series, 2)
-            w = sol.generator(lam, 2)
-            u = (expm(-1j * w) @ exact_propagator_fn(h0 + sol.constant(lam, 2))(t)
+            w = lam_sum(lam, sol.Z)
+            u = (expm(-1j * w) @ exact_propagator_fn(h0 + lam_sum(lam, sol.C))(t)
                  @ expm(1j * w))
             return interior_distance(u, exact(lam), SPACE.n_interior)
 
@@ -950,8 +852,8 @@ class TestHigherOrdersBehindTheGates:
         p = ModelParams.from_balanced(1.0, detuning, eta_breve, lam)
         h0, series = regime_series(p, Regime.of("near_resonant", p), SPACE)
         sol = solve(decompose(h0), series, 1)
-        rot = expm(1j * sol.generator(lam, 1))
-        dressed = exact_propagator_fn(h0 + sol.constant(lam, 1))
+        rot = expm(1j * lam_sum(lam, sol.Z))
+        dressed = exact_propagator_fn(h0 + lam_sum(lam, sol.C))
         printed = first_order_evolutor_fn(p, SPACE)
         for t in (0.0, 0.7, 3.0, -1.3):
             u1 = rot.dag @ dressed(t) @ rot

@@ -11,14 +11,18 @@ def load_mutants():
         "mutants", ROOT / "tools" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
 def test_every_mutated_line_occurs_once_in_its_file():
-    sources = {path.name: path.read_text().split("\n")
+    # or once within the function a mutant names
+    mutants = load_mutants()
+    sources = {path.name: path.read_text()
                for path in (ROOT / "src" / "iontrap").glob("*.py")}
-    for name, line, replacement, reason in load_mutants():
-        found = [f for f, lines in sources.items() if line in lines]
+    for mutant in mutants.MUTANTS:
+        name, line, replacement, reason = mutant[:4]
+        found = [f for f, text in sources.items()
+                 if line in text.split("\n")]
         assert found == [name], (line, found)
-        assert sources[name].count(line) == 1, line
+        assert len(mutants.occurrences(sources[name], mutant)) == 1, mutant
         assert replacement != line and reason

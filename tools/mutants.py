@@ -14,13 +14,16 @@ Run from anywhere, one BLAS thread per run:
     python3 tools/mutants.py _NEAR_RHO  # those whose line names it
 
 It exits 1 when a mutant survives that its reason does not call
-equivalent.  ``tests/test_mutants.py`` checks that every listed line
-occurs exactly once in ``src/iontrap``, so a refactor that moves one
+equivalent.  A line that occurs more than once in its file is named
+together with its enclosing function.  ``tests/test_mutants.py`` checks
+that every listed line occurs exactly once in ``src/iontrap``, or once
+within the function its mutant names, so a refactor that moves one
 updates the list.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import shutil
@@ -31,7 +34,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# (file under src/iontrap, exact source line, replacement, reason)
+# (file under src/iontrap, exact source line, replacement, reason), and
+# the enclosing function last where the line occurs twice in its file
 MUTANTS = (
     ("closedforms.py", "_NEAR_RHO = 0.1", "_NEAR_RHO = 0.12",
      "the nearly resonant window widened by a fifth"),
@@ -154,6 +158,12 @@ MUTANTS = (
      "        rad = math.sqrt(0.25 * (db - nu) ** 2 + lam ** 2 * nu ** 2 * n)",
      "        rad = math.sqrt(0.26 * (db - nu) ** 2 + lam ** 2 * nu ** 2 * n)",
      "levels_first_order's detuning term by 4%"),
+    ("closedforms.py", "        mid = nu * (n - 0.5) + lam ** 2 * nu",
+     "        mid = nu * (n - 0.5) + 1.01 * lam ** 2 * nu",
+     "levels_first_order's mean shift lam^2 nu by 1%", "levels_first_order"),
+    ("closedforms.py", "        mid = nu * (n - 0.5) + lam ** 2 * nu",
+     "        mid = nu * (n - 0.5) + 1.01 * lam ** 2 * nu",
+     "levels_rwa's mean shift lam^2 nu by 1%", "levels_rwa"),
     ("closedforms.py", "        b0 = 0.5 * (db - nu)",
      "        b0 = 0.51 * (db - nu)",
      "levels_rwa's half-detuning by 2%"),
@@ -234,17 +244,33 @@ _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                   ".hypothesis", ".bench_out", "*.egg-info")
 
 
+def occurrences(source: str, mutant) -> list[int]:
+    """Indices of the mutant's line among the lines of source: in the
+    whole file, or within the one function the mutant names."""
+    lines = source.split("\n")
+    start, stop = 0, len(lines)
+    if len(mutant) > 4:
+        defs = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == mutant[4]]
+        if len(defs) != 1:
+            raise ValueError(f"{len(defs)} functions named {mutant[4]!r}")
+        start, stop = defs[0].lineno - 1, defs[0].end_lineno
+    return [i for i in range(start, stop) if lines[i] == mutant[1]]
+
+
 def run(mutant) -> tuple[str | None, float]:
     """(killer, seconds): tier-1 with -x on a mutated copy of the checkout.
     The killer is the first failing test, "timeout" for a run past
     _TIMEOUT_S, and None when the mutant survives."""
-    name, line, replacement, _ = mutant
+    name, replacement = mutant[0], mutant[2]
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_IGNORED)
         path = copy / "src" / "iontrap" / name
-        lines = path.read_text().split("\n")
-        lines[lines.index(line)] = replacement
+        source = path.read_text()
+        lines = source.split("\n")
+        lines[occurrences(source, mutant)[0]] = replacement
         path.write_text("\n".join(lines))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
