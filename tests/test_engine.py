@@ -10,7 +10,7 @@ from iontrap import (
     annihilation, number, pauli, identity, op_norm, commutator,
     interior_norm, interior_distance, hermitize,
     chi, gamma, ClusterAmbiguityError, decompose, InteractionSeries,
-    solve, residual_norm, REGIME_KINDS,
+    PerturbativeSolution, solve, residual_norm, REGIME_KINDS,
     Regime, regime_series, bh, spectrum_second_order, first_order_evolutor_fn,
     exact_eigs, exact_propagator_fn, frame_chain_fn, fit_order,
 )
@@ -228,6 +228,19 @@ class TestInteractionSeries:
         with pytest.raises(ValueError, match="at least one term"):
             InteractionSeries(terms=())
 
+    def test_rejects_a_term_that_is_not_an_operator(self):
+        with pytest.raises(TypeError, match="^series term 2 is not an "
+                           "Operator$"):
+            InteractionSeries(terms=(balanced_leading(), number(SPACE).mat))
+
+    def test_rejects_terms_on_different_spaces(self):
+        # one dimension, 18, on two spaces that differ in their interior
+        near, far = SpaceConfig(8, 2), SpaceConfig(8, 3)
+        with pytest.raises(ValueError, match="^series terms live on "
+                           "different spaces$"):
+            InteractionSeries(terms=(balanced_leading(near),
+                                     balanced_leading(far)))
+
 
 class TestBlockPart:
     """The block part of a hermitian g over H0's clusters is solve's C_1
@@ -258,6 +271,22 @@ class TestBlockPart:
         a = annihilation(SPACE)
         g = a @ pauli("+", SPACE) + a.dag @ pauli("-", SPACE)
         assert op_norm(self.block(g, spec) - g) < 1e-10
+
+    def test_reconstruction_exact(self):
+        # the part off the clusters is what Z_1 solves away:
+        # g = C_1 + i[H0, Z_1]
+        h0 = balanced_reference(GOLDEN)
+        g = balanced_leading()
+        sol = solve(decompose(h0), InteractionSeries((g,)), 1)
+        off = 1j * commutator(h0, sol.Z[0])
+        assert op_norm(off) > 1.0
+        assert op_norm(sol.C[0] + off - g) < 1e-13
+
+    def test_dimension_mismatch(self):
+        spec = decompose(balanced_reference(1.0))
+        with pytest.raises(ValueError, match="space"):
+            self.block(hermitize(annihilation(SMALL) + annihilation(SMALL).dag),
+                       spec)
 
 
 class TestAssembleG:
@@ -410,6 +439,18 @@ class TestSolve:
         sol_far = solve(decompose(balanced_reference(1.0, far)), other, 2)
         with pytest.raises(ValueError, match="space"):
             residual_norm(spec, series, sol_far, 0.05)
+
+    def test_built_from_operators_reads_back(self):
+        # PerturbativeSolution(order, C, Z) takes the Operators into the
+        # gauge; C, Z and the residual read back those of the solve
+        spec = decompose(balanced_reference(1.0))
+        series = InteractionSeries(terms=(balanced_leading(),))
+        sol = solve(spec, series, 2)
+        rebuilt = PerturbativeSolution(2, sol.C, sol.Z)
+        for got, want in zip(rebuilt.C + rebuilt.Z, sol.C + sol.Z):
+            assert op_norm(got - want) <= 1e-14 * max(1.0, op_norm(want))
+        assert residual_norm(spec, series, rebuilt, 0.05) == pytest.approx(
+            residual_norm(spec, series, sol, 0.05), rel=1e-12)
 
     def test_zero_series(self):
         zero = Operator(np.zeros((SPACE.dim, SPACE.dim)), SPACE)
@@ -606,6 +647,52 @@ class TestResidualNormReference:
                 assert abs(got - want) <= 1e-12 * scale, (lam, n, got, want)
 
 
+class TestDressing:
+    """The order-n pair e^{-iW}H0 e^{iW} and e^{-iW}C(lam)e^{iW}, with
+    W = sum lam^k Z_k, summed from solve's C and Z."""
+
+    @staticmethod
+    def dressed(h0, sol, lam, upto):
+        rot = expm(1j * lam_sum(lam, sol.Z[:upto]))
+        return (rot.dag @ h0 @ rot,
+                rot.dag @ lam_sum(lam, sol.C[:upto]) @ rot)
+
+    def test_zero_generators_leave_h0(self):
+        zero = Operator(np.zeros((SPACE.dim, SPACE.dim)), SPACE)
+        h0 = balanced_reference(1.0)
+        spec = decompose(h0)
+        series = InteractionSeries(terms=(zero,))
+        sol = solve(spec, series, 1)
+        h0n, cn = self.dressed(h0, sol, 0.05, 1)
+        assert op_norm(h0n - h0) < 1e-13
+        assert op_norm(cn) == 0.0
+        assert residual_norm(spec, series, sol, 0.3) == 0.0
+
+    def test_commutation_preserved(self):
+        h0 = balanced_reference(1.0)
+        spec = decompose(h0)
+        series = InteractionSeries(terms=(balanced_leading(),))
+        sol = solve(spec, series, 2)
+        h0n, cn = self.dressed(h0, sol, 0.05, 2)
+        assert op_norm(cn) > 1e-3
+        assert op_norm(commutator(h0n, cn)) < 1e-10
+
+    def test_sum_approximates_hamiltonian(self):
+        h0 = balanced_reference(1.0)
+        spec = decompose(h0)
+        series = InteractionSeries(terms=(balanced_leading(),))
+        sol = solve(spec, series, 2)
+
+        def err(lam, upto):
+            h0n, cn = self.dressed(h0, sol, lam, upto)
+            return interior_norm(h0n + cn - (h0 + lam_sum(lam, series.terms)))
+
+        # halving lam must shrink the defect by 2^(n+1) per retained order
+        assert err(0.025, 1) < 0.30 * err(0.05, 1)
+        assert err(0.025, 2) < 0.15 * err(0.05, 2)
+        assert err(0.05, 2) < err(0.05, 1)
+
+
 def _banded(rng, n, lower, upper):
     """Random complex n x n matrix with the given lower and upper band."""
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -738,6 +825,22 @@ class TestIndexRotation:
         for n in range(4):
             for a, b in ((sol.C[n], sol_mixed.C[n]), (sol.Z[n], sol_mixed.Z[n])):
                 assert op_norm(a - b) <= 1e-12 * max(1.0, op_norm(a))
+
+    def test_rotated_basis_splits_like_the_permutation(self):
+        spec = decompose(balanced_reference(1.0))
+        spec_mixed = self.mixed_within_clusters(spec)
+        assert np.count_nonzero(spec_mixed.eigenbasis) > spec.dim
+        # the resonant pair coupling lies inside the clusters, the leading
+        # interaction across them: C_1 and Z_1 are both nonzero
+        a = annihilation(SPACE)
+        g = (a @ pauli("+", SPACE) + a.dag @ pauli("-", SPACE)
+             + balanced_leading())
+        series = InteractionSeries((g,))
+        sol = solve(spec, series, 1)
+        sol_mixed = solve(spec_mixed, series, 1)
+        assert op_norm(sol.C[0]) > 1.0 and op_norm(sol.Z[0]) > 1.0
+        for x, y in ((sol.C[0], sol_mixed.C[0]), (sol.Z[0], sol_mixed.Z[0])):
+            assert op_norm(x - y) <= 1e-12 * max(1.0, op_norm(x))
 
     def test_phased_basis_solves_like_the_permutation(self):
         # eigenvectors times i: still a permutation up to phases, but a
